@@ -181,19 +181,13 @@ class FinAbGroup(FinAbMonoid):
 
     def __post_init__(self):
         if not self.inverse:
-            inv = tuple(self._find_inverse(i) for i in range(self.size))
+            inv = tuple(self.inverse_of(i) for i in range(self.size))
             object.__setattr__(self, "inverse", inv)
-
-    def _find_inverse(self, i: int) -> int:
-        for j in range(self.size):
-            if self.table[i][j] == self.unit and self.table[j][i] == self.unit:
-                return j
-        return -1
 
     def check(self) -> None:
         super().check()
         for i, j in enumerate(self.inverse):
-            if j < 0 or self.table[i][j] != self.unit:
+            if j is None or self.table[i][j] != self.unit:
                 raise AxiomError("inverse", self.elements[i])
 
     def to_json(self) -> dict:

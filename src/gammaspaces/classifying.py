@@ -20,7 +20,8 @@ from . import ggamma as gg
 from .algebra import FinAbMonoid, GMonoid
 from .errors import BudgetError, StrictnessError, TruncationError
 from .homology import (HomologyGroup, HomologyPresentation,
-                       induced_map_on_homology, normalized_chain_complex)
+                       induced_map_on_homology, normalized_chain_complex,
+                       snf_diagonal)
 from .presheaves import TruncatedGGammaSet
 from .simplicial import (SimplicialMap, TruncatedSimplicialSet, skeleton,
                          skeleton_inclusion, suspension, validate)
@@ -207,47 +208,17 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
 
 
 def _cyclic_decomposition(A: FinAbMonoid) -> list[int]:
-    """Invariant factors of a finite abelian group given by its table,
-    matched through element-order multisets."""
-    orders = sorted(_element_orders(A.table, A.unit, A.size))
-    for chain in _divisor_chains(A.size):
-        if sorted(_product_orders(chain)) == orders:
-            return chain
-    raise ValueError("not a finite abelian group table")
-
-
-def _element_orders(table, unit, size):
-    orders = []
-    for i in range(size):
-        acc, k = table[unit][i], 1
-        while acc != unit:
-            acc = table[acc][i]
-            k += 1
-        orders.append(k)
-    return orders
-
-
-def _product_orders(chain):
-    import itertools
-
-    orders = []
-    for combo in itertools.product(*(range(t) for t in chain)):
-        orders.append(math.lcm(*(t // math.gcd(t, x) for t, x in zip(chain, combo))) if chain else 1)
-    return orders
-
-
-def _divisor_chains(n: int, smallest: int = 2) -> list[list[int]]:
-    """All chains d1 | d2 | ... with each di > 1 and product n, listed with
-    divisibility increasing."""
-    if n == 1:
-        return [[]]
-    chains = []
-    for d in range(smallest, n + 1):
-        if n % d == 0:
-            for rest in _divisor_chains(n // d, d):
-                if all(r % d == 0 for r in rest[:1]) or not rest:
-                    chains.append([d] + rest)
-    return [c for c in chains if all(b % a == 0 for a, b in zip(c, c[1:]))]
+    """Invariant factors of a finite abelian group given by its table: the
+    Smith diagonal of the relations e_a + e_b - e_ab, one column per element."""
+    relations = []
+    for a in range(A.size):
+        for b in range(a, A.size):
+            row = [0] * A.size
+            row[a] += 1
+            row[b] += 1
+            row[A.table[a][b]] -= 1
+            relations.append(row)
+    return [x for x in snf_diagonal(relations) if x > 1]
 
 
 def _cyclic_list_homology(orders: list[int], q: int) -> list[int]:
@@ -281,36 +252,11 @@ def _tor(xs, ys):
 
 
 def _canonical_group(orders: list[int]) -> HomologyGroup:
-    rank = sum(1 for x in orders if x == 0)
-    torsion = [x for x in orders if x > 1]
-    primes: dict[int, list[int]] = {}
-    for t in torsion:
-        for p, e in _factorize(t).items():
-            primes.setdefault(p, []).append(e)
-    depth = max((len(v) for v in primes.values()), default=0)
-    factors = []
-    for k in range(depth):
-        val = 1
-        for p, exps in primes.items():
-            exps_sorted = sorted(exps, reverse=True)
-            if k < len(exps_sorted):
-                val *= p ** exps_sorted[k]
-        factors.append(val)
-    factors = sorted(factors)
-    return HomologyGroup(rank, tuple(f for f in factors if f > 1))
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    """The direct sum of cyclic groups of the given orders (0 meaning a free
+    summand), in invariant-factor form via the Smith form of diag(orders)."""
+    diag = snf_diagonal([[x if i == j else 0 for j in range(len(orders))]
+                         for i, x in enumerate(orders)])
+    return HomologyGroup(diag.count(0), tuple(x for x in diag if x > 1))
 
 
 def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None:

@@ -94,10 +94,6 @@ class GGammaMap:
         return f"{self.f.key()}|g{self.g}"
 
 
-def make_morphism(f: GammaOpMap, g: int, group: FiniteGroup) -> GGammaMap:
-    return GGammaMap(f, g, group)
-
-
 def compose(b: GGammaMap, a: GGammaMap) -> GGammaMap:
     """b after a: compose the maps and multiply the group elements."""
     if a.group != b.group:

@@ -9,7 +9,6 @@ lowest column, so output is deterministic for a fixed input.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import TruncationError
 from .simplicial import SimplicialMap, TruncatedSimplicialSet
@@ -43,12 +42,8 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
 def determinant(a: Matrix) -> int:
-    """Fraction-free Bareiss determinant; a must be square."""
+    """Bareiss determinant, exact without leaving the integers; a must be square."""
     n = len(a)
     if n == 0:
         return 1
@@ -353,68 +348,30 @@ def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> Cha
 
 
 def homology(C: ChainComplex, p: int) -> HomologyGroup:
-    """Homology in degree p from the Smith forms of the two boundaries.
-
-    Needs the boundary out of degree p+1, so p must lie strictly below the
-    top degree of the complex.
-    """
-    if p < 0 or p + 1 > C.top:
-        raise TruncationError(
-            f"homology in degree {p} needs boundaries up to degree {p + 1}; "
-            f"complex stops at {C.top}", required=p + 1)
-    n_p = C.ranks[p]
-    rank_out = _matrix_rank(C.boundary(p)) if p >= 1 else 0
-    diag_in = snf_diagonal(C.boundary(p + 1))
-    rank_in = sum(1 for x in diag_in if x)
-    torsion = tuple(x for x in diag_in if x > 1)
-    return HomologyGroup(n_p - rank_out - rank_in, torsion)
+    """Homology in degree p; needs the boundary out of degree p+1, so p
+    must lie strictly below the top degree of the complex."""
+    return HomologyPresentation(C, p).group()
 
 
-def _matrix_rank(a: Matrix) -> int:
-    if not a or not a[0]:
-        return 0
-    return sum(1 for x in snf_diagonal(a) if x)
-
-
-def solve_exact(a: Matrix, rhs: list[int]) -> list[int]:
-    """One integer solution x of a @ x = rhs; raises if none exists."""
+def solve_exact(a: Matrix, rhs: Matrix) -> Matrix:
+    """One integer solution X of a @ X = rhs, column by column, from a
+    single Smith form of a; raises ValueError if some column has none."""
     d, u, v = smith_normal_form(a)
     rows, cols = len(a), len(a[0]) if a else 0
-    c = [sum(u[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
-    y = [0] * cols
+    c = mat_mul(u, rhs)
+    y = zeros(cols, len(rhs[0]) if rhs else 0)
     for i in range(rows):
-        di = d[i][i] if i < min(rows, cols) else 0
-        if di:
-            if c[i] % di:
-                raise ValueError("no integer solution")
-            y[i] = c[i] // di
-        elif c[i]:
+        di = d[i][i] if i < cols else 0
+        if any(x % di if di else x for x in c[i]):
             raise ValueError("no integer solution")
-    return [sum(v[i][k] * y[k] for k in range(cols)) for i in range(cols)]
+        if di:
+            y[i] = [x // di for x in c[i]]
+    return mat_mul(v, y)
 
 
 def invert_unimodular(a: Matrix) -> Matrix:
     """Exact inverse of a unimodular integer matrix."""
-    n = len(a)
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        pv = work[col][col]
-        work[col] = [x / pv for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    inv = [[x for x in row[n:]] for row in work]
-    for row in inv:
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-    return [[int(x) for x in row] for row in inv]
+    return solve_exact(a, eye(len(a)))
 
 
 class HomologyPresentation:
@@ -429,65 +386,45 @@ class HomologyPresentation:
     def __init__(self, C: ChainComplex, p: int):
         if p < 0 or p + 1 > C.top:
             raise TruncationError(
-                f"presentation in degree {p} needs boundaries up to {p + 1}; "
+                f"homology in degree {p} needs boundaries up to degree {p + 1}; "
                 f"complex stops at {C.top}", required=p + 1)
-        self.C = C
-        self.p = p
         n_p = C.ranks[p]
-        if p >= 1:
-            bp = C.boundary(p)
-            d, _, v = smith_normal_form(bp)
+        if p >= 1 and C.ranks[p - 1]:
+            d, _, v = smith_normal_form(C.boundary(p))
             rank = sum(1 for i in range(min(len(d), n_p)) if d[i][i])
             # kernel basis: columns of V past the rank
-            self.kernel = [[v[i][j] for j in range(rank, n_p)] for i in range(n_p)]
+            self.kernel = [row[rank:] for row in v]
         else:
             self.kernel = eye(n_p)
         s = len(self.kernel[0]) if self.kernel else 0
-        self.cycle_count = s
-        bnext = C.boundary(p + 1)
-        n_next = C.ranks[p + 1]
-        relations = zeros(s, n_next)
-        for j in range(n_next):
-            col = [bnext[i][j] for i in range(n_p)]
-            x = solve_exact(self.kernel, col) if s else []
-            for i in range(s):
-                relations[i][j] = x[i]
-        rel_d, rel_u, _ = smith_normal_form(relations) if n_next and s else (zeros(s, max(n_next, 0)), eye(s), eye(n_next))
-        self.rel_u = rel_u
-        diag = [rel_d[i][i] for i in range(min(s, n_next))] if n_next else []
-        self.rel_rank = sum(1 for x in diag if x)
+        # the next boundary written in the kernel basis, then diagonalized
+        relations = solve_exact(self.kernel, C.boundary(p + 1))
+        rel_d, self.rel_u, _ = smith_normal_form(relations)
+        diag = [rel_d[i][i] for i in range(min(s, C.ranks[p + 1]))]
+        rel_rank = sum(1 for x in diag if x)
         # coordinate layout: torsion positions then free positions
-        self.torsion_positions = [i for i in range(self.rel_rank) if diag[i] > 1]
-        self.torsion = tuple(diag[i] for i in self.torsion_positions)
-        self.free_positions = list(range(self.rel_rank, s))
-        self.positions = self.torsion_positions + self.free_positions
+        torsion_positions = [i for i in range(rel_rank) if diag[i] > 1]
+        self.torsion = tuple(diag[i] for i in torsion_positions)
+        self.free_positions = list(range(rel_rank, s))
+        self.positions = torsion_positions + self.free_positions
 
     def group(self) -> HomologyGroup:
         return HomologyGroup(len(self.free_positions), self.torsion)
 
-    def reduce_cycle(self, chain: list[int]) -> tuple[int, ...]:
-        """Canonical coordinates of a cycle given in the chain basis."""
-        x = solve_exact(self.kernel, chain) if self.cycle_count else []
-        y = [sum(self.rel_u[i][k] * x[k] for k in range(self.cycle_count))
-             for i in range(self.cycle_count)]
-        coords = []
-        for idx, pos in enumerate(self.positions):
-            val = y[pos]
-            if idx < len(self.torsion):
-                val %= self.torsion[idx]
-            coords.append(val)
-        return tuple(coords)
+    def coordinates(self, cycles: Matrix) -> tuple[tuple[int, ...], ...]:
+        """Canonical coordinates of cycles given as the columns of a matrix
+        in the chain basis: row i holds coordinate i of every cycle, torsion
+        coordinates reduced mod their order."""
+        y = mat_mul(self.rel_u, solve_exact(self.kernel, cycles))
+        orders = self.torsion + (0,) * len(self.free_positions)
+        return tuple(tuple(x % t if t else x for x in y[pos])
+                     for pos, t in zip(self.positions, orders))
 
-    def generator_cycles(self) -> list[list[int]]:
-        """One representative cycle per canonical coordinate."""
+    def generator_cycles(self) -> Matrix:
+        """Representative cycles in the chain basis, one column per
+        canonical coordinate."""
         u_inv = invert_unimodular(self.rel_u)
-        gens = []
-        for pos in self.positions:
-            x = [u_inv[i][pos] for i in range(self.cycle_count)]
-            chain = [sum(self.kernel[i][k] * x[k] for k in range(self.cycle_count))
-                     for i in range(self.C.ranks[self.p])]
-            gens.append(chain)
-        return gens
+        return mat_mul(self.kernel, [[row[pos] for pos in self.positions] for row in u_inv])
 
 
 @dataclass(frozen=True)
@@ -532,11 +469,5 @@ def induced_map_on_homology(f: SimplicialMap, p: int,
     the target presentation."""
     source_pres = source_pres or HomologyPresentation(normalized_chain_complex(f.source, p + 1), p)
     target_pres = target_pres or HomologyPresentation(normalized_chain_complex(f.target, p + 1), p)
-    fmat = chain_map_matrix(f, p)
-    columns = []
-    for gen in source_pres.generator_cycles():
-        image = [sum(fmat[i][k] * gen[k] for k in range(len(gen))) for i in range(len(fmat))]
-        columns.append(target_pres.reduce_cycle(image))
-    n_rows = len(target_pres.positions)
-    matrix = tuple(tuple(col[i] for col in columns) for i in range(n_rows))
-    return InducedMap(source_pres.group(), target_pres.group(), matrix)
+    images = mat_mul(chain_map_matrix(f, p), source_pres.generator_cycles())
+    return InducedMap(source_pres.group(), target_pres.group(), target_pres.coordinates(images))

@@ -410,18 +410,20 @@ def presheaf_from_json(data: dict):
         N = int(data["N"])
         levels = [[_frozen(x) for x in level] for level in data["levels"]]
         maps = {key: list(table) for key, table in data["maps"].items()}
+        stored_group = FiniteGroup.from_json(data["group"]) if kind == "ggamma" else None
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presheaf file: {exc}") from exc
     if len(levels) != N + 1:
         raise InputError(f"presheaf file lists {len(levels)} levels for N={N}")
-    stored_group = FiniteGroup.from_json(data["group"]) if kind == "ggamma" else None
     for key, table in maps.items():
         f = _morphism_from_key(key, kind, stored_group)
+        if not (0 <= f.source <= N and 0 <= f.target <= N):
+            raise InputError(f"morphism {key} leaves the stored levels 0..{N}")
         if len(table) != len(levels[f.source]):
             raise InputError(f"table for {key} has {len(table)} entries, "
                              f"level {f.source} has {len(levels[f.source])}")
         for v in table:
-            if not 0 <= v < len(levels[f.target]):
+            if not isinstance(v, int) or not 0 <= v < len(levels[f.target]):
                 raise InputError(f"table for {key} points outside level {f.target}")
 
     def apply_fn(f, x):

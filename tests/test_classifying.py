@@ -290,6 +290,12 @@ class TestExpectedPattern:
         assert cb._cyclic_decomposition(KLEIN) == [2, 2]
         assert cb._cyclic_decomposition(alg.cyclic(6)) == [6]
         assert cb._cyclic_decomposition(alg.cyclic(1)) == []
+        prod = alg.direct_product
+        assert cb._cyclic_decomposition(prod(Z2, Z4)) == [2, 4]
+        assert cb._cyclic_decomposition(prod(prod(Z2, Z2), Z2)) == [2, 2, 2]
+        assert cb._cyclic_decomposition(prod(Z2, Z3)) == [6]
+        assert cb._cyclic_decomposition(prod(Z3, Z3)) == [3, 3]
+        assert cb._cyclic_decomposition(alg.cyclic(8)) == [8]
 
 
 @pytest.mark.slow

@@ -1,11 +1,15 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from gammaspaces import cli
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 def run(args, capsys):
@@ -131,6 +135,33 @@ class TestRoundtrip:
         code, _, err = run(["roundtrip", "--input", str(corrupted)], capsys)
         assert code == 3
         assert "not strict" in err
+
+
+# fixture to build, then the damage done to its presheaf file
+PRESHEAF_DEFECTS = {
+    "no_group": ("z2_inversion_on_z3", lambda data: data.pop("group")),
+    "morphism_beyond_levels": ("z2", lambda data: data["maps"].update({"5>1:0,1,0,0,0,0": [0]})),
+    "non_integer_entry": ("z2", lambda data: data["maps"].update({"1>1:0,1": ["a", "b"]})),
+}
+
+
+class TestMalformedPresheafFiles:
+    @pytest.mark.parametrize("command", [["check", "--segal"], ["roundtrip"]],
+                             ids=["check", "roundtrip"])
+    @pytest.mark.parametrize("defect", sorted(PRESHEAF_DEFECTS))
+    def test_exits_two_with_one_line(self, tmp_path, command, defect):
+        fixture, damage = PRESHEAF_DEFECTS[defect]
+        data = json.loads(build(tmp_path, fixture).read_text())
+        damage(data)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data))
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", *command,
+                               "--input", str(bad)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
 
 
 class TestClassify:

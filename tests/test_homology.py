@@ -7,7 +7,7 @@ from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import TruncationError
-from oracles import bar_resolution_homology, nerve_of_monoid
+from oracles import bar_resolution_homology, em_two_cocycle_space, nerve_of_monoid
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -57,23 +57,35 @@ class TestSmithNormalForm:
 
 class TestExactSolve:
     @settings(max_examples=80)
-    @given(int_matrices, st.lists(st.integers(-4, 4), min_size=1, max_size=5))
-    def test_solve_consistent_systems(self, a, x0):
+    @given(int_matrices, st.integers(1, 3), st.lists(st.integers(-4, 4), min_size=1, max_size=15))
+    def test_solve_consistent_systems(self, a, k, entries):
         cols = len(a[0])
-        x0 = (x0 * cols)[:cols]
-        rhs = [sum(a[i][j] * x0[j] for j in range(cols)) for i in range(len(a))]
-        x = hm.solve_exact(a, rhs)
-        assert [sum(a[i][j] * x[j] for j in range(cols)) for i in range(len(a))] == rhs
+        x0 = [[entries[(i * k + j) % len(entries)] for j in range(k)] for i in range(cols)]
+        rhs = hm.mat_mul(a, x0)
+        assert hm.mat_mul(a, hm.solve_exact(a, rhs)) == rhs
 
     def test_unsolvable_raises(self):
         with pytest.raises(ValueError):
-            hm.solve_exact([[2]], [1])
+            hm.solve_exact([[2]], [[1]])
+        with pytest.raises(ValueError):  # one bad column among good ones
+            hm.solve_exact([[2, 0], [0, 1]], [[2, 1], [5, 5]])
 
     def test_invert_unimodular(self):
         u = [[1, 2], [0, 1]]
         assert hm.invert_unimodular(u) == [[1, -2], [0, 1]]
         with pytest.raises(ValueError):
             hm.invert_unimodular([[2, 0], [0, 1]])
+        rng = random.Random(5)
+        for n in range(1, 6):
+            u = hm.eye(n)
+            for _ in range(3 * n):  # random product of elementary matrices
+                i, j = rng.randrange(n), rng.randrange(n)
+                if i == j:
+                    u[i] = [-x for x in u[i]]
+                else:
+                    q = rng.randint(-3, 3)
+                    u[i] = [x + q * y for x, y in zip(u[i], u[j])]
+            assert hm.mat_mul(u, hm.invert_unimodular(u)) == hm.eye(n)
 
 
 class TestChainComplexes:
@@ -141,6 +153,15 @@ class TestHomology:
             assert bar_resolution_homology(M, q) == expected
             C = hm.normalized_chain_complex(nerve_of_monoid(M, q + 1))
             assert hm.homology(C, q) == expected
+
+    def test_zero_rank_below_degree(self):
+        # the boundary out of degree 2 has no rows, so every 2-chain is a cycle
+        X = em_two_cocycle_space(cyclic(2), 3)
+        C = hm.normalized_chain_complex(X)
+        assert C.ranks == [1, 0, 1, 4]
+        assert hm.HomologyPresentation(C, 2).group() == hm.HomologyGroup(0, (2,))
+        assert hm.homology(C, 2) == hm.HomologyGroup(0, (2,))
+        assert hm.induced_map_on_homology(ss.identity_map(X), 2).matrix == ((1,),)
 
     def test_normalized_vs_full_agreement(self):
         fixtures = [ss.point(2), ss.suspension([0, 1], 0, 2), nerve_of_monoid(cyclic(2), 2)]

@@ -30,6 +30,5 @@ from .presheaves import (CheckReport, TruncatedGammaSet, TruncatedGGammaSet,
                          extract_group_bousfield, extract_monoid,
                          homotopy_probe, pi0_group_like, presheaf_from_json,
                          presheaf_to_json)
-from .simplicial import (SimplicialMap, TruncatedBisimplicialSet,
-                         TruncatedSimplicialSet, diagonal, point, skeleton,
-                         suspension, validate)
+from .simplicial import (SimplicialMap, TruncatedSimplicialSet, point,
+                         skeleton, suspension, validate)

@@ -80,21 +80,14 @@ def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> 
     if total > budget:
         raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
 
-    levels = [list(X.level((p ** k) * n)) for p in range(d + 1)]
-    faces: list[list[dict]] = [[] for _ in range(d + 1)]
-    degeneracies: list[list[dict]] = [[] for _ in range(d + 1)]
-    for p in range(1, d + 1):
-        for i in range(p + 1):
-            op = gc.smash_morphisms(gc.smash_power(gc.face_gamma_op(p, i), k), gc.identity(n))
-            table = X.action_table(_lift(X, op))
-            tgt = levels[p - 1]
-            faces[p].append({x: tgt[table[j]] for j, x in enumerate(levels[p])})
-    for p in range(d):
-        for i in range(p + 1):
-            op = gc.smash_morphisms(gc.smash_power(gc.degeneracy_gamma_op(p, i), k), gc.identity(n))
-            table = X.action_table(_lift(X, op))
-            tgt = levels[p + 1]
-            degeneracies[p].append({x: tgt[table[j]] for j, x in enumerate(levels[p])})
+    def tables(op_fn, p):
+        return [X.action_table(_lift(X, gc.smash_morphisms(gc.smash_power(op_fn(p, i), k),
+                                                          gc.identity(n))))
+                for i in range(p + 1)]
+
+    levels = [X.level((p ** k) * n) for p in range(d + 1)]
+    faces = [tables(gc.face_gamma_op, p) if p else [] for p in range(d + 1)]
+    degeneracies = [tables(gc.degeneracy_gamma_op, p) if p < d else [] for p in range(d + 1)]
     space = TruncatedSimplicialSet(d, levels, faces, degeneracies)
     report = validate(space)
     if not report.ok:
@@ -262,9 +255,13 @@ def _canonical_group(orders: list[int]) -> HomologyGroup:
 def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None:
     """Expected homology of the k-fold delooping of a finite abelian group
     in degree q; None when outside the range tabulated here."""
+    return _expected_from_invariants(_cyclic_decomposition(A), k, q)
+
+
+def _expected_from_invariants(invariants: list[int], k: int, q: int) -> HomologyGroup | None:
+    """expected_em_homology for the group with these invariant factors."""
     if q == 0:
         return HomologyGroup(1)
-    invariants = _cyclic_decomposition(A)
     if k == 1:
         return _canonical_group(_cyclic_list_homology(invariants, q))
     if q < k:
@@ -331,8 +328,9 @@ def delooping_report(X, k: int, d: int, maxdeg: int, budget: int = DEFAULT_BUDGE
     expected: list = [None] * (maxdeg + 1)
     matches: list = [None] * (maxdeg + 1)
     if isinstance(carrier, FinAbMonoid) and carrier.is_group():
+        invariants = _cyclic_decomposition(carrier)
         for q in range(maxdeg + 1):
-            expected[q] = expected_em_homology(carrier, k, q)
+            expected[q] = _expected_from_invariants(invariants, k, q)
             if expected[q] is not None:
                 matches[q] = expected[q] == groups[q]
     return DeloopingReport(k, d, maxdeg, B.space.level_sizes(), groups,

@@ -109,19 +109,18 @@ def _functoriality_probe(X, seed: int, pairs: int = 50) -> dict:
         f = gc.GammaOpMap(m, n, (0,) + tuple(rng.randint(0, n) for _ in range(m)))
         g = gc.GammaOpMap(n, p, (0,) + tuple(rng.randint(0, p) for _ in range(n)))
         if isinstance(X, ps.TruncatedGGammaSet):
-            a = gg.GGammaMap(f, rng.randrange(X.group.size), X.group)
-            b = gg.GGammaMap(g, rng.randrange(X.group.size), X.group)
-            composite = gg.compose(b, a)
-            for x in X.level(m):
-                if X.act(composite, x) != X.act(b, X.act(a, x)):
-                    return {"passed": False, "pairs": checked,
-                            "witness": f"{composite.key()} on {x!r}"}
+            f = gg.GGammaMap(f, rng.randrange(X.group.size), X.group)
+            g = gg.GGammaMap(g, rng.randrange(X.group.size), X.group)
+            composite = gg.compose(g, f)
         else:
             composite = gc.compose(g, f)
-            for x in X.level(m):
-                if X.act(composite, x) != X.act(g, X.act(f, x)):
-                    return {"passed": False, "pairs": checked,
-                            "witness": f"{composite.key()} on {x!r}"}
+        after = X.action_table(g)
+        direct = X.action_table(composite)
+        via = [after[y] for y in X.action_table(f)]
+        if direct != via:
+            x = X.level(m)[next(k for k, (a, b) in enumerate(zip(direct, via)) if a != b)]
+            return {"passed": False, "pairs": checked,
+                    "witness": f"{composite.key()} on {x!r}"}
         checked += 1
     return {"passed": True, "pairs": checked, "witness": None}
 

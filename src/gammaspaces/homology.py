@@ -314,18 +314,17 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
     top = X.d if top is None else top
     if top > X.d:
         raise TruncationError(f"requested top degree {top} beyond truncation {X.d}", required=top)
-    basis = [X.nondegenerate(p) for p in range(top + 1)]
-    pos = [{x: i for i, x in enumerate(b)} for b in basis]
+    basis = [X.nondegenerate_indices(p) for p in range(top + 1)]
     ranks = [len(b) for b in basis]
     boundaries: list[Matrix] = [[]]
     for p in range(1, top + 1):
+        row_of = {k: r for r, k in enumerate(basis[p - 1])}
         mat = zeros(ranks[p - 1], ranks[p])
-        for j, x in enumerate(basis[p]):
-            for i in range(p + 1):
-                y = X.face(p, i, x)
-                row = pos[p - 1].get(y)
+        for col, k in enumerate(basis[p]):
+            for i, table in enumerate(X.faces[p]):
+                row = row_of.get(table[k])
                 if row is not None:
-                    mat[row][j] += -1 if i % 2 else 1
+                    mat[row][col] += -1 if i % 2 else 1
         boundaries.append(mat)
     return ChainComplex(ranks, boundaries)
 
@@ -407,6 +406,7 @@ class HomologyPresentation:
         self.torsion = tuple(diag[i] for i in torsion_positions)
         self.free_positions = list(range(rel_rank, s))
         self.positions = torsion_positions + self.free_positions
+        self._generators: Matrix | None = None
 
     def group(self) -> HomologyGroup:
         return HomologyGroup(len(self.free_positions), self.torsion)
@@ -422,9 +422,12 @@ class HomologyPresentation:
 
     def generator_cycles(self) -> Matrix:
         """Representative cycles in the chain basis, one column per
-        canonical coordinate."""
-        u_inv = invert_unimodular(self.rel_u)
-        return mat_mul(self.kernel, [[row[pos] for pos in self.positions] for row in u_inv])
+        canonical coordinate; computed on first use and shared."""
+        if self._generators is None:
+            u_inv = invert_unimodular(self.rel_u)
+            self._generators = mat_mul(self.kernel,
+                                       [[row[pos] for pos in self.positions] for row in u_inv])
+        return self._generators
 
 
 @dataclass(frozen=True)

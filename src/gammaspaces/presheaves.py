@@ -4,9 +4,13 @@ constructive equivalences with abelian monoids, abelian groups, and
 group-equivariant monoids.
 
 Levels and morphism actions are tabulated lazily and memoized, since the
-number of morphisms grows as (target+1)**source.  A built presheaf is
-immutable once its memo tables are populated; populate before sharing
-across threads or confine population to one owner.
+number of morphisms grows as (target+1)**source.  An action is an integer
+index table: entry i is the position in the target level of the image of
+the i-th source element.  The tables of a monoid-built presheaf are
+computed by mixed-radix arithmetic over the lexicographic level order,
+never one element at a time.  A built presheaf is immutable once its memo
+tables are populated; populate before sharing across threads or confine
+population to one owner.
 """
 
 from __future__ import annotations
@@ -23,35 +27,35 @@ from .errors import AxiomError, InputError, StrictnessError, TruncationError
 
 
 class _TruncatedPresheaf:
-    """Shared machinery: lazy level lists, index lookup, memoized actions."""
+    """Shared machinery: lazy level lists, index lookup, memoized actions.
 
-    def __init__(self, N: int):
+    level_fn(n) lists the elements of level n; table_fn(f) is the index
+    table of the action of f.
+    """
+
+    def __init__(self, N: int, level_fn, table_fn, algebra=None):
         self.N = N
+        self._level_fn = level_fn
+        self._table_fn = table_fn
         self._levels: dict[int, list] = {}
         self._index: dict[int, dict] = {}
         self._tables: dict[str, list[int]] = {}
-        self.algebra = None  # provenance: the generating algebra, if any
+        self.algebra = algebra  # provenance: the generating algebra, if any
         self.table_backed = False  # True when only stored tables can act
-
-    def _build_level(self, n: int) -> list:
-        raise NotImplementedError
-
-    def _apply(self, f, x):
-        raise NotImplementedError
 
     def level(self, n: int) -> list:
         if n > self.N:
             raise TruncationError(f"level {n} beyond truncation {self.N}", required=n)
         if n not in self._levels:
-            self._levels[n] = self._build_level(n)
-            self._index[n] = {x: i for i, x in enumerate(self._levels[n])}
+            self._levels[n] = self._level_fn(n)
         return self._levels[n]
 
     def level_size(self, n: int) -> int:
         return len(self.level(n))
 
     def index(self, n: int, x) -> int:
-        self.level(n)
+        if n not in self._index:
+            self._index[n] = {y: i for i, y in enumerate(self.level(n))}
         return self._index[n][x]
 
     def _check_range(self, f) -> None:
@@ -62,18 +66,15 @@ class _TruncatedPresheaf:
 
     def act(self, f, x):
         """Image of a single element under the action of a morphism."""
-        self._check_range(f)
-        return self._apply(f, x)
+        table = self.action_table(f)
+        return self.level(f.target)[table[self.index(f.source, x)]]
 
     def action_table(self, f) -> list[int]:
         """Index form of the action of f, memoized per morphism key."""
         self._check_range(f)
         key = f.key()
         if key not in self._tables:
-            src = self.level(f.source)
-            self.level(f.target)
-            tgt_index = self._index[f.target]
-            self._tables[key] = [tgt_index[self._apply(f, x)] for x in src]
+            self._tables[key] = self._table_fn(f)
         return self._tables[key]
 
     def is_pointed(self) -> bool:
@@ -82,18 +83,6 @@ class _TruncatedPresheaf:
 
 class TruncatedGammaSet(_TruncatedPresheaf):
     """Presheaf on the pointed-map category with levels 0..N."""
-
-    def __init__(self, N: int, level_fn, apply_fn, algebra=None):
-        super().__init__(N)
-        self._level_fn = level_fn
-        self._apply_fn = apply_fn
-        self.algebra = algebra
-
-    def _build_level(self, n: int) -> list:
-        return self._level_fn(n)
-
-    def _apply(self, f: gc.GammaOpMap, x):
-        return self._apply_fn(f, x)
 
     def segal_component(self, n: int, k: int):
         return gc.segal_family(n)[k - 1]
@@ -111,18 +100,9 @@ class TruncatedGammaSet(_TruncatedPresheaf):
 class TruncatedGGammaSet(_TruncatedPresheaf):
     """Presheaf on the wedge-indexed category with levels 0..N."""
 
-    def __init__(self, N: int, group: FiniteGroup, level_fn, apply_fn, algebra=None):
-        super().__init__(N)
+    def __init__(self, N: int, group: FiniteGroup, level_fn, table_fn, algebra=None):
+        super().__init__(N, level_fn, table_fn, algebra)
         self.group = group
-        self._level_fn = level_fn
-        self._apply_fn = apply_fn
-        self.algebra = algebra
-
-    def _build_level(self, n: int) -> list:
-        return self._level_fn(n)
-
-    def _apply(self, a: gg.GGammaMap, x):
-        return self._apply_fn(a, x)
 
     def segal_component(self, n: int, k: int):
         return gg.projection(n, k, self.group)
@@ -140,25 +120,51 @@ class TruncatedGGammaSet(_TruncatedPresheaf):
         return gg.group_action_map(n, g, self.group)
 
 
+def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
+    """Index table of the action of f on tuples of elements of M: entry j
+    of the image is the product of row[x_i] over the i with f(i) = j,
+    the unit when there is none.
+
+    Levels list tuples in lexicographic order, so a tuple's index has the
+    digit x_i at weight s**(n-i).  Walking the source positions in order
+    widens the list of image indices by a factor s per position, the new
+    digit running fastest; a position updates the digit f(i) of every
+    image through the multiplication table.
+    """
+    s, t = M.size, f.target
+    weights = [s ** (t - j) for j in range(t + 1)]
+    images = [M.unit * sum(weights[1:])]  # the all-unit tuple
+    written: set[int] = set()
+    for j in f.values[1:]:
+        if not j:
+            images = [y for y in images for _ in range(s)]
+            continue
+        w = weights[j]
+        moves = [[(M.table[old][row[c]] - old) * w for c in range(s)] for old in range(s)]
+        if j in written:
+            images = [y + step for y in images for step in moves[y // w % s]]
+        else:  # digit j still holds the unit in every image
+            written.add(j)
+            steps = moves[M.unit]
+            images = [y + step for y in images for step in steps]
+    return images
+
+
+def _tuple_levels(M: FinAbMonoid):
+    """Level n of a monoid-built presheaf: the n-tuples of element indices
+    in lexicographic order."""
+    return lambda n: list(itertools.product(range(M.size), repeat=n))
+
+
 def build_gamma_set(M: FinAbMonoid, N: int) -> TruncatedGammaSet:
     """Presheaf of a finite abelian monoid: level n holds the n-tuples of
     element indices, and a morphism acts by summing preimages (an empty
     preimage contributes the unit)."""
     if N < 1:
         raise ValueError("level bound must be at least 1")
-
-    def level_fn(n):
-        return list(itertools.product(range(M.size), repeat=n))
-
-    def apply_fn(f, x):
-        out = [M.unit] * f.target
-        for i in range(1, f.source + 1):
-            j = f.values[i]
-            if j:
-                out[j - 1] = M.table[out[j - 1]][x[i - 1]]
-        return tuple(out)
-
-    return TruncatedGammaSet(N, level_fn, apply_fn, algebra=M)
+    identity_row = range(M.size)
+    return TruncatedGammaSet(N, _tuple_levels(M),
+                             lambda f: _sum_preimages_table(M, identity_row, f), algebra=M)
 
 
 def build_ggamma_set(A: GMonoid, N: int) -> TruncatedGGammaSet:
@@ -167,20 +173,9 @@ def build_ggamma_set(A: GMonoid, N: int) -> TruncatedGGammaSet:
     if N < 1:
         raise ValueError("level bound must be at least 1")
     M = A.monoid
-
-    def level_fn(n):
-        return list(itertools.product(range(M.size), repeat=n))
-
-    def apply_fn(a, x):
-        row = A.action[a.g]
-        out = [M.unit] * a.target
-        for i in range(1, a.source + 1):
-            j = a.f.values[i]
-            if j:
-                out[j - 1] = M.table[out[j - 1]][row[x[i - 1]]]
-        return tuple(out)
-
-    return TruncatedGGammaSet(N, A.group, level_fn, apply_fn, algebra=A)
+    return TruncatedGGammaSet(N, A.group, _tuple_levels(M),
+                              lambda a: _sum_preimages_table(M, A.action[a.g], a.f),
+                              algebra=A)
 
 
 @dataclass(frozen=True)
@@ -411,6 +406,10 @@ def presheaf_from_json(data: dict):
         levels = [[_frozen(x) for x in level] for level in data["levels"]]
         maps = {key: list(table) for key, table in data["maps"].items()}
         stored_group = FiniteGroup.from_json(data["group"]) if kind == "ggamma" else None
+        # an action table is only meaningful if labels and positions biject
+        for n, level in enumerate(levels):
+            if len(set(level)) != len(level):
+                raise InputError(f"level {n} of the presheaf file lists an element twice")
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"malformed presheaf file: {exc}") from exc
     if len(levels) != N + 1:
@@ -426,18 +425,16 @@ def presheaf_from_json(data: dict):
             if not isinstance(v, int) or not 0 <= v < len(levels[f.target]):
                 raise InputError(f"table for {key} points outside level {f.target}")
 
-    def apply_fn(f, x):
+    def table_fn(f):
         key = f.key()
         if key not in maps:
             raise InputError(f"morphism {key} not stored in presheaf file")
-        src_level = levels[f.source]
-        pos = src_level.index(x)
-        return levels[f.target][maps[key][pos]]
+        return maps[key]
 
     if kind == "ggamma":
-        X = TruncatedGGammaSet(N, stored_group, lambda n: list(levels[n]), apply_fn)
+        X = TruncatedGGammaSet(N, stored_group, levels.__getitem__, table_fn)
     elif kind == "gamma":
-        X = TruncatedGammaSet(N, lambda n: list(levels[n]), apply_fn)
+        X = TruncatedGammaSet(N, levels.__getitem__, table_fn)
     else:
         raise InputError(f"unknown presheaf kind {kind!r}")
     X.table_backed = True

@@ -1,10 +1,10 @@
 """Truncated simplicial sets with tabulated faces and degeneracies,
-simplicial maps, skeletons, reduced suspension of a pointed set, and the
-diagonal of a truncated bisimplicial set.
+simplicial maps, skeletons, and the reduced suspension of a pointed set.
 
-Level sets are ordered lists of hashable simplices; face and degeneracy
-tables are per-level dicts.  Everything is finite and immutable once
-constructed, so values can be shared freely.
+Level sets are ordered lists of hashable simplices; faces and degeneracies
+are integer index tables: entry k of a table is the position, in the
+target level, of the image of the k-th simplex.  Everything is finite and
+immutable once constructed, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -26,111 +26,144 @@ class ValidationReport:
 class TruncatedSimplicialSet:
     """Simplicial set truncated at dimension d.
 
-    levels[p] lists the p-simplices; faces[p][i] maps p-simplices down for
-    1 <= p <= d, 0 <= i <= p; degeneracies[p][i] maps p-simplices up for
+    levels[p] lists the p-simplices; faces[p][i] is the index table of the
+    i-th face out of level p for 1 <= p <= d, 0 <= i <= p; degeneracies[p][i]
+    is the index table of the i-th degeneracy out of level p for
     0 <= p < d, 0 <= i <= p.
     """
 
-    def __init__(self, d: int, levels: list[list], faces: list[list[dict]],
-                 degeneracies: list[list[dict]]):
+    def __init__(self, d: int, levels: list[list], faces: list[list[list[int]]],
+                 degeneracies: list[list[list[int]]]):
         self.d = d
         self.levels = levels
         self.faces = faces
         self.degeneracies = degeneracies
-        self._index = [{x: i for i, x in enumerate(level)} for level in levels]
-        self._degenerate: list[set] | None = None
+        self._index: list[dict | None] = [None] * (d + 1)
+        self._degenerate: list[bytearray | None] = [None] * (d + 1)
+
+    @classmethod
+    def from_label_maps(cls, d: int, levels: list[list], faces: list[list[dict]],
+                        degeneracies: list[list[dict]]) -> TruncatedSimplicialSet:
+        """Build from structure maps given as dicts between simplices."""
+        index = [{x: k for k, x in enumerate(level)} for level in levels]
+
+        def tables(maps, p, q):
+            return [[index[q][m[x]] for x in levels[p]] for m in maps[p]]
+
+        return cls(d, levels,
+                   [tables(faces, p, p - 1) for p in range(d + 1)],
+                   [tables(degeneracies, p, p + 1) for p in range(d + 1)])
 
     def level(self, p: int) -> list:
         return self.levels[p]
 
+    def positions(self, p: int) -> dict:
+        """Index of every p-simplex in its level, built on first use."""
+        if self._index[p] is None:
+            self._index[p] = {x: k for k, x in enumerate(self.levels[p])}
+        return self._index[p]
+
     def index(self, p: int, x) -> int:
-        return self._index[p][x]
+        return self.positions(p)[x]
 
     def face(self, p: int, i: int, x):
-        return self.faces[p][i][x]
+        return self.levels[p - 1][self.faces[p][i][self.index(p, x)]]
 
     def degeneracy(self, p: int, i: int, x):
-        return self.degeneracies[p][i][x]
+        return self.levels[p + 1][self.degeneracies[p][i][self.index(p, x)]]
 
-    def degenerate_set(self, p: int) -> set:
-        """Simplices of level p that are images of some degeneracy."""
-        if self._degenerate is None:
-            degen: list[set] = [set() for _ in range(self.d + 1)]
-            for p_ in range(self.d):
-                for table in self.degeneracies[p_]:
-                    degen[p_ + 1].update(table.values())
-            self._degenerate = degen
+    def degenerate_mask(self, p: int) -> bytearray:
+        """Entry k is 1 when the k-th p-simplex is the image of a degeneracy."""
+        if self._degenerate[p] is None:
+            mask = bytearray(len(self.levels[p]))
+            for table in self.degeneracies[p - 1] if p else ():
+                for k in table:
+                    mask[k] = 1
+            self._degenerate[p] = mask
         return self._degenerate[p]
 
+    def nondegenerate_indices(self, p: int) -> list[int]:
+        return [k for k, degenerate in enumerate(self.degenerate_mask(p)) if not degenerate]
+
     def nondegenerate(self, p: int) -> list:
-        degen = self.degenerate_set(p)
-        return [x for x in self.levels[p] if x not in degen]
+        level = self.levels[p]
+        return [level[k] for k in self.nondegenerate_indices(p)]
 
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
 
 
-def validate(X: TruncatedSimplicialSet) -> ValidationReport:
-    """Check every simplicial identity expressible within the truncation.
+def _composite(a: list[int], b: list[int]) -> list[int]:
+    """Index table of a after b."""
+    return list(map(a.__getitem__, b))
 
-    Returns the first violation found, named with the offending identity,
-    level, indices, and simplex.
-    """
-    for p in range(1, X.d + 1):
-        if len(X.faces[p]) != p + 1:
-            return ValidationReport(False, "face table arity", (p,))
-        for i in range(p + 1):
-            table = X.faces[p][i]
-            for x in X.levels[p]:
-                if x not in table:
-                    return ValidationReport(False, "face not total", (p, i, x))
-                if table[x] not in X._index[p - 1]:
-                    return ValidationReport(False, "face lands outside level", (p, i, x))
-    for p in range(X.d):
-        if len(X.degeneracies[p]) != p + 1:
-            return ValidationReport(False, "degeneracy table arity", (p,))
-        for i in range(p + 1):
-            table = X.degeneracies[p][i]
-            for x in X.levels[p]:
-                if x not in table:
-                    return ValidationReport(False, "degeneracy not total", (p, i, x))
-                if table[x] not in X._index[p + 1]:
-                    return ValidationReport(False, "degeneracy lands outside level", (p, i, x))
 
-    # d_i d_j = d_{j-1} d_i for i < j
+def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int):
+    """Arity, totality and range of the structure maps out of level p into
+    level q; the first violation, or None."""
+    if len(tables) != p + 1:
+        return ValidationReport(False, f"{what} table arity", (p,))
+    size, target = len(X.levels[p]), len(X.levels[q])
+    for i, table in enumerate(tables):
+        if len(table) != size:
+            witness = (p, i, X.levels[p][len(table)]) if len(table) < size else (p, i)
+            return ValidationReport(False, f"{what} not total", witness)
+        if table and not (0 <= min(table) and max(table) < target):
+            k = next(k for k, y in enumerate(table) if not 0 <= y < target)
+            return ValidationReport(False, f"{what} lands outside level", (p, i, X.levels[p][k]))
+    return None
+
+
+def _identities(X: TruncatedSimplicialSet):
+    """Every simplicial identity within the truncation as (name, p, i, j,
+    lhs, rhs): both sides are index tables over level p, produced one
+    identity at a time in checking order."""
+    F, S = X.faces, X.degeneracies
     for p in range(2, X.d + 1):
         for j in range(1, p + 1):
             for i in range(j):
-                for x in X.levels[p]:
-                    if X.face(p - 1, i, X.face(p, j, x)) != X.face(p - 1, j - 1, X.face(p, i, x)):
-                        return ValidationReport(False, "d_i d_j = d_{j-1} d_i", (p, i, j, x))
-    # s_i s_j = s_{j+1} s_i for i <= j
+                yield ("d_i d_j = d_{j-1} d_i", p, i, j,
+                       _composite(F[p - 1][i], F[p][j]), _composite(F[p - 1][j - 1], F[p][i]))
     for p in range(X.d - 1):
         for j in range(p + 1):
             for i in range(j + 1):
-                for x in X.levels[p]:
-                    if X.degeneracy(p + 1, i, X.degeneracy(p, j, x)) != \
-                       X.degeneracy(p + 1, j + 1, X.degeneracy(p, i, x)):
-                        return ValidationReport(False, "s_i s_j = s_{j+1} s_i", (p, i, j, x))
-    # mixed identities on level p, 0 <= p < d
+                yield ("s_i s_j = s_{j+1} s_i", p, i, j,
+                       _composite(S[p + 1][i], S[p][j]), _composite(S[p + 1][j + 1], S[p][i]))
+    # mixed identities on level p, 0 <= p < d; at p = 0 only d_i s_j = id occurs
     for p in range(X.d):
+        identity = list(range(len(X.levels[p])))
         for j in range(p + 1):
             for i in range(p + 2):
-                for x in X.levels[p]:
-                    lhs = X.face(p + 1, i, X.degeneracy(p, j, x))
-                    if i == j or i == j + 1:
-                        if lhs != x:
-                            return ValidationReport(False, "d_i s_j = id", (p, i, j, x))
-                    elif i < j:
-                        if p == 0:
-                            continue  # target identity needs a face below level 0
-                        if lhs != X.degeneracy(p - 1, j - 1, X.face(p, i, x)):
-                            return ValidationReport(False, "d_i s_j = s_{j-1} d_i", (p, i, j, x))
-                    else:
-                        if p == 0:
-                            continue
-                        if lhs != X.degeneracy(p - 1, j, X.face(p, i - 1, x)):
-                            return ValidationReport(False, "d_i s_j = s_j d_{i-1}", (p, i, j, x))
+                lhs = _composite(F[p + 1][i], S[p][j])
+                if i == j or i == j + 1:
+                    yield "d_i s_j = id", p, i, j, lhs, identity
+                elif i < j:
+                    yield ("d_i s_j = s_{j-1} d_i", p, i, j,
+                           lhs, _composite(S[p - 1][j - 1], F[p][i]))
+                else:
+                    yield ("d_i s_j = s_j d_{i-1}", p, i, j,
+                           lhs, _composite(S[p - 1][j], F[p][i - 1]))
+
+
+def validate(X: TruncatedSimplicialSet) -> ValidationReport:
+    """Check every simplicial identity expressible within the truncation.
+
+    Exhaustive: each identity compares two composite index tables over a
+    whole level.  Returns the first violation found, named with the
+    offending identity, level, indices, and simplex.
+    """
+    for p in range(1, X.d + 1):
+        report = _check_tables(X, "face", X.faces[p], p, p - 1)
+        if report:
+            return report
+    for p in range(X.d):
+        report = _check_tables(X, "degeneracy", X.degeneracies[p], p, p + 1)
+        if report:
+            return report
+    for name, p, i, j, lhs, rhs in _identities(X):
+        if lhs != rhs:
+            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+            return ValidationReport(False, name, (p, i, j, X.levels[p][k]))
     return ValidationReport(True)
 
 
@@ -154,7 +187,7 @@ class SimplicialMap:
             for x in X.levels[p]:
                 if x not in self.level_maps[p]:
                     return ValidationReport(False, "map not total", (p, x))
-                if self.level_maps[p][x] not in Y._index[p]:
+                if self.level_maps[p][x] not in Y.positions(p):
                     return ValidationReport(False, "map lands outside level", (p, x))
         for p in range(1, X.d + 1):
             for i in range(p + 1):
@@ -187,14 +220,10 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 def point(d: int) -> TruncatedSimplicialSet:
     """One simplex per level, everything degenerate."""
-    levels = [["*"] for _ in range(d + 1)]
-    faces = [[] for _ in range(d + 1)]
-    degeneracies = [[] for _ in range(d + 1)]
-    for p in range(1, d + 1):
-        faces[p] = [{"*": "*"} for _ in range(p + 1)]
-    for p in range(d):
-        degeneracies[p] = [{"*": "*"} for _ in range(p + 1)]
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
+    return TruncatedSimplicialSet(d, [["*"] for _ in range(d + 1)],
+                                  [[[0] for _ in range(p + 1)] if p else [] for p in range(d + 1)],
+                                  [[[0] for _ in range(p + 1)] if p < d else []
+                                   for p in range(d + 1)])
 
 
 def constant_map_to_point(X: TruncatedSimplicialSet, P: TruncatedSimplicialSet | None = None) -> SimplicialMap:
@@ -247,96 +276,26 @@ def suspension(points, base, d: int) -> TruncatedSimplicialSet:
                     a, bits = x
                     table[x] = collapse(a, bits[:i + 1] + bits[i:])
             degeneracies[p].append(table)
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
+    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
 
 
 def skeleton(X: TruncatedSimplicialSet, k: int) -> TruncatedSimplicialSet:
     """Subobject generated by the simplices of dimension at most k."""
-    keep: list[set] = []
+    keep: list = []  # indices of the kept simplices, in level order
     for p in range(X.d + 1):
         if p <= k:
-            keep.append(set(X.levels[p]))
+            keep.append(range(len(X.levels[p])))
         else:
-            marked = set()
-            for i, table in enumerate(X.degeneracies[p - 1]):
-                marked.update(table[x] for x in keep[p - 1])
-            keep.append(marked)
-    levels = [[x for x in X.levels[p] if x in keep[p]] for p in range(X.d + 1)]
-    faces = [[{x: table[x] for x in levels[p]} for table in X.faces[p]]
-             for p in range(X.d + 1)]
-    degeneracies = [[{x: table[x] for x in levels[p]} for table in X.degeneracies[p]]
-                    for p in range(X.d + 1)]
-    return TruncatedSimplicialSet(X.d, levels, faces, degeneracies)
+            keep.append(sorted({table[a] for table in X.degeneracies[p - 1] for a in keep[p - 1]}))
+    new_index = [{a: r for r, a in enumerate(kept)} for kept in keep]
+
+    def restrict(tables, p, q):
+        return [[new_index[q][table[a]] for a in keep[p]] for table in tables[p]]
+
+    return TruncatedSimplicialSet(X.d, [[X.levels[p][a] for a in keep[p]] for p in range(X.d + 1)],
+                                  [restrict(X.faces, p, p - 1) for p in range(X.d + 1)],
+                                  [restrict(X.degeneracies, p, p + 1) for p in range(X.d + 1)])
 
 
 def skeleton_inclusion(S: TruncatedSimplicialSet, X: TruncatedSimplicialSet) -> SimplicialMap:
     return SimplicialMap(S, X, [{x: x for x in level} for level in S.levels])
-
-
-class TruncatedBisimplicialSet:
-    """Bisimplicial set truncated at (d, d): levels[p][q] lists the
-    (p, q)-simplices, with horizontal structure in p and vertical in q."""
-
-    def __init__(self, d: int, levels, h_faces, h_degens, v_faces, v_degens):
-        self.d = d
-        self.levels = levels
-        self.h_faces = h_faces      # h_faces[p][q][i]: level (p,q) -> (p-1,q)
-        self.h_degens = h_degens    # h_degens[p][q][i]: level (p,q) -> (p+1,q)
-        self.v_faces = v_faces      # v_faces[p][q][i]: level (p,q) -> (p,q-1)
-        self.v_degens = v_degens    # v_degens[p][q][i]: level (p,q) -> (p,q+1)
-
-    def check_structure(self) -> ValidationReport:
-        """Rows and columns are simplicial and the two directions commute."""
-        for q in range(self.d + 1):
-            row = _strand(self.d, lambda p: self.levels[p][q],
-                          lambda p: self.h_faces[p][q], lambda p: self.h_degens[p][q])
-            report = validate(row)
-            if not report.ok:
-                return ValidationReport(False, f"horizontal {report.violation}", report.witness)
-        for p in range(self.d + 1):
-            col = _strand(self.d, lambda q: self.levels[p][q],
-                          lambda q: self.v_faces[p][q], lambda q: self.v_degens[p][q])
-            report = validate(col)
-            if not report.ok:
-                return ValidationReport(False, f"vertical {report.violation}", report.witness)
-        for p in range(1, self.d + 1):
-            for q in range(1, self.d + 1):
-                for i in range(p + 1):
-                    for j in range(q + 1):
-                        for x in self.levels[p][q]:
-                            lhs = self.v_faces[p - 1][q][j][self.h_faces[p][q][i][x]]
-                            rhs = self.h_faces[p][q - 1][i][self.v_faces[p][q][j][x]]
-                            if lhs != rhs:
-                                return ValidationReport(False, "horizontal/vertical commute", (p, q, i, j, x))
-        return ValidationReport(True)
-
-
-def _strand(d, level_fn, face_fn, degen_fn) -> TruncatedSimplicialSet:
-    levels = [list(level_fn(p)) for p in range(d + 1)]
-    faces = [[] for _ in range(d + 1)]
-    degeneracies = [[] for _ in range(d + 1)]
-    for p in range(1, d + 1):
-        faces[p] = list(face_fn(p))
-    for p in range(d):
-        degeneracies[p] = list(degen_fn(p))
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
-
-
-def diagonal(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
-    """Diagonal simplicial set: level p is the (p, p)-level, and the i-th
-    structure map is the horizontal one followed by the vertical one."""
-    d = B.d
-    levels = [list(B.levels[p][p]) for p in range(d + 1)]
-    faces: list[list[dict]] = [[] for _ in range(d + 1)]
-    degeneracies: list[list[dict]] = [[] for _ in range(d + 1)]
-    for p in range(1, d + 1):
-        for i in range(p + 1):
-            h = B.h_faces[p][p][i]
-            v = B.v_faces[p - 1][p][i]
-            faces[p].append({x: v[h[x]] for x in levels[p]})
-    for p in range(d):
-        for i in range(p + 1):
-            h = B.h_degens[p][p][i]
-            v = B.v_degens[p + 1][p][i]
-            degeneracies[p].append({x: v[h[x]] for x in levels[p]})
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)

@@ -3,14 +3,17 @@
 These deliberately avoid the presheaf machinery under test: the nerve is
 built directly from a Cayley table, group homology comes from the reduced
 bar resolution written out by hand, and the twice-delooped comparison
-space is the classical normalized-cocycle model.
+space is the classical normalized-cocycle model.  Presheaf actions are
+recomputed one element at a time from the Cayley table, and the explicit
+bisimplicial bar and its diagonal check the direct iterated bar.
 """
 
 import itertools
 
 from gammaspaces.algebra import FinAbMonoid
 from gammaspaces.homology import HomologyGroup, homology, normalized_chain_complex
-from gammaspaces.simplicial import TruncatedSimplicialSet
+from gammaspaces.simplicial import (TruncatedSimplicialSet, ValidationReport,
+                                    validate)
 
 
 def nerve_of_monoid(M: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
@@ -34,7 +37,7 @@ def nerve_of_monoid(M: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
     for p in range(d):
         for i in range(p + 1):
             degeneracies[p].append({x: x[:i] + (M.unit,) + x[i:] for x in levels[p]})
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
+    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
 
 
 def bar_resolution_boundaries(M: FinAbMonoid, top: int):
@@ -122,9 +125,95 @@ def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
         for i in range(q + 1):
             alpha = [j if j <= i else j - 1 for j in range(q + 2)]
             degeneracies[q].append({x: pullback(q + 1, q, alpha, x) for x in levels[q]})
-    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
+    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
 
 
 def em_two_homology(A, q: int) -> HomologyGroup:
     space = em_two_cocycle_space(A, q + 1)
     return homology(normalized_chain_complex(space), q)
+
+
+def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
+    """Action table of a pointed map f on tuples of elements of M, one
+    element at a time: relabel every entry through the group row, sum the
+    entries over each preimage starting from the unit, and look the image
+    tuple up in the lexicographic list of the target level."""
+    source = list(itertools.product(range(M.size), repeat=f.source))
+    target = {y: k for k, y in
+              enumerate(itertools.product(range(M.size), repeat=f.target))}
+    table = []
+    for x in source:
+        out = [M.unit] * f.target
+        for i in range(1, f.source + 1):
+            j = f.values[i]
+            if j:
+                out[j - 1] = M.mul(out[j - 1], row[x[i - 1]])
+        table.append(target[tuple(out)])
+    return table
+
+
+class TruncatedBisimplicialSet:
+    """Bisimplicial set truncated at (d, d): levels[p][q] lists the
+    (p, q)-simplices, with horizontal structure in p and vertical in q.
+    Structure maps are dicts between simplices."""
+
+    def __init__(self, d: int, levels, h_faces, h_degens, v_faces, v_degens):
+        self.d = d
+        self.levels = levels
+        self.h_faces = h_faces      # h_faces[p][q][i]: level (p,q) -> (p-1,q)
+        self.h_degens = h_degens    # h_degens[p][q][i]: level (p,q) -> (p+1,q)
+        self.v_faces = v_faces      # v_faces[p][q][i]: level (p,q) -> (p,q-1)
+        self.v_degens = v_degens    # v_degens[p][q][i]: level (p,q) -> (p,q+1)
+
+    def check_structure(self) -> ValidationReport:
+        """Rows and columns are simplicial and the two directions commute."""
+        for q in range(self.d + 1):
+            row = _strand(self.d, lambda p: self.levels[p][q],
+                          lambda p: self.h_faces[p][q], lambda p: self.h_degens[p][q])
+            report = validate(row)
+            if not report.ok:
+                return ValidationReport(False, f"horizontal {report.violation}", report.witness)
+        for p in range(self.d + 1):
+            col = _strand(self.d, lambda q: self.levels[p][q],
+                          lambda q: self.v_faces[p][q], lambda q: self.v_degens[p][q])
+            report = validate(col)
+            if not report.ok:
+                return ValidationReport(False, f"vertical {report.violation}", report.witness)
+        for p in range(1, self.d + 1):
+            for q in range(1, self.d + 1):
+                for i in range(p + 1):
+                    for j in range(q + 1):
+                        for x in self.levels[p][q]:
+                            lhs = self.v_faces[p - 1][q][j][self.h_faces[p][q][i][x]]
+                            rhs = self.h_faces[p][q - 1][i][self.v_faces[p][q][j][x]]
+                            if lhs != rhs:
+                                return ValidationReport(False, "horizontal/vertical commute",
+                                                        (p, q, i, j, x))
+        return ValidationReport(True)
+
+
+def _strand(d, level_fn, face_fn, degen_fn) -> TruncatedSimplicialSet:
+    levels = [list(level_fn(p)) for p in range(d + 1)]
+    faces = [list(face_fn(p)) if p else [] for p in range(d + 1)]
+    degeneracies = [list(degen_fn(p)) if p < d else [] for p in range(d + 1)]
+    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+
+
+def diagonal(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
+    """Diagonal simplicial set: level p is the (p, p)-level, and the i-th
+    structure map is the horizontal one followed by the vertical one."""
+    d = B.d
+    levels = [list(B.levels[p][p]) for p in range(d + 1)]
+    faces: list[list[dict]] = [[] for _ in range(d + 1)]
+    degeneracies: list[list[dict]] = [[] for _ in range(d + 1)]
+    for p in range(1, d + 1):
+        for i in range(p + 1):
+            h = B.h_faces[p][p][i]
+            v = B.v_faces[p - 1][p][i]
+            faces[p].append({x: v[h[x]] for x in levels[p]})
+    for p in range(d):
+        for i in range(p + 1):
+            h = B.h_degens[p][p][i]
+            v = B.v_degens[p + 1][p][i]
+            degeneracies[p].append({x: v[h[x]] for x in levels[p]})
+    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)

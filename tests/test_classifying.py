@@ -6,7 +6,8 @@ from gammaspaces import presheaves as ps
 from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup
-from oracles import bar_resolution_homology, em_two_homology, nerve_of_monoid
+from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, diagonal,
+                     em_two_homology, nerve_of_monoid)
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
@@ -116,9 +117,9 @@ class TestStructureMap:
         assert result.equivariant is True
 
     def test_broken_level_zero_raises(self):
-        X = ps.TruncatedGammaSet(
-            3, lambda n: [(0,), (1,)] if n == 0 else list(ps.build_gamma_set(Z2, 3).level(n)),
-            lambda f, x: x)
+        Y = ps.build_gamma_set(Z2, 3)
+        X = ps.TruncatedGammaSet(3, lambda n: [(0,), (1,)] if n == 0 else Y.level(n),
+                                 Y.action_table)
         with pytest.raises(StrictnessError):
             cb.structure_map(X, 2)
 
@@ -214,9 +215,9 @@ class TestIterateBar:
                 row.append(maps)
             v_degens.append(row)
 
-        bis = ss.TruncatedBisimplicialSet(d, levels, h_faces, h_degens, v_faces, v_degens)
+        bis = TruncatedBisimplicialSet(d, levels, h_faces, h_degens, v_faces, v_degens)
         assert bis.check_structure().ok
-        diag = ss.diagonal(bis)
+        diag = diagonal(bis)
         direct = cb.iterate_bar(X, 2, 2)
         assert diag.levels == direct.space.levels
         assert diag.faces == direct.space.faces

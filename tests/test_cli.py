@@ -142,6 +142,7 @@ PRESHEAF_DEFECTS = {
     "no_group": ("z2_inversion_on_z3", lambda data: data.pop("group")),
     "morphism_beyond_levels": ("z2", lambda data: data["maps"].update({"5>1:0,1,0,0,0,0": [0]})),
     "non_integer_entry": ("z2", lambda data: data["maps"].update({"1>1:0,1": ["a", "b"]})),
+    "duplicate_element": ("z2", lambda data: data["levels"][1].__setitem__(1, data["levels"][1][0])),
 }
 
 

@@ -1,18 +1,40 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gammaspaces import algebra as alg
 from gammaspaces import gammacat as gc
 from gammaspaces import ggamma as gg
 from gammaspaces import presheaves as ps
 from gammaspaces.errors import InputError, StrictnessError, TruncationError
+from oracles import summed_preimage_table
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
 Z4 = alg.cyclic(4)
 KLEIN = alg.klein_four()
 MAX2 = alg.max_monoid(2)
+MONOIDS = [M for order in range(1, 5) for M in alg.enumerate_abelian_monoids(order)]
+ACTIONS = [alg.trivial_action(Z2, alg.cyclic_group(2)), alg.inversion_action(Z3),
+           alg.swap_action()]
+
+
+@st.composite
+def gamma_op_maps(draw, max_size=4):
+    """A pointed map between ordinals of size at most max_size."""
+    m, n = draw(st.integers(0, max_size)), draw(st.integers(0, max_size))
+    tail = draw(st.lists(st.integers(0, n), min_size=m, max_size=m))
+    return gc.GammaOpMap(m, n, (0, *tail))
+
+
+def short_level_two():
+    """The presheaf of Z/2 truncated at 2 with its last level cut to three
+    elements, actions restricted to match."""
+    Y = ps.build_gamma_set(Z2, 2)
+    return ps.TruncatedGammaSet(
+        2, lambda n: Y.level(n)[:3] if n == 2 else Y.level(n),
+        lambda f: Y.action_table(f)[:3] if f.source == 2 else Y.action_table(f))
 
 
 class TestBuildGammaSet:
@@ -54,6 +76,23 @@ class TestBuildGammaSet:
             X.level(3)
         with pytest.raises(TruncationError):
             X.act(gc.fold_map(3), (0, 0, 0))
+
+
+class TestActionTables:
+    """Mixed-radix tables against the per-element sum-of-preimages oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(MONOIDS), gamma_op_maps())
+    def test_gamma_tables_match_oracle(self, M, f):
+        X = ps.build_gamma_set(M, 4)
+        assert X.action_table(f) == summed_preimage_table(M, range(M.size), f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ACTIONS), gamma_op_maps(), st.data())
+    def test_ggamma_tables_match_oracle(self, A, f, data):
+        a = gg.GGammaMap(f, data.draw(st.integers(0, A.group.size - 1)), A.group)
+        X = ps.build_ggamma_set(A, 4)
+        assert X.action_table(a) == summed_preimage_table(A.monoid, A.action[a.g], f)
 
 
 class TestBuildGGammaSet:
@@ -99,10 +138,7 @@ class TestStrictSegal:
         assert ps.check_strict_segal(X, 1).passed
 
     def test_wrong_level_size_fails_at_two(self):
-        X = ps.build_gamma_set(Z2, 2)
-        X.level(0); X.level(1); X.level(2)
-        X._levels[2] = X._levels[2][:3]
-        X._index[2] = {x: i for i, x in enumerate(X._levels[2])}
+        X = short_level_two()
         report = ps.check_strict_segal(X, 2)
         assert not report.passed
         assert report.failed_at == 2
@@ -117,7 +153,7 @@ class TestStrictSegal:
         assert "(1, 0)" in report.witness and "(1, 1)" in report.witness
 
     def test_non_pointed_fails(self):
-        X = ps.TruncatedGammaSet(2, lambda n: [(0,)] * 2 if n == 0 else [], lambda f, x: x)
+        X = ps.TruncatedGammaSet(2, lambda n: [(0,)] * 2 if n == 0 else [], lambda f: [])
         report = ps.check_strict_segal(X, 2)
         assert not report.passed
         assert report.failed_at == 0
@@ -167,10 +203,7 @@ class TestExtractMonoid:
                 assert out.table[i][j] == out.table[j][i]
 
     def test_refusal_carries_report(self):
-        X = ps.build_gamma_set(Z2, 2)
-        X.level(2)
-        X._levels[2] = X._levels[2][:3]
-        X._index[2] = {x: i for i, x in enumerate(X._levels[2])}
+        X = short_level_two()
         with pytest.raises(StrictnessError) as err:
             ps.extract_monoid(X)
         assert err.value.report is not None

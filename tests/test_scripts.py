@@ -16,3 +16,11 @@ def test_delooping_survey():
     assert len(flags) == 4
     assert not any("!" in f for f in flags)
     assert "'1': [[1, 0], [1, 1]]" in proc.stdout
+
+
+def test_second_delooping():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "second_delooping.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "levels: [1, 2, 16, 512, 65536]" in proc.stdout
+    assert "MISMATCH" not in proc.stdout

@@ -1,6 +1,6 @@
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, max_monoid
-from oracles import nerve_of_monoid
+from oracles import TruncatedBisimplicialSet, diagonal, nerve_of_monoid
 
 
 class TestValidate:
@@ -15,13 +15,39 @@ class TestValidate:
 
     def test_corrupted_face_fails_with_named_identity(self):
         X = nerve_of_monoid(cyclic(2), 3)
-        victim = X.levels[2][1]
-        old = X.faces[2][1][victim]
-        X.faces[2][1][victim] = next(x for x in X.levels[1] if x != old)
+        old = X.faces[2][1][1]
+        X.faces[2][1][1] = next(k for k in range(len(X.levels[1])) if k != old)
         report = ss.validate(X)
         assert not report.ok
-        assert report.violation is not None
-        assert "d_" in report.violation
+        assert (report.violation, report.witness) == \
+            ("d_i d_j = d_{j-1} d_i", (3, 0, 2, (0, 0, 1)))
+
+    def test_corrupted_degeneracy_breaks_s_i_s_j(self):
+        X = nerve_of_monoid(cyclic(2), 3)
+        X.degeneracies[1][0][X.index(1, (1,))] = X.index(2, (1, 1))
+        report = ss.validate(X)
+        assert (report.violation, report.witness) == ("s_i s_j = s_{j+1} s_i", (1, 0, 0, (1,)))
+
+    def test_corrupted_degeneracy_breaks_d_i_s_j(self):
+        # s_0 of the nondegenerate (1, 1) is not an image of s_i s_j, so
+        # only the mixed identity d_0 s_0 = id sees it
+        X = nerve_of_monoid(cyclic(2), 3)
+        X.degeneracies[2][0][X.index(2, (1, 1))] = X.index(3, (0, 0, 0))
+        report = ss.validate(X)
+        assert (report.violation, report.witness) == ("d_i s_j = id", (2, 0, 0, (1, 1)))
+
+    def test_short_table_is_not_total(self):
+        X = nerve_of_monoid(cyclic(2), 3)
+        del X.faces[2][1][3:]
+        report = ss.validate(X)
+        assert (report.violation, report.witness) == ("face not total", (2, 1, (1, 1)))
+
+    def test_entry_past_the_target_level_lands_outside(self):
+        X = nerve_of_monoid(cyclic(2), 3)
+        X.degeneracies[1][1][1] = len(X.levels[2])
+        report = ss.validate(X)
+        assert (report.violation, report.witness) == \
+            ("degeneracy lands outside level", (1, 1, (1,)))
 
     def test_suspension_passes(self):
         assert ss.validate(ss.suspension([0, 1, 2], 0, 3)).ok
@@ -56,8 +82,7 @@ class TestSkeleton:
         assert S.level_sizes()[0] == 1
         assert S.level_sizes()[1] == 3
         # level 2 keeps only degenerate images of level-1 simplices
-        assert set(S.levels[2]) == {t for table in X.degeneracies[1] for t in
-                                    (table[x] for x in S.levels[1])}
+        assert set(S.levels[2]) == {X.degeneracy(1, i, x) for i in range(2) for x in S.levels[1]}
 
     def test_skeleton_inclusion_is_simplicial(self):
         X = nerve_of_monoid(cyclic(2), 3)
@@ -107,21 +132,25 @@ class TestBisimplicialDiagonal:
         """Bisimplicial set (p, q) |-> tuples of length p in one monoid
         direction and q in the other; used as a small structured example."""
         nerve = nerve_of_monoid(M, d)
+        faces = [[{x: nerve.face(p, i, x) for x in nerve.levels[p]} for i in range(p + 1)]
+                 if p else [] for p in range(d + 1)]
+        degens = [[{x: nerve.degeneracy(p, i, x) for x in nerve.levels[p]} for i in range(p + 1)]
+                  if p < d else [] for p in range(d + 1)]
         levels = [[[(x, y) for x in nerve.levels[p] for y in nerve.levels[q]]
                    for q in range(d + 1)] for p in range(d + 1)]
         h_faces = [[[{(x, y): (table[x], y) for (x, y) in levels[p][q]}
-                     for table in nerve.faces[p]] for q in range(d + 1)]
+                     for table in faces[p]] for q in range(d + 1)]
                    for p in range(d + 1)]
         h_degens = [[[{(x, y): (table[x], y) for (x, y) in levels[p][q]}
-                      for table in nerve.degeneracies[p]] for q in range(d + 1)]
+                      for table in degens[p]] for q in range(d + 1)]
                     for p in range(d + 1)]
         v_faces = [[[{(x, y): (x, table[y]) for (x, y) in levels[p][q]}
-                     for table in nerve.faces[q]] for q in range(d + 1)]
+                     for table in faces[q]] for q in range(d + 1)]
                    for p in range(d + 1)]
         v_degens = [[[{(x, y): (x, table[y]) for (x, y) in levels[p][q]}
-                      for table in nerve.degeneracies[q]] for q in range(d + 1)]
+                      for table in degens[q]] for q in range(d + 1)]
                     for p in range(d + 1)]
-        return ss.TruncatedBisimplicialSet(d, levels, h_faces, h_degens, v_faces, v_degens)
+        return TruncatedBisimplicialSet(d, levels, h_faces, h_degens, v_faces, v_degens)
 
     def test_structure_checks(self):
         B = self.product_bisimplicial(cyclic(2), 2)
@@ -134,15 +163,15 @@ class TestBisimplicialDiagonal:
         h_degens = [[[star] * (p + 1) if p < 2 else [] for _ in range(3)] for p in range(3)]
         v_faces = [[[star] * (q + 1) if q else [] for q in range(3)] for _ in range(3)]
         v_degens = [[[star] * (q + 1) if q < 2 else [] for q in range(3)] for _ in range(3)]
-        B = ss.TruncatedBisimplicialSet(2, levels, h_faces, h_degens, v_faces, v_degens)
-        D = ss.diagonal(B)
+        B = TruncatedBisimplicialSet(2, levels, h_faces, h_degens, v_faces, v_degens)
+        D = diagonal(B)
         assert ss.validate(D).ok
         assert D.level_sizes() == [1, 1, 1]
 
     def test_diagonal_of_product_is_valid_and_sized(self):
         M = cyclic(2)
         B = self.product_bisimplicial(M, 2)
-        D = ss.diagonal(B)
+        D = diagonal(B)
         assert ss.validate(D).ok
         assert D.level_sizes() == [1, 4, 16]
 
@@ -151,7 +180,7 @@ class TestBisimplicialDiagonal:
         # it to the diagonal must again be simplicial and match pointwise
         Z3 = cyclic(3)
         B = self.product_bisimplicial(Z3, 2)
-        D = ss.diagonal(B)
+        D = diagonal(B)
         inv = Z3.inverse
         tables = [{(x, y): (tuple(inv[i] for i in x), y) for (x, y) in D.levels[p]}
                   for p in range(3)]

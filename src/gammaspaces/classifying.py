@@ -91,7 +91,7 @@ def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> 
     space = TruncatedSimplicialSet(d, levels, faces, degeneracies)
     report = validate(space)
     if not report.ok:
-        raise AssertionError(f"bar output failed validation: {report.violation} at {report.witness}")
+        raise StrictnessError(f"bar output failed validation: {report.violation} at {report.witness}")
     return BarSpace(space, X, n, d, k)
 
 

@@ -3,8 +3,10 @@
 Subcommands: build (algebra file -> presheaf file), check (strict Segal or
 Bousfield condition), roundtrip (build, extract, compare tables), classify
 (deloopings, homology, structure-map verdict).  JSON output is the
-contract and is byte-stable for a fixed config and seed; text output is a
-human summary.
+contract and is byte-stable for a fixed config and seed; it has the layout
+of ``json.dumps(report, sort_keys=True, indent=2)``, written by an exact
+emitter (``_dumps``) that formats each integer table in one step.  Text output
+is a human summary.
 
 Exit codes: 0 pass, 1 condition-check failure, 2 input error, 3 algebra
 or extraction error, 4 resource or truncation error.
@@ -13,7 +15,9 @@ or extraction error, 4 resource or truncation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -81,9 +85,40 @@ def _meta(config: dict, inputs: list[str]) -> dict:
     }
 
 
+def _layout(count: int, item: str, inner: str, outer: str) -> str:
+    """The indented json layout of a list of ``count`` copies of ``item``."""
+    return "[" + inner + ("," + inner).join([item] * count) + outer + "]"
+
+
+def _dumps(node, depth: int = 0) -> str:
+    """``json.dumps(node, sort_keys=True, indent=2)`` byte for byte, at the
+    indentation of ``depth``.  A list of plain ints (bools excluded) and a
+    level of equal-length plain-int labels are each one ``%d`` format over
+    the whole table; dicts with str keys recurse in sorted key order; any
+    other node is encoded by json itself and re-indented."""
+    nl = "\n" + "  " * depth
+    inner = nl + "  "
+    if type(node) is list and node:
+        types = set(map(type, node))
+        if types == {int}:
+            return _layout(len(node), "%d", inner, nl) % tuple(node)
+        if types == {list} and node[0] and len(set(map(len, node))) == 1:
+            flat = tuple(itertools.chain.from_iterable(node))
+            if set(map(type, flat)) == {int}:
+                label = _layout(len(node[0]), "%d", inner + "  ", inner)
+                return _layout(len(node), label, inner, nl) % flat
+        return "[" + inner + ("," + inner).join([_dumps(v, depth + 1) for v in node]) + nl + "]"
+    if type(node) is dict and node and set(map(type, node)) == {str}:
+        return "{" + inner + ("," + inner).join(
+            [json.dumps(k) + ": " + _dumps(node[k], depth + 1) for k in sorted(node)]) + nl + "}"
+    if node and isinstance(node, (dict, list, tuple)):
+        return json.dumps(node, sort_keys=True, indent=2).replace("\n", nl)
+    return json.dumps(node)  # scalars and empty containers do not depend on indent
+
+
 def _emit(report: dict, fmt: str, out: str | None, text_summary: str) -> None:
     if fmt == "json":
-        payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        payload = _dumps(report) + "\n"
     else:
         payload = text_summary if text_summary.endswith("\n") else text_summary + "\n"
     if out:
@@ -215,12 +250,12 @@ def cmd_roundtrip(args) -> int:
 
 
 def _verify_stored_tables(data: dict, X) -> None:
-    """Stored tables must agree with the rebuilt presheaf where both exist."""
+    """Stored tables, already validated by presheaf_from_json, must agree
+    with the rebuilt presheaf."""
     kind = data["kind"]
     group = getattr(X, "group", None)
-    for key, table in data.get("maps", {}).items():
-        f = ps._morphism_from_key(key, kind, group)
-        if list(X.action_table(f)) != list(table):
+    for key, table in data["maps"].items():
+        if X.action_table(ps._morphism_from_key(key, kind, group)) != table:
             raise StrictnessError(f"stored table for {key} disagrees with rebuild")
 
 
@@ -231,12 +266,12 @@ def cmd_classify(args) -> int:
     data = _load_json(args.input)
     if not ("kind" in data and data["kind"] in ("gamma", "ggamma")):
         raise InputError("classify expects a presheaf file produced by build")
-    if "algebra" not in data:
+    stored = ps.presheaf_from_json(data)
+    if stored.algebra is None:
         raise InputError("presheaf file carries no source algebra; rebuild it with build")
-    algebra = ps._algebra_from_json(data)
     budget = args.budget if args.budget is not None else _default_budget()
     needed = (args.dim ** args.iterate) * max(args.at, 1)
-    X = _build_presheaf(algebra, max(needed, data.get("N", 1)))
+    X = _build_presheaf(stored.algebra, max(needed, stored.N))
     _verify_stored_tables(data, X)
 
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,
@@ -263,6 +298,7 @@ def cmd_classify(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gammaspaces",
@@ -279,7 +315,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build a presheaf file from a monoid, group, or action file")
     common(p_build)
     p_build.add_argument("--levels", type=int, default=3, help="level bound N")
-    p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check", help="check a strict condition on a presheaf file")
     common(p_check)
@@ -287,12 +322,10 @@ def make_parser() -> argparse.ArgumentParser:
     cond.add_argument("--segal", action="store_true", help="check the strict Segal condition (default)")
     cond.add_argument("--bousfield", action="store_true", help="check the strict Bousfield condition")
     p_check.add_argument("--upto", type=int, default=None, help="largest level to check")
-    p_check.set_defaults(func=cmd_check)
 
     p_round = sub.add_parser("roundtrip", help="build, extract, and compare Cayley tables")
     common(p_round)
     p_round.add_argument("--levels", type=int, default=3, help="level bound N when input is an algebra file")
-    p_round.set_defaults(func=cmd_roundtrip)
 
     p_classify = sub.add_parser("classify", help="delooping homology and structure-map verdict")
     common(p_classify)
@@ -302,15 +335,14 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--at", type=int, default=1, help="evaluation object (0 gives the point report)")
     p_classify.add_argument("--budget", type=int, default=None,
                             help=f"simplex budget (default from ${DEFAULT_BUDGET_ENV} or {cb.DEFAULT_BUDGET})")
-    p_classify.set_defaults(func=cmd_classify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
+    args = make_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -194,8 +194,7 @@ class CheckReport:
 def _assembled_map(X, n: int, kind: str):
     components = [X.segal_component(n, k) if kind == "segal" else X.bousfield_component(n, k)
                   for k in range(1, n + 1)]
-    tables = [X.action_table(c) for c in components]
-    return [tuple(t[i] for t in tables) for i in range(X.level_size(n))]
+    return list(zip(*[X.action_table(c) for c in components]))
 
 
 def _check_strict(X, upto: int, kind: str) -> CheckReport:
@@ -207,14 +206,15 @@ def _check_strict(X, upto: int, kind: str) -> CheckReport:
     for n in range(2, upto + 1):
         images = _assembled_map(X, n, kind)
         size_target = X.level_size(1) ** n
-        seen: dict = {}
-        for i, img in enumerate(images):
-            if img in seen:
-                x1 = X.level(n)[seen[img]]
-                x2 = X.level(n)[i]
-                return CheckReport(kind, False, upto, n,
-                                   f"not injective at n={n}: {x1} and {x2} share image {img}")
-            seen[img] = i
+        if len(set(images)) != len(images):  # walk to the first repeated image
+            seen: dict = {}
+            for i, img in enumerate(images):
+                if img in seen:
+                    x1 = X.level(n)[seen[img]]
+                    x2 = X.level(n)[i]
+                    return CheckReport(kind, False, upto, n,
+                                       f"not injective at n={n}: {x1} and {x2} share image {img}")
+                seen[img] = i
         if len(images) != size_target:
             return CheckReport(kind, False, upto, n,
                                f"not surjective at n={n}: {len(images)} elements cover "
@@ -394,6 +394,15 @@ def _frozen(x):
     return tuple(_frozen(v) for v in x) if isinstance(x, list) else x
 
 
+def _level_labels(level) -> list:
+    """Hashable labels of a stored level: a level of flat lists becomes
+    tuples in one pass, anything else goes through _frozen."""
+    if (set(map(type, level)) == {list}
+            and list not in set(map(type, itertools.chain.from_iterable(level)))):
+        return list(map(tuple, level))
+    return [_frozen(x) for x in level]
+
+
 def presheaf_from_json(data: dict):
     """Rehydrate a presheaf backed by the stored tables.
 
@@ -402,15 +411,17 @@ def presheaf_from_json(data: dict):
     """
     try:
         kind = data["kind"]
-        N = int(data["N"])
-        levels = [[_frozen(x) for x in level] for level in data["levels"]]
+        N = data["N"]
+        if type(N) is not int:
+            raise InputError(f"presheaf file N must be a JSON integer, got {N!r}")
+        levels = [_level_labels(level) for level in data["levels"]]
         maps = {key: list(table) for key, table in data["maps"].items()}
         stored_group = FiniteGroup.from_json(data["group"]) if kind == "ggamma" else None
         # an action table is only meaningful if labels and positions biject
         for n, level in enumerate(levels):
             if len(set(level)) != len(level):
                 raise InputError(f"level {n} of the presheaf file lists an element twice")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise InputError(f"malformed presheaf file: {exc}") from exc
     if len(levels) != N + 1:
         raise InputError(f"presheaf file lists {len(levels)} levels for N={N}")
@@ -421,9 +432,9 @@ def presheaf_from_json(data: dict):
         if len(table) != len(levels[f.source]):
             raise InputError(f"table for {key} has {len(table)} entries, "
                              f"level {f.source} has {len(levels[f.source])}")
-        for v in table:
-            if not isinstance(v, int) or not 0 <= v < len(levels[f.target]):
-                raise InputError(f"table for {key} points outside level {f.target}")
+        if table and not (set(map(type, table)) == {int}  # bools are not indices
+                          and min(table) >= 0 and max(table) < len(levels[f.target])):
+            raise InputError(f"table for {key} points outside level {f.target}")
 
     def table_fn(f):
         key = f.key()

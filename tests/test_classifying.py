@@ -143,6 +143,16 @@ class TestIterateBar:
         assert B2.space.level_sizes() == [1, 2, 16, 512]
         assert ss.validate(B2.space).ok
 
+    def test_broken_face_table_raises_strictness_error(self):
+        X = ps.build_gamma_set(Z2, 3)
+
+        def broken(f):  # every face out of level 2 lands on the first simplex
+            table = X.action_table(f)
+            return [0] * len(table) if (f.source, f.target) == (2, 1) else table
+
+        with pytest.raises(StrictnessError, match=r"failed validation: d_i s_j = id at"):
+            cb.iterate_bar(ps.TruncatedGammaSet(3, X.level, broken), 1, 3)
+
     def test_twice_at_zero_is_point(self):
         X = ps.build_gamma_set(Z2, 4)
         B = cb.iterate_bar(X, 2, 2, n=0)

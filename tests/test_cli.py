@@ -5,8 +5,11 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gammaspaces import algebra as alg
 from gammaspaces import cli
+from gammaspaces import presheaves as ps
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -143,12 +146,17 @@ PRESHEAF_DEFECTS = {
     "morphism_beyond_levels": ("z2", lambda data: data["maps"].update({"5>1:0,1,0,0,0,0": [0]})),
     "non_integer_entry": ("z2", lambda data: data["maps"].update({"1>1:0,1": ["a", "b"]})),
     "duplicate_element": ("z2", lambda data: data["levels"][1].__setitem__(1, data["levels"][1][0])),
+    # a used table with its 0/1 entries stored as JSON false/true
+    "bool_entry": ("z2", lambda data: data["maps"].update(
+        {"2>1:0,1,0": [bool(v) for v in data["maps"]["2>1:0,1,0"]]})),
+    "n_not_integer": ("z2", lambda data: data.__setitem__("N", str(data["N"]))),
+    "maps_not_object": ("z2", lambda data: data.__setitem__("maps", list(data["maps"].values()))),
 }
 
 
 class TestMalformedPresheafFiles:
-    @pytest.mark.parametrize("command", [["check", "--segal"], ["roundtrip"]],
-                             ids=["check", "roundtrip"])
+    @pytest.mark.parametrize("command", [["check", "--segal"], ["roundtrip"], ["classify"]],
+                             ids=["check", "roundtrip", "classify"])
     @pytest.mark.parametrize("defect", sorted(PRESHEAF_DEFECTS))
     def test_exits_two_with_one_line(self, tmp_path, command, defect):
         fixture, damage = PRESHEAF_DEFECTS[defect]
@@ -251,6 +259,21 @@ class TestClassify:
                           "--homology", "2", "--budget", str(10 ** 7)], capsys)
         assert code == 0
 
+    def test_bar_validation_failure_exits_three(self, tmp_path, capsys, monkeypatch):
+        presheaf = build(tmp_path, "z2", levels=1)  # stores no table out of level 2
+
+        def broken_build(algebra, N):  # faces out of level 2 land on one simplex
+            X = ps.build_gamma_set(algebra, N)
+            return ps.TruncatedGammaSet(N, X.level, lambda f: [0] * X.level_size(2)
+                                        if (f.source, f.target) == (2, 1) else X.action_table(f))
+
+        monkeypatch.setattr(cli, "_build_presheaf", broken_build)
+        code, out, err = run(["classify", "--input", str(presheaf), "--dim", "3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("algebra/extraction error: bar output failed validation: "
+                              "d_i s_j = id at ")
+        assert len(err.splitlines()) == 1
+
     @pytest.mark.slow
     def test_second_delooping_z2(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z2", levels=2)
@@ -280,3 +303,81 @@ class TestDeterminism:
         cli.main(["build", "--input", str(FIXTURES / "z3.json"), "--levels", "3",
                   "--seed", "3", "--out", str(b_path)])
         assert a.read_bytes() == b_path.read_bytes()
+
+
+def fresh_process(args, cwd):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", *args], cwd=cwd,
+                          capture_output=True, text=True, env=env, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParser:
+    def test_reused_parser_carries_no_defaults_over(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        source = str(FIXTURES / "z3.json")
+        calls = [["build", "--input", source, "--levels", "3", "--out", "z3.p.json"],
+                 ["check", "--input", "z3.p.json", "--bousfield", "--seed", "5"],
+                 ["check", "--input", "z3.p.json"]]
+        in_process = [run(args, capsys) for args in calls]
+        fresh = [fresh_process(args, tmp_path) for args in calls]
+        assert in_process == fresh
+        assert json.loads(in_process[2][1])["meta"]["config"]["seed"] == 0
+        assert json.loads(in_process[2][1])["check"]["kind"] == "segal"
+
+    def test_command_looked_up_at_call_time(self, tmp_path, capsys, monkeypatch):
+        presheaf = build(tmp_path, "z2")
+        monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
+        assert cli.main(["check", "--input", str(presheaf)]) == 42
+
+
+def reference_dumps(node) -> str:
+    return json.dumps(node, sort_keys=True, indent=2)
+
+
+JSON_LEAVES = (st.integers() | st.booleans() | st.none()
+               | st.floats(allow_nan=True, allow_infinity=True)
+               | st.text(alphabet=st.characters(max_codepoint=127))
+               | st.text())
+INT_LISTS = st.lists(st.integers(-5, 10 ** 20), max_size=6)
+
+
+def json_trees():
+    tables = (INT_LISTS  # plain tables, empty ones included
+              | INT_LISTS.flatmap(lambda t: st.lists(st.booleans(), min_size=1).map(
+                  lambda b: t + b))  # an int list holding a bool
+              | st.integers(1, 3).flatmap(  # level labels of one length
+                  lambda n: st.lists(st.lists(st.integers(0, 9), min_size=n, max_size=n)))
+              | st.lists(INT_LISTS))  # labels of mixed lengths, empty ones included
+    return st.recursive(JSON_LEAVES | tables,
+                        lambda children: st.lists(children, max_size=4)
+                        | st.dictionaries(st.text(max_size=4), children, max_size=4)
+                        | st.dictionaries(st.integers(), children, max_size=3),
+                        max_leaves=30)
+
+
+class TestEmitter:
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees())
+    def test_matches_json_dumps(self, node):
+        assert cli._dumps(node) == reference_dumps(node)
+
+    def test_build_report_is_byte_identical(self, tmp_path):
+        out = tmp_path / "klein.json"
+        assert cli.main(["build", "--input", str(FIXTURES / "klein.json"), "--levels", "5",
+                         "--out", str(out)]) == 0
+        text = out.read_text()
+        report = json.loads(text)
+        assert [len(level) for level in report["levels"]] == [1, 4, 16, 64, 256, 1024]
+        assert text == reference_dumps(report) + "\n"
+        X = ps.build_gamma_set(alg.klein_four(), 5)
+        direct = ps.presheaf_to_json(X)
+        assert cli._dumps(direct) == reference_dumps(direct)
+
+    def test_classify_report_is_byte_identical(self, tmp_path):
+        presheaf = build(tmp_path, "z2_swap_on_klein", levels=3)
+        out = tmp_path / "classify.json"
+        assert cli.main(["classify", "--input", str(presheaf), "--dim", "3",
+                         "--homology", "2", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text == reference_dumps(json.loads(text)) + "\n"

@@ -329,3 +329,34 @@ class TestPresheafFiles:
         Y = ps.presheaf_from_json(ps.presheaf_to_json(X))
         with pytest.raises(InputError):
             Y.act(gc.zero_map(3, 3), (0, 0, 0))
+
+    def test_string_and_nested_labels_are_frozen(self):
+        levels = [["*"], ["a", ["b", ["c"]]], [[0, 1], [1, 0]], [[0, "x"], [[1], 2]]]
+        X = ps.presheaf_from_json({"kind": "gamma", "N": 3, "levels": levels, "maps": {}})
+        assert X.level(0) == ["*"]
+        assert X.level(1) == ["a", ("b", ("c",))]
+        assert X.level(2) == [(0, 1), (1, 0)]
+        assert X.level(3) == [(0, "x"), ((1,), 2)]
+        assert X.index(1, ("b", ("c",))) == 1
+        assert X.index(3, ((1,), 2)) == 1
+
+    @pytest.mark.parametrize("N", ["3", 3.0, True])
+    def test_level_bound_must_be_a_json_integer(self, N):
+        data = ps.presheaf_to_json(ps.build_gamma_set(Z2, 3))
+        data["N"] = N
+        with pytest.raises(InputError, match="N must be a JSON integer"):
+            ps.presheaf_from_json(data)
+
+    def test_non_injective_file_reports_first_collision(self):
+        # the expected reports are those of the per-element walk they replace
+        data = ps.presheaf_to_json(ps.build_gamma_set(MAX2, 3))
+        report = ps.check_strict_bousfield(ps.presheaf_from_json(data), 3)
+        assert report.as_dict() == {
+            "kind": "bousfield", "passed": False, "upto": 3, "failed_at": 2,
+            "witness": "not injective at n=2: (1, 0) and (1, 1) share image (1, 1)"}
+        data = ps.presheaf_to_json(ps.build_gamma_set(Z3, 3))
+        table = data["maps"]["3>1:0,0,0,1"] = list(data["maps"]["3>1:0,0,0,1"])
+        table[14] = table[13]
+        report = ps.check_strict_segal(ps.presheaf_from_json(data), 3)
+        assert (report.failed_at, report.witness) == (
+            3, "not injective at n=3: (1, 1, 1) and (1, 1, 2) share image (1, 1, 1)")

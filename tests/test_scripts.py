@@ -1,5 +1,7 @@
 """The shipped scripts run end to end against the library."""
 
+import importlib.util
+import json
 import pathlib
 import re
 import subprocess
@@ -24,3 +26,15 @@ def test_second_delooping():
     assert proc.returncode == 0, proc.stderr
     assert "levels: [1, 2, 16, 512, 65536]" in proc.stdout
     assert "MISMATCH" not in proc.stdout
+
+
+def test_committed_fixtures_match_build_fixtures():
+    spec = importlib.util.spec_from_file_location("build_fixtures",
+                                                  ROOT / "scripts" / "build_fixtures.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)  # defines FIXTURES; main() would write the files
+    committed = sorted(path.name for path in (ROOT / "fixtures").iterdir())
+    assert committed == sorted(module.FIXTURES)
+    for name, algebra in module.FIXTURES.items():
+        expected = json.dumps(algebra.to_json(), sort_keys=True, indent=2) + "\n"
+        assert (ROOT / "fixtures" / name).read_text() == expected, name

@@ -16,8 +16,8 @@ from .gammacat import (DeltaMap, GammaMap, GammaOpMap, SmashObject,
                        bousfield_family, compose, delta_to_gamma, fold_map,
                        from_power_set_form, identity, segal_family, smash,
                        smash_morphisms, to_power_set_form)
-from .ggamma import (GGammaMap, WedgeObject, diag_inclusion, ordinal_smash,
-                     projection, wedge_object)
+from .ggamma import (GGammaMap, WedgeObject, diag_inclusion, projection,
+                     wedge_object)
 # the homology function itself stays under gammaspaces.homology to avoid
 # shadowing the submodule name
 from .homology import (ChainComplex, HomologyGroup, InducedMap,

@@ -33,12 +33,6 @@ class FiniteGroup:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def inverse(self, i: int) -> int:
-        for j in range(self.size):
-            if self.table[i][j] == 0:
-                return j
-        raise AxiomError("inverse", self.elements[i])
-
     def check(self) -> None:
         n = self.size
         if n == 0:

@@ -23,8 +23,8 @@ from .homology import (HomologyGroup, HomologyPresentation,
                        induced_map_on_homology, normalized_chain_complex,
                        snf_diagonal)
 from .presheaves import TruncatedGGammaSet
-from .simplicial import (SimplicialMap, TruncatedSimplicialSet, skeleton,
-                         skeleton_inclusion, suspension, validate)
+from .simplicial import (SimplicialMap, TruncatedSimplicialSet, composite,
+                         skeleton, skeleton_inclusion, suspension, validate)
 
 DEFAULT_BUDGET = 10 ** 7
 
@@ -102,17 +102,14 @@ def bar(X, n: int, d: int, budget: int = DEFAULT_BUDGET) -> BarSpace:
 
 
 def g_action_on_bar(B: BarSpace, g: int) -> SimplicialMap:
-    """Levelwise action of a group element on an equivariant bar space."""
+    """Levelwise action of a group element on an equivariant bar space:
+    level p is the presheaf's action table on the level's wedge object."""
     X = B.presheaf
     if B.group is None:
         raise ValueError("bar space has no group action")
-    level_maps = []
-    for p in range(B.d + 1):
-        m = B.level_object(p)
-        table = X.action_table(gg.group_action_map(m, g, X.group))
-        src = B.space.levels[p]
-        level_maps.append({x: src[table[j]] for j, x in enumerate(src)})
-    return SimplicialMap(B.space, B.space, level_maps)
+    return SimplicialMap(B.space, B.space,
+                         [X.action_table(gg.group_action_map(B.level_object(p), g, X.group))
+                          for p in range(B.d + 1)])
 
 
 @dataclass
@@ -146,57 +143,55 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
         raise StrictnessError(
             f"level 0 has {X.level_size(0)} elements, expected a single point")
     B = bar(X, 1, d, budget=budget)
-    unit = X.act(X.unit_inclusion(), X.level(0)[0])
-    susp = suspension(X.level(1), unit, d)
+    level1 = X.level(1)
+    unit = X.action_table(X.unit_inclusion())[0]
+    loops = [a for a in range(len(level1)) if a != unit]
+    susp = suspension(level1, level1[unit], d)
     sk = skeleton(B.space, 1)
+    incl = skeleton_inclusion(sk, B.space)
 
-    level_maps: list[dict] = []
+    # images[p]: positions in bar level p of the images of suspension level p
+    images: list[list[int]] = []
     for p in range(d + 1):
-        basepoint_image = X.act(_lift(X, gc.zero_map(1, p)), unit)
-        table = {"*": basepoint_image}
-        for x in susp.levels[p]:
-            if x == "*":
-                continue
-            a, bits = x
-            t = bits.index(1)
-            table[x] = X.act(_lift(X, gc.GammaOpMap(1, p, (0, t))), a)
-        level_maps.append(table)
+        edges = [X.action_table(_lift(X, gc.GammaOpMap(1, p, (0, t)))) for t in range(1, p + 1)]
+        images.append([X.action_table(_lift(X, gc.zero_map(1, p)))[unit]]
+                      + [edge[a] for a in loops for edge in edges])
 
-    sk_index = [set(level) for level in sk.levels]
-    for p in range(d + 1):
-        images = list(level_maps[p].values())
-        if len(set(images)) != len(images):
+    iso_tables: list[list[int]] = []
+    for p, image in enumerate(images):
+        if len(set(image)) != len(image):
             raise StrictnessError(f"structure map not injective at level {p}")
-        if set(images) != sk_index[p]:
-            missing = sk_index[p] - set(images)
-            extra = set(images) - sk_index[p]
+        kept = incl.tables[p]
+        if set(image) != set(kept):
+            level = B.space.levels[p]
+            missing = {level[k] for k in set(kept) - set(image)}
+            extra = {level[k] for k in set(image) - set(kept)}
             raise StrictnessError(
                 f"structure map not onto the 1-skeleton at level {p}: "
                 f"missing {sorted(map(repr, missing))[:3]}, extra {sorted(map(repr, extra))[:3]}")
-    iso = SimplicialMap(susp, sk, level_maps)
+        rank = {k: r for r, k in enumerate(kept)}
+        iso_tables.append([rank[k] for k in image])
+    iso = SimplicialMap(susp, sk, iso_tables)
     report = iso.check()
     if not report.ok:
         raise StrictnessError(f"structure map is not simplicial: {report.violation} at {report.witness}")
-    incl = skeleton_inclusion(sk, B.space)
 
     equivariant: bool | None = None
     if isinstance(X, TruncatedGGammaSet):
         equivariant = True
         for g in range(X.group.size):
-            act1 = X.action_table(gg.group_action_map(1, g, X.group))
-            level1 = X.level(1)
+            # g moves the loops of the suspension and keeps their words; a
+            # loop moved onto the unit has no image there.  The element at
+            # position b of level 1 is loop b - (b > unit).
+            moved = [X.action_table(gg.group_action_map(1, g, X.group))[a] for a in loops]
+            if unit in moved:
+                equivariant = False
+                continue
             bar_act = g_action_on_bar(B, g)
             for p in range(d + 1):
-                for x in susp.levels[p]:
-                    if x == "*":
-                        moved = "*"
-                    else:
-                        a, bits = x
-                        moved = (level1[act1[X.index(1, a)]], bits)
-                    lhs = level_maps[p].get(moved)
-                    rhs = bar_act.apply(p, level_maps[p][x])
-                    if lhs is None or lhs != rhs:
-                        equivariant = False
+                susp_act = [0] + [(b - (b > unit)) * p + t for b in moved for t in range(1, p + 1)]
+                if composite(images[p], susp_act) != composite(bar_act.tables[p], images[p]):
+                    equivariant = False
     return StructureMapResult(susp, sk, iso, incl, equivariant)
 
 

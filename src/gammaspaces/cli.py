@@ -46,16 +46,14 @@ def _default_budget() -> int:
     return int(os.environ.get(DEFAULT_BUDGET_ENV, cb.DEFAULT_BUDGET))
 
 
-def _sha256_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[dict, str]:
+    """The parsed file and the sha256 of its bytes, read once.  The bytes
+    must be strict UTF-8; a byte-order mark is a JSON error."""
     try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -76,12 +74,13 @@ def _build_presheaf(algebra, N: int):
     return ps.build_gamma_set(algebra, N)
 
 
-def _meta(config: dict, inputs: list[str]) -> dict:
+def _meta(config: dict, inputs: dict[str, str]) -> dict:
+    """Report metadata; inputs maps each input path to its sha256."""
     return {
         "version": __version__,
         "config": config,
         "seed": config.get("seed"),
-        "inputs": {path: _sha256_file(path) for path in sorted(inputs)},
+        "inputs": inputs,
     }
 
 
@@ -168,13 +167,13 @@ def _require_positive(**bounds) -> None:
 
 def cmd_build(args) -> int:
     _require_positive(levels=args.levels)
-    data = _load_json(args.input)
+    data, digest = _load_json(args.input)
     algebra = _load_algebra(data)
     X = _build_presheaf(algebra, args.levels)
     report = ps.presheaf_to_json(X)
     config = {"command": "build", "input": args.input, "levels": args.levels,
               "seed": args.seed, "format": args.format}
-    report["meta"] = _meta(config, [args.input])
+    report["meta"] = _meta(config, {args.input: digest})
     report["functoriality_probe"] = _functoriality_probe(X, args.seed)
     sizes = [len(level) for level in report["levels"]]
     _emit(report, args.format, args.out,
@@ -183,14 +182,16 @@ def cmd_build(args) -> int:
 
 
 def cmd_check(args) -> int:
-    data = _load_json(args.input)
+    if args.upto is not None and args.upto < 0:
+        raise InputError(f"--upto must be nonnegative, got {args.upto}")
+    data, digest = _load_json(args.input)
     X = ps.presheaf_from_json(data)
     kind = "bousfield" if args.bousfield else "segal"
     upto = args.upto if args.upto is not None else X.N
     check = (ps.check_strict_bousfield if args.bousfield else ps.check_strict_segal)(X, upto)
     config = {"command": "check", "input": args.input, "condition": kind,
               "upto": upto, "seed": args.seed, "format": args.format}
-    report = {"meta": _meta(config, [args.input]), "check": check.as_dict()}
+    report = {"meta": _meta(config, {args.input: digest}), "check": check.as_dict()}
     verdict = "pass" if check.passed else f"FAIL at n={check.failed_at}: {check.witness}"
     _emit(report, args.format, args.out, f"strict {kind} up to {upto}: {verdict}")
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
@@ -226,7 +227,7 @@ def _roundtrip_ggamma(X, reference: ps.GMonoid) -> dict:
 
 
 def cmd_roundtrip(args) -> int:
-    data = _load_json(args.input)
+    data, digest = _load_json(args.input)
     if "kind" in data and data["kind"] in ("gamma", "ggamma"):
         X = ps.presheaf_from_json(data)
         reference = X.algebra
@@ -242,7 +243,7 @@ def cmd_roundtrip(args) -> int:
     result["functoriality_probe"] = _functoriality_probe(X, args.seed)
     config = {"command": "roundtrip", "input": args.input, "levels": args.levels,
               "seed": args.seed, "format": args.format}
-    report = {"meta": _meta(config, [args.input]), "roundtrip": result}
+    report = {"meta": _meta(config, {args.input: digest}), "roundtrip": result}
     identical = result["tables_identical"]
     _emit(report, args.format, args.out,
           "roundtrip exact" if identical else "roundtrip MISMATCH")
@@ -263,7 +264,7 @@ def cmd_classify(args) -> int:
     _require_positive(iterate=args.iterate, dim=args.dim, budget=args.budget)
     if args.homology < 0 or args.at < 0:
         raise InputError("--homology and --at must be nonnegative")
-    data = _load_json(args.input)
+    data, digest = _load_json(args.input)
     if not ("kind" in data and data["kind"] in ("gamma", "ggamma")):
         raise InputError("classify expects a presheaf file produced by build")
     stored = ps.presheaf_from_json(data)
@@ -277,7 +278,7 @@ def cmd_classify(args) -> int:
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,
               "dim": args.dim, "homology": args.homology, "at": args.at,
               "budget": budget, "seed": args.seed, "format": args.format}
-    report: dict = {"meta": _meta(config, [args.input])}
+    report: dict = {"meta": _meta(config, {args.input: digest})}
 
     if args.at == 0:
         B = cb.bar(X, 0, args.dim, budget=budget)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteGroup
 from .errors import CompositionError
-from .gammacat import GammaOpMap, identity, smash_morphisms, segal_family
+from .gammacat import GammaOpMap, identity, segal_family
 
 
 @dataclass(frozen=True)
@@ -123,18 +123,6 @@ def projection(n: int, i: int, group: FiniteGroup) -> GGammaMap:
 def diag_inclusion(f: GammaOpMap, group: FiniteGroup) -> GGammaMap:
     """The functor from plain pointed maps: same map on every summand."""
     return GGammaMap(f, 0, group)
-
-
-def ordinal_smash(p: int, n: int, group: FiniteGroup) -> WedgeObject:
-    """Smash of a plain ordinal with a wedge object, taken summand-wise:
-    a wedge of copies of the (p*n)-ordinal, paired row-major."""
-    return WedgeObject(p * n, group)
-
-
-def ordinal_smash_map(u: GammaOpMap, a: GGammaMap) -> GGammaMap:
-    """Morphism induced on the ordinal smash by a pointed map in the
-    ordinal variable and a wedge morphism in the other."""
-    return GGammaMap(smash_morphisms(u, a.f), a.g, a.group)
 
 
 def enumerate_ggamma_maps(m: int, n: int, group: FiniteGroup):

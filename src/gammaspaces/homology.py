@@ -262,9 +262,6 @@ class HomologyGroup:
         parts = ["Z"] * self.rank + [f"Z/{t}" for t in self.torsion]
         return " + ".join(parts) if parts else "0"
 
-    def is_trivial(self) -> bool:
-        return self.rank == 0 and not self.torsion
-
     def as_dict(self) -> dict:
         return {"rank": self.rank, "torsion": list(self.torsion)}
 
@@ -453,13 +450,15 @@ class InducedMap:
 
 
 def chain_map_matrix(f: SimplicialMap, p: int) -> Matrix:
-    """Matrix of a simplicial map on normalized p-chains."""
-    src = f.source.nondegenerate(p)
-    tgt = f.target.nondegenerate(p)
-    tgt_pos = {x: i for i, x in enumerate(tgt)}
+    """Matrix of a simplicial map on normalized p-chains; a simplex sent to
+    a degenerate one contributes a zero column."""
+    table = f.tables[p]
+    src = f.source.nondegenerate_indices(p)
+    tgt = f.target.nondegenerate_indices(p)
+    row_of = {k: i for i, k in enumerate(tgt)}
     mat = zeros(len(tgt), len(src))
-    for j, x in enumerate(src):
-        row = tgt_pos.get(f.apply(p, x))
+    for j, k in enumerate(src):
+        row = row_of.get(table[k])
         if row is not None:
             mat[row][j] = 1
     return mat

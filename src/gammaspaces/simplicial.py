@@ -1,9 +1,11 @@
 """Truncated simplicial sets with tabulated faces and degeneracies,
 simplicial maps, skeletons, and the reduced suspension of a pointed set.
 
-Level sets are ordered lists of hashable simplices; faces and degeneracies
-are integer index tables: entry k of a table is the position, in the
-target level, of the image of the k-th simplex.  Everything is finite and
+Level sets are ordered lists of hashable simplices.  Faces, degeneracies
+and the levels of a simplicial map are integer index tables: entry k of a
+table is the position, in the target level, of the image of the k-th
+simplex.  Labels are read only by the label views (``face``,
+``degeneracy``, ``apply``) and to name witnesses.  Everything is finite and
 immutable once constructed, so values can be shared freely.
 """
 
@@ -40,19 +42,6 @@ class TruncatedSimplicialSet:
         self.degeneracies = degeneracies
         self._index: list[dict | None] = [None] * (d + 1)
         self._degenerate: list[bytearray | None] = [None] * (d + 1)
-
-    @classmethod
-    def from_label_maps(cls, d: int, levels: list[list], faces: list[list[dict]],
-                        degeneracies: list[list[dict]]) -> TruncatedSimplicialSet:
-        """Build from structure maps given as dicts between simplices."""
-        index = [{x: k for k, x in enumerate(level)} for level in levels]
-
-        def tables(maps, p, q):
-            return [[index[q][m[x]] for x in levels[p]] for m in maps[p]]
-
-        return cls(d, levels,
-                   [tables(faces, p, p - 1) for p in range(d + 1)],
-                   [tables(degeneracies, p, p + 1) for p in range(d + 1)])
 
     def level(self, p: int) -> list:
         return self.levels[p]
@@ -93,9 +82,16 @@ class TruncatedSimplicialSet:
         return [len(level) for level in self.levels]
 
 
-def _composite(a: list[int], b: list[int]) -> list[int]:
+def composite(a: list[int], b: list[int]) -> list[int]:
     """Index table of a after b."""
     return list(map(a.__getitem__, b))
+
+
+def _first_difference(a: list[int], b: list[int]) -> int | None:
+    """First position where two tables of one length differ, or None."""
+    if a == b:
+        return None
+    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
 
 
 def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int):
@@ -123,26 +119,26 @@ def _identities(X: TruncatedSimplicialSet):
         for j in range(1, p + 1):
             for i in range(j):
                 yield ("d_i d_j = d_{j-1} d_i", p, i, j,
-                       _composite(F[p - 1][i], F[p][j]), _composite(F[p - 1][j - 1], F[p][i]))
+                       composite(F[p - 1][i], F[p][j]), composite(F[p - 1][j - 1], F[p][i]))
     for p in range(X.d - 1):
         for j in range(p + 1):
             for i in range(j + 1):
                 yield ("s_i s_j = s_{j+1} s_i", p, i, j,
-                       _composite(S[p + 1][i], S[p][j]), _composite(S[p + 1][j + 1], S[p][i]))
+                       composite(S[p + 1][i], S[p][j]), composite(S[p + 1][j + 1], S[p][i]))
     # mixed identities on level p, 0 <= p < d; at p = 0 only d_i s_j = id occurs
     for p in range(X.d):
         identity = list(range(len(X.levels[p])))
         for j in range(p + 1):
             for i in range(p + 2):
-                lhs = _composite(F[p + 1][i], S[p][j])
+                lhs = composite(F[p + 1][i], S[p][j])
                 if i == j or i == j + 1:
                     yield "d_i s_j = id", p, i, j, lhs, identity
                 elif i < j:
                     yield ("d_i s_j = s_{j-1} d_i", p, i, j,
-                           lhs, _composite(S[p - 1][j - 1], F[p][i]))
+                           lhs, composite(S[p - 1][j - 1], F[p][i]))
                 else:
                     yield ("d_i s_j = s_j d_{i-1}", p, i, j,
-                           lhs, _composite(S[p - 1][j], F[p][i - 1]))
+                           lhs, composite(S[p - 1][j], F[p][i - 1]))
 
 
 def validate(X: TruncatedSimplicialSet) -> ValidationReport:
@@ -161,61 +157,72 @@ def validate(X: TruncatedSimplicialSet) -> ValidationReport:
         if report:
             return report
     for name, p, i, j, lhs, rhs in _identities(X):
-        if lhs != rhs:
-            k = next(k for k, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        k = _first_difference(lhs, rhs)
+        if k is not None:
             return ValidationReport(False, name, (p, i, j, X.levels[p][k]))
     return ValidationReport(True)
 
 
 class SimplicialMap:
-    """Levelwise map between truncated simplicial sets of the same bound."""
+    """Levelwise map between truncated simplicial sets of the same bound.
+
+    tables[p][k] is the position, in target level p, of the image of the
+    k-th source p-simplex.
+    """
 
     def __init__(self, source: TruncatedSimplicialSet, target: TruncatedSimplicialSet,
-                 level_maps: list[dict]):
+                 tables: list[list[int]]):
         if source.d != target.d:
             raise ValueError("source and target truncations differ")
         self.source = source
         self.target = target
-        self.level_maps = level_maps
+        self.tables = tables
 
     def apply(self, p: int, x):
-        return self.level_maps[p][x]
+        return self.target.levels[p][self.tables[p][self.source.index(p, x)]]
 
     def check(self) -> ValidationReport:
-        X, Y = self.source, self.target
+        """Totality, range and commutation with every face and degeneracy,
+        each commutation one comparison of two composite tables.  The
+        witness is the first offending source simplex in level order."""
+        X, Y, T = self.source, self.target, self.tables
         for p in range(X.d + 1):
-            for x in X.levels[p]:
-                if x not in self.level_maps[p]:
-                    return ValidationReport(False, "map not total", (p, x))
-                if self.level_maps[p][x] not in Y.positions(p):
-                    return ValidationReport(False, "map lands outside level", (p, x))
+            table, size, target = T[p], len(X.levels[p]), len(Y.levels[p])
+            if table and not (0 <= min(table) and max(table) < target):
+                k = next(k for k, y in enumerate(table) if not 0 <= y < target)
+                if k < size:
+                    return ValidationReport(False, "map lands outside level", (p, X.levels[p][k]))
+            if len(table) != size:
+                witness = (p, X.levels[p][len(table)]) if len(table) < size else (p,)
+                return ValidationReport(False, "map not total", witness)
         for p in range(1, X.d + 1):
             for i in range(p + 1):
-                for x in X.levels[p]:
-                    if self.apply(p - 1, X.face(p, i, x)) != Y.face(p, i, self.apply(p, x)):
-                        return ValidationReport(False, "map commutes with faces", (p, i, x))
+                k = _first_difference(composite(T[p - 1], X.faces[p][i]),
+                                      composite(Y.faces[p][i], T[p]))
+                if k is not None:
+                    return ValidationReport(False, "map commutes with faces", (p, i, X.levels[p][k]))
         for p in range(X.d):
             for i in range(p + 1):
-                for x in X.levels[p]:
-                    if self.apply(p + 1, X.degeneracy(p, i, x)) != Y.degeneracy(p, i, self.apply(p, x)):
-                        return ValidationReport(False, "map commutes with degeneracies", (p, i, x))
+                k = _first_difference(composite(T[p + 1], X.degeneracies[p][i]),
+                                      composite(Y.degeneracies[p][i], T[p]))
+                if k is not None:
+                    return ValidationReport(False, "map commutes with degeneracies",
+                                            (p, i, X.levels[p][k]))
         return ValidationReport(True)
 
     def is_levelwise_bijection(self) -> bool:
-        return all(len(set(self.level_maps[p].values())) == len(self.source.levels[p]) == len(self.target.levels[p])
-                   for p in range(self.source.d + 1))
+        return all(len(set(table)) == len(self.source.levels[p]) == len(self.target.levels[p])
+                   for p, table in enumerate(self.tables))
 
 
 def identity_map(X: TruncatedSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, [{x: x for x in level} for level in X.levels])
+    return SimplicialMap(X, X, [list(range(len(level))) for level in X.levels])
 
 
 def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
     if f.target is not g.source and f.target.levels != g.source.levels:
         raise ValueError("maps not composable")
-    return SimplicialMap(f.source, g.target,
-                         [{x: g.level_maps[p][y] for x, y in f.level_maps[p].items()}
-                          for p in range(f.source.d + 1)])
+    return SimplicialMap(f.source, g.target, list(map(composite, g.tables, f.tables)))
 
 
 def point(d: int) -> TruncatedSimplicialSet:
@@ -226,9 +233,8 @@ def point(d: int) -> TruncatedSimplicialSet:
                                    for p in range(d + 1)])
 
 
-def constant_map_to_point(X: TruncatedSimplicialSet, P: TruncatedSimplicialSet | None = None) -> SimplicialMap:
-    P = P or point(X.d)
-    return SimplicialMap(X, P, [{x: "*" for x in level} for level in X.levels])
+def constant_map_to_point(X: TruncatedSimplicialSet) -> SimplicialMap:
+    return SimplicialMap(X, point(X.d), [[0] * len(level) for level in X.levels])
 
 
 def suspension(points, base, d: int) -> TruncatedSimplicialSet:
@@ -238,55 +244,44 @@ def suspension(points, base, d: int) -> TruncatedSimplicialSet:
     A p-simplex is either the collapsed basepoint "*" or a pair (a, bits)
     with a a non-basepoint element and bits a weakly increasing, nonconstant
     0/1 tuple of length p+1 recording a monotone surjection onto the edge.
+    Level p lists "*" first, then the words of the j-th loop (j from 0) with
+    t zeros, 1 <= t <= p, at position j*p + t.
     """
     loops = [a for a in points if a != base]
-    levels: list[list] = []
-    for p in range(d + 1):
-        level: list = ["*"]
-        for a in loops:
+    levels = [["*"] + [(a, (0,) * t + (1,) * (p + 1 - t)) for a in loops for t in range(1, p + 1)]
+              for p in range(d + 1)]
+
+    def table(p: int, q: int, i: int, step: int) -> list[int]:
+        """Index table from level p to level q of the structure map that
+        removes (step -1) or doubles (step +1) bit i: that bit is a zero
+        exactly when i < t.  A constant word goes to "*"."""
+        out = [0]
+        for j in range(len(loops)):
             for t in range(1, p + 1):
-                bits = (0,) * t + (1,) * (p + 1 - t)
-                level.append((a, bits))
-        levels.append(level)
+                s = t + step if i < t else t
+                out.append(j * q + s if 0 < s <= q else 0)
+        return out
 
-    def collapse(a, bits):
-        if all(b == bits[0] for b in bits):
-            return "*"
-        return (a, bits)
-
-    faces: list[list[dict]] = [[] for _ in range(d + 1)]
-    degeneracies: list[list[dict]] = [[] for _ in range(d + 1)]
-    for p in range(1, d + 1):
-        for i in range(p + 1):
-            table = {}
-            for x in levels[p]:
-                if x == "*":
-                    table[x] = "*"
-                else:
-                    a, bits = x
-                    table[x] = collapse(a, bits[:i] + bits[i + 1:])
-            faces[p].append(table)
-    for p in range(d):
-        for i in range(p + 1):
-            table = {}
-            for x in levels[p]:
-                if x == "*":
-                    table[x] = "*"
-                else:
-                    a, bits = x
-                    table[x] = collapse(a, bits[:i + 1] + bits[i:])
-            degeneracies[p].append(table)
-    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+    faces = [[table(p, p - 1, i, -1) for i in range(p + 1)] if p else [] for p in range(d + 1)]
+    degeneracies = [[table(p, p + 1, i, 1) for i in range(p + 1)] if p < d else []
+                    for p in range(d + 1)]
+    return TruncatedSimplicialSet(d, levels, faces, degeneracies)
 
 
-def skeleton(X: TruncatedSimplicialSet, k: int) -> TruncatedSimplicialSet:
-    """Subobject generated by the simplices of dimension at most k."""
-    keep: list = []  # indices of the kept simplices, in level order
+def _skeleton_positions(X: TruncatedSimplicialSet, k: int) -> list[list[int]]:
+    """Positions in X of the simplices of its k-skeleton, in level order."""
+    keep: list = []
     for p in range(X.d + 1):
         if p <= k:
             keep.append(range(len(X.levels[p])))
         else:
             keep.append(sorted({table[a] for table in X.degeneracies[p - 1] for a in keep[p - 1]}))
+    return keep
+
+
+def skeleton(X: TruncatedSimplicialSet, k: int) -> TruncatedSimplicialSet:
+    """Subobject generated by the simplices of dimension at most k."""
+    keep = _skeleton_positions(X, k)
     new_index = [{a: r for r, a in enumerate(kept)} for kept in keep]
 
     def restrict(tables, p, q):
@@ -298,4 +293,7 @@ def skeleton(X: TruncatedSimplicialSet, k: int) -> TruncatedSimplicialSet:
 
 
 def skeleton_inclusion(S: TruncatedSimplicialSet, X: TruncatedSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(S, X, [{x: x for x in level} for level in S.levels])
+    """Inclusion of a skeleton S of X.  The levels S shares whole with X
+    come first, so S is the skeleton of the last of them."""
+    whole = next((p for p in range(X.d + 1) if len(S.levels[p]) != len(X.levels[p])), X.d + 1)
+    return SimplicialMap(S, X, [list(kept) for kept in _skeleton_positions(X, whole - 1)])

@@ -5,15 +5,61 @@ built directly from a Cayley table, group homology comes from the reduced
 bar resolution written out by hand, and the twice-delooped comparison
 space is the classical normalized-cocycle model.  Presheaf actions are
 recomputed one element at a time from the Cayley table, and the explicit
-bisimplicial bar and its diagonal check the direct iterated bar.
+bisimplicial bar and its diagonal check the direct iterated bar.  The
+suspension is rebuilt from its labels, and simplicial sets and maps given
+as dicts between simplices are converted to index tables here.
 """
 
 import itertools
 
 from gammaspaces.algebra import FinAbMonoid
 from gammaspaces.homology import HomologyGroup, homology, normalized_chain_complex
-from gammaspaces.simplicial import (TruncatedSimplicialSet, ValidationReport,
-                                    validate)
+from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
+                                    ValidationReport, validate)
+
+
+def from_label_maps(d: int, levels: list[list], faces: list[list[dict]],
+                    degeneracies: list[list[dict]]) -> TruncatedSimplicialSet:
+    """Simplicial set from structure maps given as dicts between simplices."""
+    index = [{x: k for k, x in enumerate(level)} for level in levels]
+
+    def tables(maps, p, q):
+        return [[index[q][m[x]] for x in levels[p]] for m in maps[p]]
+
+    return TruncatedSimplicialSet(d, levels,
+                                  [tables(faces, p, p - 1) for p in range(d + 1)],
+                                  [tables(degeneracies, p, p + 1) for p in range(d + 1)])
+
+
+def map_from_label_maps(source: TruncatedSimplicialSet, target: TruncatedSimplicialSet,
+                        level_maps: list[dict]) -> SimplicialMap:
+    """Simplicial map from one dict between simplices per level."""
+    return SimplicialMap(source, target,
+                         [[target.index(p, m[x]) for x in source.levels[p]]
+                          for p, m in enumerate(level_maps)])
+
+
+def label_suspension(points, base, d: int) -> TruncatedSimplicialSet:
+    """Reduced suspension built from its labels: a p-simplex is "*" or
+    (a, bits) with bits a nonconstant weakly increasing 0/1 word of length
+    p+1; faces delete a bit, degeneracies double one, and a word that
+    becomes constant collapses to "*"."""
+    loops = [a for a in points if a != base]
+    levels = [["*"] + [(a, (0,) * t + (1,) * (p + 1 - t)) for a in loops for t in range(1, p + 1)]
+              for p in range(d + 1)]
+
+    def move(x, edit):
+        if x == "*":
+            return "*"
+        a, bits = x
+        bits = edit(bits)
+        return "*" if len(set(bits)) == 1 else (a, bits)
+
+    faces = [[{x: move(x, lambda b: b[:i] + b[i + 1:]) for x in levels[p]}
+              for i in range(p + 1)] if p else [] for p in range(d + 1)]
+    degeneracies = [[{x: move(x, lambda b: b[:i + 1] + b[i:]) for x in levels[p]}
+                     for i in range(p + 1)] if p < d else [] for p in range(d + 1)]
+    return from_label_maps(d, levels, faces, degeneracies)
 
 
 def nerve_of_monoid(M: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
@@ -37,7 +83,7 @@ def nerve_of_monoid(M: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
     for p in range(d):
         for i in range(p + 1):
             degeneracies[p].append({x: x[:i] + (M.unit,) + x[i:] for x in levels[p]})
-    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+    return from_label_maps(d, levels, faces, degeneracies)
 
 
 def bar_resolution_boundaries(M: FinAbMonoid, top: int):
@@ -125,7 +171,7 @@ def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
         for i in range(q + 1):
             alpha = [j if j <= i else j - 1 for j in range(q + 2)]
             degeneracies[q].append({x: pullback(q + 1, q, alpha, x) for x in levels[q]})
-    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+    return from_label_maps(d, levels, faces, degeneracies)
 
 
 def em_two_homology(A, q: int) -> HomologyGroup:
@@ -196,7 +242,7 @@ def _strand(d, level_fn, face_fn, degen_fn) -> TruncatedSimplicialSet:
     levels = [list(level_fn(p)) for p in range(d + 1)]
     faces = [list(face_fn(p)) if p else [] for p in range(d + 1)]
     degeneracies = [list(degen_fn(p)) if p < d else [] for p in range(d + 1)]
-    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+    return from_label_maps(d, levels, faces, degeneracies)
 
 
 def diagonal(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
@@ -216,4 +262,4 @@ def diagonal(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
             h = B.h_degens[p][p][i]
             v = B.v_degens[p + 1][p][i]
             degeneracies[p].append({x: v[h[x]] for x in levels[p]})
-    return TruncatedSimplicialSet.from_label_maps(d, levels, faces, degeneracies)
+    return from_label_maps(d, levels, faces, degeneracies)

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import pytest
 
 from gammaspaces import algebra as alg
@@ -7,12 +10,20 @@ from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup
 from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, diagonal,
-                     em_two_homology, nerve_of_monoid)
+                     em_two_homology, map_from_label_maps, nerve_of_monoid)
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
 Z4 = alg.cyclic(4)
 KLEIN = alg.klein_four()
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ACTION_FIXTURES = ["z2_inversion_on_z3", "z2_swap_on_klein", "z2_trivial_on_z2"]
+
+
+def z3_with_unit(unit):
+    """The order-3 group with element k standing for k - unit mod 3."""
+    return alg.FinAbGroup((0, 1, 2), unit,
+                          tuple(tuple((i + j - unit) % 3 for j in range(3)) for i in range(3)))
 
 
 class TestBar:
@@ -77,6 +88,19 @@ class TestGActionOnBar:
         square = ss.compose_maps(act, act)
         assert all(square.apply(p, x) == x for p in range(3) for x in B.space.levels[p])
 
+    @pytest.mark.parametrize("name", ACTION_FIXTURES)
+    def test_tables_match_elementwise_action(self, name):
+        # g acts on a p-simplex, a tuple of monoid elements, entry by entry
+        A = alg.GMonoid.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        B = cb.bar(ps.build_ggamma_set(A, 3), 1, 3)
+        for g in range(A.group.size):
+            act = cb.g_action_on_bar(B, g)
+            expected = map_from_label_maps(
+                B.space, B.space,
+                [{x: tuple(A.act(g, m) for m in x) for x in level} for level in B.space.levels])
+            assert act.tables == expected.tables
+            assert act.check().ok
+
     def test_assignment_is_group_homomorphism(self):
         A = alg.inversion_action(Z3)
         B = cb.bar(ps.build_ggamma_set(A, 3), 1, 3)
@@ -85,7 +109,7 @@ class TestGActionOnBar:
             for h in range(2):
                 composite = ss.compose_maps(acts[g], acts[h])
                 expected = acts[A.group.table[g][h]]
-                assert composite.level_maps == expected.level_maps
+                assert composite.tables == expected.tables
 
 
 class TestStructureMap:
@@ -115,6 +139,74 @@ class TestStructureMap:
         result = cb.structure_map(X, 3)
         assert result.iso.check().ok
         assert result.equivariant is True
+
+    @staticmethod
+    def edge(f):
+        op = getattr(f, "f", f)
+        return (op.source, op.target, tuple(op.values)) == (1, 2, (0, 1))
+
+    @staticmethod
+    def swap_loops(f, table):
+        table[1], table[2] = table[2], table[1]
+        return table
+
+    @staticmethod
+    def collide(f, table):
+        table[2] = table[1]
+        return table
+
+    @staticmethod
+    def off_skeleton(f, table):
+        return table[:1] + [5 + k for k in range(len(table) - 1)]
+
+    @staticmethod
+    def tamper_after_bar(monkeypatch, X, applies, tamper):
+        """Replace the tables of X that `applies` selects by `tamper(f,
+        table)` once the bar space is built, so the bar still validates."""
+        armed = []
+        build = cb.bar
+
+        def bar(*args, **kwargs):
+            B = build(*args, **kwargs)
+            armed.append(True)
+            return B
+
+        table = X.action_table
+        monkeypatch.setattr(cb, "bar", bar)
+        monkeypatch.setattr(X, "action_table",
+                            lambda f: tamper(f, list(table(f))) if armed and applies(f) else table(f))
+
+    @pytest.mark.parametrize("tamper, message", [
+        ("swap_loops", "structure map is not simplicial: map commutes with faces at "
+                       "(2, 1, ((1,), (0, 1, 1)))"),
+        ("collide", "structure map not injective at level 2"),
+        ("off_skeleton", "structure map not onto the 1-skeleton at level 2: "
+                         "missing ['(1, 0)'], extra ['(1, 2)']"),
+    ])
+    def test_tampered_edges_name_the_failure(self, monkeypatch, tamper, message):
+        X = ps.build_ggamma_set(alg.inversion_action(Z3), 3)
+        self.tamper_after_bar(monkeypatch, X, self.edge, getattr(self, tamper))
+        with pytest.raises(StrictnessError) as err:
+            cb.structure_map(X, 3)
+        assert str(err.value) == message
+
+    def test_equivariant_with_the_unit_listed_last(self):
+        X = ps.build_ggamma_set(alg.inversion_action(z3_with_unit(2)), 3)
+        assert cb.structure_map(X, 3).equivariant is True
+
+    @pytest.mark.parametrize("unit", [0, 2])
+    @pytest.mark.parametrize("wedge", [1, 2])
+    def test_tampered_group_action_is_not_equivariant(self, monkeypatch, wedge, unit):
+        # on level 1 every element goes to the unit; on level 2 a shuffle
+        def applies(f):
+            return getattr(f, "g", 0) == 1 and f.f.source == f.f.target == wedge
+
+        def tamper(f, table):
+            return [unit] * len(table) if wedge == 1 else sorted(table, key=lambda v: v * 7 % len(table))
+
+        X = ps.build_ggamma_set(alg.inversion_action(z3_with_unit(unit)), 3)
+        self.tamper_after_bar(monkeypatch, X, applies, tamper)
+        assert cb.structure_map(X, 3).equivariant is False
 
     def test_broken_level_zero_raises(self):
         Y = ps.build_gamma_set(Z2, 3)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pathlib
@@ -92,6 +93,17 @@ class TestCheck:
         code, _, _ = run(["check", "--input", str(presheaf), "--bousfield", "--upto", "1"], capsys)
         assert code == 0
 
+    def test_negative_upto_exits_two(self, tmp_path, capsys):
+        presheaf = build(tmp_path, "max2")
+        code, out, err = run(["check", "--input", str(presheaf), "--upto", "-3"], capsys)
+        assert (code, out, err) == (2, "", "input error: --upto must be nonnegative, got -3\n")
+
+    def test_upto_zero_passes(self, tmp_path, capsys):
+        presheaf = build(tmp_path, "max2")
+        code, out, _ = run(["check", "--input", str(presheaf), "--bousfield", "--upto", "0"], capsys)
+        assert code == 0
+        assert json.loads(out)["meta"]["config"]["upto"] == 0
+
     def test_text_format(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z2")
         code, out, _ = run(["check", "--input", str(presheaf), "--segal",
@@ -171,6 +183,35 @@ class TestMalformedPresheafFiles:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
+
+
+class TestUndecodableInput:
+    @pytest.mark.parametrize("command", [["build"], ["check", "--segal"], ["roundtrip"],
+                                         ["classify"]],
+                             ids=["build", "check", "roundtrip", "classify"])
+    def test_non_utf8_byte_exits_two_with_one_line(self, tmp_path, capsys, command):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"elements": ["\xff"], "unit": "\xff", "table": [["\xff"]]}')
+        code, out, err = run([*command, "--input", str(bad)], capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"input error: cannot read {bad}: 'utf-8' codec can't decode byte 0xff " \
+                      f"in position 15: invalid start byte\n"
+
+    def test_byte_order_mark_is_a_json_error(self, tmp_path, capsys):
+        bom = tmp_path / "bom.json"
+        bom.write_bytes(b"\xef\xbb\xbf" + (FIXTURES / "z2.json").read_bytes())
+        code, _, err = run(["build", "--input", str(bom)], capsys)
+        assert code == 2
+        assert err == f"input error: cannot read {bom}: Unexpected UTF-8 BOM " \
+                      f"(decode using utf-8-sig): line 1 column 1 (char 0)\n"
+
+    def test_meta_hashes_the_bytes_read(self, tmp_path, capsys):
+        presheaf = build(tmp_path, "z2")
+        code, out, _ = run(["check", "--input", str(presheaf)], capsys)
+        assert code == 0
+        digest = hashlib.sha256(presheaf.read_bytes()).hexdigest()
+        assert json.loads(out)["meta"]["inputs"] == {str(presheaf): digest}
 
 
 class TestClassify:

@@ -167,29 +167,3 @@ class TestProjectionAndInclusion:
         for n in range(1, 4):
             for i in range(1, n + 1):
                 assert gg.diag_inclusion(gc.segal_family(n)[i - 1], Z2) == gg.projection(n, i, Z2)
-
-
-class TestOrdinalSmash:
-    def test_smash_with_singleton(self):
-        for p in range(4):
-            assert gg.ordinal_smash(p, 1, Z2) == gg.wedge_object(p, Z2)
-
-    def test_smash_with_zero_is_basepoint(self):
-        w = gg.ordinal_smash(0, 3, Z2)
-        assert w.size == 1 and w.elements == [0]
-
-    def test_functorial_in_both_variables(self):
-        rng = random.Random(31)
-        for _ in range(100):
-            p1, p2, p3 = (rng.randint(0, 3) for _ in range(3))
-            n1, n2, n3 = (rng.randint(0, 3) for _ in range(3))
-            u1 = rng.choice(list(gc.enumerate_maps(p1, p2)))
-            u2 = rng.choice(list(gc.enumerate_maps(p2, p3)))
-            a1 = rng.choice(list(gg.enumerate_ggamma_maps(n1, n2, Z2)))
-            a2 = rng.choice(list(gg.enumerate_ggamma_maps(n2, n3, Z2)))
-            lhs = gg.ordinal_smash_map(gc.compose(u2, u1), gg.compose(a2, a1))
-            rhs = gg.compose(gg.ordinal_smash_map(u2, a2), gg.ordinal_smash_map(u1, a1))
-            assert lhs == rhs
-
-    def test_identity_to_identity(self):
-        assert gg.ordinal_smash_map(gc.identity(2), gg.ggamma_identity(3, Z2)) == gg.ggamma_identity(6, Z2)

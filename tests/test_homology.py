@@ -7,7 +7,8 @@ from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import TruncationError
-from oracles import bar_resolution_homology, em_two_cocycle_space, nerve_of_monoid
+from oracles import (bar_resolution_homology, em_two_cocycle_space,
+                     map_from_label_maps, nerve_of_monoid)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -196,7 +197,7 @@ class TestInducedMaps:
         X = nerve_of_monoid(Z3, 2)
         inv_tables = [{x: tuple(Z3.inverse[i] for i in x) for x in X.levels[p]}
                       for p in range(3)]
-        f = ss.SimplicialMap(X, X, inv_tables)
+        f = map_from_label_maps(X, X, inv_tables)
         assert f.check().ok
         ind = hm.induced_map_on_homology(f, 1)
         assert ind.target == hm.HomologyGroup(0, (3,))
@@ -213,7 +214,7 @@ class TestInducedMaps:
         Z4 = cyclic(4)
         X = nerve_of_monoid(Z4, 2)
         neg = [{x: tuple(Z4.inverse[i] for i in x) for x in X.levels[p]} for p in range(3)]
-        f = ss.SimplicialMap(X, X, neg)
+        f = map_from_label_maps(X, X, neg)
         gf = ss.compose_maps(f, f)
         direct = hm.induced_map_on_homology(gf, 1)
         f_star = hm.induced_map_on_homology(f, 1)
@@ -239,7 +240,7 @@ class TestInducedMaps:
             for x in X.levels[p]:
                 table[x] = x if x == "*" else ({1: 2, 2: 1}[x[0]], x[1])
             tables.append(table)
-        ind = hm.induced_map_on_homology(ss.SimplicialMap(X, X, tables), 1)
+        ind = hm.induced_map_on_homology(map_from_label_maps(X, X, tables), 1)
         assert ind.source == hm.HomologyGroup(2)
         flat = sorted(abs(v) for row in ind.matrix for v in row)
         assert flat == [0, 0, 1, 1]  # a signed permutation of the two generators

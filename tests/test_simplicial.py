@@ -1,6 +1,7 @@
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, max_monoid
-from oracles import TruncatedBisimplicialSet, diagonal, nerve_of_monoid
+from oracles import (TruncatedBisimplicialSet, diagonal, label_suspension,
+                     map_from_label_maps, nerve_of_monoid)
 
 
 class TestValidate:
@@ -64,6 +65,14 @@ class TestSuspension:
         assert len(X.nondegenerate(1)) == 1
         assert X.nondegenerate(2) == []
 
+    def test_tables_match_label_oracle(self):
+        for points, base in [(["a"], "a"), ([0, 1], 0), ([0, 1, 2], 1), (["x", "y", "z", "w"], "w")]:
+            for d in range(5):
+                X = ss.suspension(points, base, d)
+                Y = label_suspension(points, base, d)
+                assert (X.levels, X.faces, X.degeneracies) == (Y.levels, Y.faces, Y.degeneracies)
+                assert ss.validate(X).ok
+
     def test_nondegenerate_edges_count(self):
         X = ss.suspension([0, 1, 2], 0, 2)
         assert len(X.nondegenerate(1)) == 2
@@ -112,10 +121,49 @@ class TestSimplicialMap:
                     a, bits = x
                     table[x] = ({1: 2, 2: 1}[a], bits)
             level_maps.append(table)
-        assert ss.SimplicialMap(X, X, level_maps).check().ok
+        assert map_from_label_maps(X, X, level_maps).check().ok
         # collapsing one edge but not its degeneracies breaks naturality
         level_maps[1][(2, (0, 1))] = "*"
-        assert not ss.SimplicialMap(X, X, level_maps).check().ok
+        report = map_from_label_maps(X, X, level_maps).check()
+        assert (report.violation, report.witness) == \
+            ("map commutes with faces", (2, 0, (2, (0, 0, 1))))
+
+    def test_short_table_is_not_total(self):
+        X = nerve_of_monoid(cyclic(2), 2)
+        tables = ss.identity_map(X).tables
+        del tables[2][X.index(2, (1, 0)):]
+        report = ss.SimplicialMap(X, X, tables).check()
+        assert (report.violation, report.witness) == ("map not total", (2, (1, 0)))
+
+    def test_entry_past_the_target_level_lands_outside(self):
+        X = nerve_of_monoid(cyclic(2), 2)
+        tables = ss.identity_map(X).tables
+        tables[1][X.index(1, (1,))] = len(X.levels[1])
+        report = ss.SimplicialMap(X, X, tables).check()
+        assert (report.violation, report.witness) == ("map lands outside level", (1, (1,)))
+
+    def test_long_table_is_not_total(self):
+        X = nerve_of_monoid(cyclic(2), 2)
+        tables = ss.identity_map(X).tables
+        tables[1].append(len(X.levels[1]))
+        report = ss.SimplicialMap(X, X, tables).check()
+        assert (report.violation, report.witness) == ("map not total", (1,))
+
+    def test_first_offending_simplex_wins_within_a_level(self):
+        # an entry out of range comes before the end of a short table
+        X = nerve_of_monoid(cyclic(2), 2)
+        tables = ss.identity_map(X).tables
+        tables[2][X.index(2, (0, 1))] = -1
+        del tables[2][X.index(2, (1, 1)):]
+        report = ss.SimplicialMap(X, X, tables).check()
+        assert (report.violation, report.witness) == ("map lands outside level", (2, (0, 1)))
+
+    def test_edge_off_a_degenerate_simplex_breaks_degeneracies(self):
+        # faces of the loop are both the basepoint, so only s_0 sees it
+        P = ss.point(1)
+        Y = ss.suspension([0, 1], 0, 1)
+        report = ss.SimplicialMap(P, Y, [[0], [Y.index(1, (1, (0, 1)))]]).check()
+        assert (report.violation, report.witness) == ("map commutes with degeneracies", (0, 0, "*"))
 
     def test_composition(self):
         X = nerve_of_monoid(cyclic(2), 2)
@@ -184,7 +232,7 @@ class TestBisimplicialDiagonal:
         inv = Z3.inverse
         tables = [{(x, y): (tuple(inv[i] for i in x), y) for (x, y) in D.levels[p]}
                   for p in range(3)]
-        f = ss.SimplicialMap(D, D, tables)
+        f = map_from_label_maps(D, D, tables)
         assert f.check().ok
         for p in range(3):
             for (x, y) in D.levels[p]:

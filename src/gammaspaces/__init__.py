@@ -16,19 +16,17 @@ from .gammacat import (DeltaMap, GammaMap, GammaOpMap, SmashObject,
                        bousfield_family, compose, delta_to_gamma, fold_map,
                        from_power_set_form, identity, segal_family, smash,
                        smash_morphisms, to_power_set_form)
-from .ggamma import (GGammaMap, WedgeObject, diag_inclusion, projection,
-                     wedge_object)
+from .ggamma import GGammaMap, diag_inclusion, projection
 # the homology function itself stays under gammaspaces.homology to avoid
 # shadowing the submodule name
 from .homology import (ChainComplex, HomologyGroup, InducedMap,
-                       full_chain_complex, induced_map_on_homology,
-                       normalized_chain_complex, smith_normal_form, verify_snf)
-from .presheaves import (CheckReport, TruncatedGammaSet, TruncatedGGammaSet,
+                       induced_map_on_homology, normalized_chain_complex,
+                       smith_normal_form)
+from .presheaves import (CheckReport, TruncatedGammaSet,
                          build_gamma_set, build_ggamma_set,
                          check_strict_bousfield, check_strict_segal,
                          extract_g_group_bousfield, extract_g_monoid,
                          extract_group_bousfield, extract_monoid,
-                         homotopy_probe, pi0_group_like, presheaf_from_json,
-                         presheaf_to_json)
+                         presheaf_from_json, presheaf_to_json)
 from .simplicial import (SimplicialMap, TruncatedSimplicialSet, point,
                          skeleton, suspension, validate)

@@ -1,7 +1,6 @@
 """Bar-type classifying spaces of strict presheaves, their group actions,
-the suspension-to-skeleton structure map, iterated deloopings via the
-bisimplicial diagonal, and homology reports against the expected
-Eilenberg-MacLane pattern.
+the suspension-to-skeleton structure map, iterated deloopings, and
+homology reports against the expected Eilenberg-MacLane pattern.
 
 The k-fold delooping evaluated at the n-wedge is modeled as the diagonal
 simplicial set with level p given by the presheaf at the (p**k * n)-fold
@@ -16,32 +15,36 @@ import math
 from dataclasses import dataclass, field
 
 from . import gammacat as gc
-from . import ggamma as gg
 from .algebra import FinAbMonoid, GMonoid
 from .errors import BudgetError, StrictnessError, TruncationError
 from .homology import (HomologyGroup, HomologyPresentation,
                        induced_map_on_homology, normalized_chain_complex,
                        snf_diagonal)
-from .presheaves import TruncatedGGammaSet
 from .simplicial import (SimplicialMap, TruncatedSimplicialSet, composite,
                          skeleton, skeleton_inclusion, suspension, validate)
 
 DEFAULT_BUDGET = 10 ** 7
+# a level of more bits than this is not written out once it is past the budget
+_EXACT_BITS = 4096
 
 
-def _lift(X, f: gc.GammaOpMap):
-    if isinstance(X, TruncatedGGammaSet):
-        return gg.diag_inclusion(f, X.group)
-    return f
-
-
-def _predicted_level_size(X, m: int) -> int:
-    algebra = X.algebra
-    if isinstance(algebra, GMonoid):
-        return algebra.monoid.size ** m
-    if isinstance(algebra, FinAbMonoid):
-        return algebra.size ** m
-    return X.level_size(m)
+def _check_budget(X, levels, budget: int) -> None:
+    """Refuse if the presheaf levels behind the bar levels, levels[p] for
+    bar level p, hold more than budget elements in all.  A monoid-built
+    level m holds size**m; one that is past the budget (size >= 2 and
+    m >= the budget's bit length) and too large to write out ends the
+    prediction without being computed."""
+    algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
+    total = 0
+    for p, m in enumerate(levels):
+        base, exponent = ((algebra.size, m) if isinstance(algebra, FinAbMonoid)
+                          else (X.level_size(m), 1))
+        if (base >= 2 and exponent >= budget.bit_length()
+                and exponent * base.bit_length() > _EXACT_BITS):
+            raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
+        total += base ** exponent
+    if total > budget:
+        raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
 
 
 @dataclass
@@ -57,7 +60,7 @@ class BarSpace:
 
     @property
     def group(self):
-        return self.presheaf.group if isinstance(self.presheaf, TruncatedGGammaSet) else None
+        return self.presheaf.group
 
     def level_object(self, p: int) -> int:
         return (p ** self.iterations) * self.n
@@ -76,13 +79,11 @@ def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> 
         raise TruncationError(
             f"{k}-fold bar at dimension {d} needs presheaf levels up to {needed}, "
             f"truncation is {X.N}", required=needed)
-    total = sum(_predicted_level_size(X, (p ** k) * n) for p in range(d + 1))
-    if total > budget:
-        raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+    _check_budget(X, [(p ** k) * n for p in range(d + 1)], budget)
 
     def tables(op_fn, p):
-        return [X.action_table(_lift(X, gc.smash_morphisms(gc.smash_power(op_fn(p, i), k),
-                                                          gc.identity(n))))
+        return [X.action_table(X.lift(gc.smash_morphisms(gc.smash_power(op_fn(p, i), k),
+                                                         gc.identity(n))))
                 for i in range(p + 1)]
 
     levels = [X.level((p ** k) * n) for p in range(d + 1)]
@@ -108,7 +109,7 @@ def g_action_on_bar(B: BarSpace, g: int) -> SimplicialMap:
     if B.group is None:
         raise ValueError("bar space has no group action")
     return SimplicialMap(B.space, B.space,
-                         [X.action_table(gg.group_action_map(B.level_object(p), g, X.group))
+                         [X.action_table(X.group_action(B.level_object(p), g))
                           for p in range(B.d + 1)])
 
 
@@ -153,8 +154,8 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
     # images[p]: positions in bar level p of the images of suspension level p
     images: list[list[int]] = []
     for p in range(d + 1):
-        edges = [X.action_table(_lift(X, gc.GammaOpMap(1, p, (0, t)))) for t in range(1, p + 1)]
-        images.append([X.action_table(_lift(X, gc.zero_map(1, p)))[unit]]
+        edges = [X.action_table(X.lift(gc.GammaOpMap(1, p, (0, t)))) for t in range(1, p + 1)]
+        images.append([X.action_table(X.lift(gc.zero_map(1, p)))[unit]]
                       + [edge[a] for a in loops for edge in edges])
 
     iso_tables: list[list[int]] = []
@@ -177,13 +178,13 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
         raise StrictnessError(f"structure map is not simplicial: {report.violation} at {report.witness}")
 
     equivariant: bool | None = None
-    if isinstance(X, TruncatedGGammaSet):
+    if X.group is not None:
         equivariant = True
         for g in range(X.group.size):
             # g moves the loops of the suspension and keeps their words; a
             # loop moved onto the unit has no image there.  The element at
             # position b of level 1 is loop b - (b > unit).
-            moved = [X.action_table(gg.group_action_map(1, g, X.group))[a] for a in loops]
+            moved = [X.action_table(X.group_action(1, g))[a] for a in loops]
             if unit in moved:
                 equivariant = False
                 continue

@@ -142,7 +142,7 @@ def _functoriality_probe(X, seed: int, pairs: int = 50) -> dict:
         m, n, p = (rng.randint(0, upper) for _ in range(3))
         f = gc.GammaOpMap(m, n, (0,) + tuple(rng.randint(0, n) for _ in range(m)))
         g = gc.GammaOpMap(n, p, (0,) + tuple(rng.randint(0, p) for _ in range(n)))
-        if isinstance(X, ps.TruncatedGGammaSet):
+        if X.group is not None:
             f = gg.GGammaMap(f, rng.randrange(X.group.size), X.group)
             g = gg.GGammaMap(g, rng.randrange(X.group.size), X.group)
             composite = gg.compose(g, f)
@@ -197,32 +197,23 @@ def cmd_check(args) -> int:
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
 
 
-def _roundtrip_gamma(X, reference) -> dict:
-    extracted = ps.extract_monoid(X)
+def _roundtrip(X, reference) -> dict:
+    """Extract the algebra again, through Segal and, when it holds, through
+    Bousfield, and compare its tables (and action) with the reference."""
+    equivariant = X.group is not None
+
+    def tables(algebra):
+        return (algebra.monoid.index_table(), algebra.action) if equivariant \
+            else algebra.index_table()
+
+    extracted = (ps.extract_g_monoid if equivariant else ps.extract_monoid)(X)
     segal = ps.check_strict_segal(X, min(X.N, 2))
     bousfield = ps.check_strict_bousfield(X, min(X.N, 2))
-    result = {"segal": segal.as_dict(), "bousfield": bousfield.as_dict()}
+    result = {"segal": segal.as_dict(), "bousfield": bousfield.as_dict(),
+              "tables_identical": tables(extracted) == tables(reference)}
     if bousfield.passed:
-        regroup = ps.extract_group_bousfield(X)
-        result["bousfield_roundtrip_identical"] = \
-            regroup.index_table() == reference.index_table()
-    result["tables_identical"] = extracted.index_table() == reference.index_table()
-    return result
-
-
-def _roundtrip_ggamma(X, reference: ps.GMonoid) -> dict:
-    extracted = ps.extract_g_monoid(X)
-    same = (extracted.monoid.index_table() == reference.monoid.index_table()
-            and extracted.action == reference.action)
-    result = {"segal": ps.check_strict_segal(X, min(X.N, 2)).as_dict(),
-              "tables_identical": same}
-    bousfield = ps.check_strict_bousfield(X, min(X.N, 2))
-    result["bousfield"] = bousfield.as_dict()
-    if bousfield.passed:
-        regroup = ps.extract_g_group_bousfield(X)
-        result["bousfield_roundtrip_identical"] = \
-            (regroup.monoid.index_table() == reference.monoid.index_table()
-             and regroup.action == reference.action)
+        regroup = (ps.extract_g_group_bousfield if equivariant else ps.extract_group_bousfield)(X)
+        result["bousfield_roundtrip_identical"] = tables(regroup) == tables(reference)
     return result
 
 
@@ -235,11 +226,9 @@ def cmd_roundtrip(args) -> int:
             raise InputError("presheaf file carries no source algebra to compare against")
     else:
         reference = _load_algebra(data)
+        _require_positive(levels=args.levels)
         X = _build_presheaf(reference, args.levels)
-    if isinstance(X, ps.TruncatedGGammaSet):
-        result = _roundtrip_ggamma(X, reference)
-    else:
-        result = _roundtrip_gamma(X, reference)
+    result = _roundtrip(X, reference)
     result["functoriality_probe"] = _functoriality_probe(X, args.seed)
     config = {"command": "roundtrip", "input": args.input, "levels": args.levels,
               "seed": args.seed, "format": args.format}
@@ -253,10 +242,8 @@ def cmd_roundtrip(args) -> int:
 def _verify_stored_tables(data: dict, X) -> None:
     """Stored tables, already validated by presheaf_from_json, must agree
     with the rebuilt presheaf."""
-    kind = data["kind"]
-    group = getattr(X, "group", None)
     for key, table in data["maps"].items():
-        if X.action_table(ps._morphism_from_key(key, kind, group)) != table:
+        if X.action_table(ps._morphism_from_key(key, X.group)) != table:
             raise StrictnessError(f"stored table for {key} disagrees with rebuild")
 
 

@@ -20,34 +20,6 @@ from .gammacat import GammaOpMap, identity, segal_family
 
 
 @dataclass(frozen=True)
-class WedgeObject:
-    """Wedge of copies of {0..n} indexed by the group elements.
-
-    Nonzero elements are pairs (k, g_index) with 1 <= k <= n; the shared
-    basepoint is 0.  Element order is basepoint first, then summands in
-    group order.
-    """
-
-    n: int
-    group: FiniteGroup
-
-    @property
-    def elements(self) -> list:
-        elems: list = [0]
-        for g in range(self.group.size):
-            elems.extend((k, g) for k in range(1, self.n + 1))
-        return elems
-
-    @property
-    def size(self) -> int:
-        return self.n * self.group.size + 1
-
-
-def wedge_object(n: int, group: FiniteGroup) -> WedgeObject:
-    return WedgeObject(n, group)
-
-
-@dataclass(frozen=True)
 class GGammaMap:
     """Normalized pair (pointed map, group element) acting on wedge objects.
 
@@ -73,20 +45,6 @@ class GGammaMap:
     @property
     def target(self) -> int:
         return self.f.target
-
-    def apply(self, x):
-        """Action on an element of the source wedge object."""
-        if x == 0:
-            return 0
-        k, h = x
-        fk = self.f.values[k]
-        if fk == 0:
-            return 0
-        return (fk, self.group.table[self.g][h])
-
-    def action_table(self) -> tuple:
-        """Image of every source element in order; the concrete-function view."""
-        return tuple(self.apply(x) for x in wedge_object(self.source, self.group).elements)
 
     def key(self) -> str:
         """Canonical string form; the group element appears by index so

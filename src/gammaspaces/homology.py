@@ -42,30 +42,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def determinant(a: Matrix) -> int:
-    """Bareiss determinant, exact without leaving the integers; a must be square."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = [row[:] for row in a]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
     x, nx = 1, 0
@@ -223,25 +199,6 @@ def snf_diagonal(a: Matrix) -> list[int]:
     return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
-def verify_snf(a: Matrix, d: Matrix, u: Matrix, v: Matrix) -> bool:
-    """Certificate check: U @ a @ V == D, |det U| = |det V| = 1, and the
-    nonzero diagonal entries form a divisibility chain."""
-    if mat_mul(mat_mul(u, a), v) != d:
-        return False
-    if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
-        return False
-    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-    nonzero = [x for x in diag if x]
-    for x, y in zip(nonzero, nonzero[1:]):
-        if y % x:
-            return False
-    for i, row in enumerate(d):
-        for j, entry in enumerate(row):
-            if i != j and entry:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """Finitely generated abelian group: free rank plus torsion coefficients
@@ -322,23 +279,6 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
                 row = row_of.get(table[k])
                 if row is not None:
                     mat[row][col] += -1 if i % 2 else 1
-        boundaries.append(mat)
-    return ChainComplex(ranks, boundaries)
-
-
-def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
-    """Unnormalized chains: one generator per simplex, degenerate or not."""
-    top = X.d if top is None else top
-    if top > X.d:
-        raise TruncationError(f"requested top degree {top} beyond truncation {X.d}", required=top)
-    ranks = [len(X.levels[p]) for p in range(top + 1)]
-    boundaries: list[Matrix] = [[]]
-    for p in range(1, top + 1):
-        mat = zeros(ranks[p - 1], ranks[p])
-        for j, x in enumerate(X.levels[p]):
-            for i in range(p + 1):
-                row = X.index(p - 1, X.face(p, i, x))
-                mat[row][j] += -1 if i % 2 else 1
         boundaries.append(mat)
     return ChainComplex(ranks, boundaries)
 

@@ -7,13 +7,19 @@ space is the classical normalized-cocycle model.  Presheaf actions are
 recomputed one element at a time from the Cayley table, and the explicit
 bisimplicial bar and its diagonal check the direct iterated bar.  The
 suspension is rebuilt from its labels, and simplicial sets and maps given
-as dicts between simplices are converted to index tables here.
+as dicts between simplices are converted to index tables here.  The
+unnormalized chain complex, an exact determinant and a Smith-form
+certificate check the homology layer, and wedge objects give the
+normalized pairs of the wedge-indexed category their concrete functions.
 """
 
 import itertools
+from dataclasses import dataclass
 
-from gammaspaces.algebra import FinAbMonoid
-from gammaspaces.homology import HomologyGroup, homology, normalized_chain_complex
+from gammaspaces.algebra import FinAbMonoid, FiniteGroup
+from gammaspaces.errors import TruncationError
+from gammaspaces.homology import (ChainComplex, HomologyGroup, Matrix, homology,
+                                  mat_mul, normalized_chain_complex, zeros)
 from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
                                     ValidationReport, validate)
 
@@ -263,3 +269,108 @@ def diagonal(B: TruncatedBisimplicialSet) -> TruncatedSimplicialSet:
             v = B.v_degens[p + 1][p][i]
             degeneracies[p].append({x: v[h[x]] for x in levels[p]})
     return from_label_maps(d, levels, faces, degeneracies)
+
+
+def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
+    """Unnormalized chains: one generator per simplex, degenerate or not."""
+    top = X.d if top is None else top
+    if top > X.d:
+        raise TruncationError(f"requested top degree {top} beyond truncation {X.d}", required=top)
+    ranks = [len(X.levels[p]) for p in range(top + 1)]
+    boundaries: list[Matrix] = [[]]
+    for p in range(1, top + 1):
+        mat = zeros(ranks[p - 1], ranks[p])
+        for j, x in enumerate(X.levels[p]):
+            for i in range(p + 1):
+                row = X.index(p - 1, X.face(p, i, x))
+                mat[row][j] += -1 if i % 2 else 1
+        boundaries.append(mat)
+    return ChainComplex(ranks, boundaries)
+
+
+def determinant(a: Matrix) -> int:
+    """Bareiss determinant, exact without leaving the integers; a must be square."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [row[:] for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def verify_snf(a: Matrix, d: Matrix, u: Matrix, v: Matrix) -> bool:
+    """Certificate check: U @ a @ V == D, |det U| = |det V| = 1, and the
+    nonzero diagonal entries form a divisibility chain."""
+    if mat_mul(mat_mul(u, a), v) != d:
+        return False
+    if abs(determinant(u)) != 1 or abs(determinant(v)) != 1:
+        return False
+    diag = [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
+    nonzero = [x for x in diag if x]
+    for x, y in zip(nonzero, nonzero[1:]):
+        if y % x:
+            return False
+    for i, row in enumerate(d):
+        for j, entry in enumerate(row):
+            if i != j and entry:
+                return False
+    return True
+
+
+@dataclass(frozen=True)
+class WedgeObject:
+    """Wedge of copies of {0..n} indexed by the group elements.
+
+    Nonzero elements are pairs (k, g_index) with 1 <= k <= n; the shared
+    basepoint is 0.  Element order is basepoint first, then summands in
+    group order.
+    """
+
+    n: int
+    group: FiniteGroup
+
+    @property
+    def elements(self) -> list:
+        elems: list = [0]
+        for g in range(self.group.size):
+            elems.extend((k, g) for k in range(1, self.n + 1))
+        return elems
+
+    @property
+    def size(self) -> int:
+        return self.n * self.group.size + 1
+
+
+def wedge_object(n: int, group: FiniteGroup) -> WedgeObject:
+    return WedgeObject(n, group)
+
+
+def wedge_apply(a, x):
+    """Image of an element of the source wedge under the normalized pair a:
+    (k, h) goes to (f(k), g*h), or to the basepoint when f(k) is 0."""
+    if x == 0:
+        return 0
+    k, h = x
+    fk = a.f.values[k]
+    if fk == 0:
+        return 0
+    return (fk, a.group.table[a.g][h])
+
+
+def wedge_action_table(a) -> tuple:
+    """Image of every source element in order; the concrete-function view."""
+    return tuple(wedge_apply(a, x) for x in wedge_object(a.source, a.group).elements)

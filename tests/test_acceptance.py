@@ -16,10 +16,10 @@ from gammaspaces import cli
 from gammaspaces import gammacat as gc
 from gammaspaces import ggamma as gg
 from gammaspaces import presheaves as ps
-from gammaspaces.homology import (HomologyGroup, full_chain_complex, homology,
-                                  mat_mul, normalized_chain_complex,
-                                  smith_normal_form, verify_snf)
-from oracles import bar_resolution_homology, em_two_homology, nerve_of_monoid
+from gammaspaces.homology import (HomologyGroup, homology, mat_mul,
+                                  normalized_chain_complex, smith_normal_form)
+from oracles import (bar_resolution_homology, em_two_homology, full_chain_complex,
+                     nerve_of_monoid, verify_snf)
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 

@@ -139,6 +139,18 @@ class TestRoundtrip:
         code, out, _ = run(["roundtrip", "--input", str(presheaf)], capsys)
         assert code == 0
 
+    @pytest.mark.parametrize("levels", ["0", "-2"])
+    def test_nonpositive_levels_exit_two(self, tmp_path, levels):
+        code, out, err = fresh_process(["roundtrip", "--input", str(FIXTURES / "z2.json"),
+                                        "--levels", levels], tmp_path)
+        assert (code, out) == (2, "")
+        assert err == f"input error: --levels must be positive, got {levels}\n"
+
+    def test_levels_unused_for_presheaf_file(self, tmp_path, capsys):
+        presheaf = build(tmp_path, "z3")
+        code, _, err = run(["roundtrip", "--input", str(presheaf), "--levels", "0"], capsys)
+        assert (code, err) == (0, "")
+
     def test_corrupted_presheaf_exits_three(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z2")
         data = json.loads(presheaf.read_text())
@@ -264,7 +276,25 @@ class TestClassify:
         code, _, err = run(["classify", "--input", str(presheaf), "--dim", "4",
                             "--homology", "2", "--budget", "10"], capsys)
         assert code == 4
-        assert "budget" in err
+        # level 4 is past the budget, yet small enough to count exactly
+        assert err == "resource error: predicted 341 simplices exceeds budget 10\n"
+
+    @pytest.mark.parametrize("bounds, level",
+                             [(["--dim", "100", "--iterate", "5"], 5),
+                              (["--dim", "3", "--iterate", "40"], 2),
+                              # level 2 holds 2**(2**20000): too many digits to print
+                              (["--dim", "3", "--iterate", "20000"], 2)],
+                             ids=["dim100_iterate5", "dim3_iterate40", "dim3_iterate20000"])
+    def test_budget_refuses_astronomical_levels_at_once(self, tmp_path, bounds, level):
+        presheaf = build(tmp_path, "z2", levels=2)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "classify",
+                               "--input", str(presheaf), *bounds],
+                              capture_output=True, text=True, env=env, timeout=20)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == (f"resource error: predicted bar level {level} alone "
+                               f"exceeds budget 10000000\n")
 
     def test_classify_requires_presheaf_file(self, capsys):
         code, _, err = run(["classify", "--input", str(FIXTURES / "z3.json")], capsys)

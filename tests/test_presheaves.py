@@ -262,25 +262,6 @@ class TestExtractGroupBousfield:
             ps.extract_group_bousfield(X)
 
 
-class TestPi0GroupLike:
-    def test_group_built_true(self):
-        assert ps.pi0_group_like(ps.build_gamma_set(Z3, 2))
-
-    def test_monoid_built_false(self):
-        assert not ps.pi0_group_like(ps.build_gamma_set(MAX2, 2))
-
-    def test_trivial_true(self):
-        assert ps.pi0_group_like(ps.build_gamma_set(alg.trivial_monoid(), 2))
-
-
-class TestHomotopyProbe:
-    def test_probe_is_labeled_nonconclusive(self):
-        probe = ps.homotopy_probe(ps.build_gamma_set(Z3, 2), 2)
-        assert probe["conclusive"] is False
-        assert probe["pi0_segal_bijective"]
-        assert probe["pi0_bousfield_bijective"]
-
-
 class TestPresheafFiles:
     def test_json_roundtrip_gamma(self):
         X = ps.build_gamma_set(Z3, 3)

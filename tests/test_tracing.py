@@ -8,7 +8,7 @@ only when the benchmark runs.
 import importlib.util
 import pathlib
 
-from gammaspaces import classifying, simplicial
+from gammaspaces import classifying, presheaves, simplicial
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -19,14 +19,22 @@ def test_tracer_installs_and_uninstalls():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     validate, check = classifying.validate, simplicial.SimplicialMap.check
+    presheaf = presheaves.TruncatedGammaSet
+    action_table, level = presheaf.action_table, presheaf.level
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert tracer.installed
         assert classifying.validate is not validate
         assert simplicial.SimplicialMap.check is not check
+        # one presheaf class serves plain and equivariant presheaves alike
+        assert presheaves.TruncatedGGammaSet is presheaf
+        assert presheaf.action_table is not action_table
+        assert presheaf.level is not level
     finally:
         tracer.uninstall()
     assert not tracer.installed
     assert classifying.validate is validate
     assert simplicial.SimplicialMap.check is check
+    assert presheaf.action_table is action_table
+    assert presheaf.level is level

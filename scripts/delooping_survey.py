@@ -27,17 +27,17 @@ ACTIONS = {
 def main():
     for name, A in GROUPS.items():
         X = ps.build_gamma_set(A, 4)
-        report = cb.delooping_report(X, 1, 4, 2)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 2)
         hom = ", ".join(f"H_{q}={h}" for q, h in enumerate(report.homology))
         flags = "".join("." if m else "!" for m in report.matches if m is not None)
         print(f"{name:28s} {hom:40s} expected-match [{flags}]")
     print()
     for name, A in ACTIONS.items():
         X = ps.build_ggamma_set(A, 4)
-        report = cb.delooping_report(X, 1, 4, 1)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 1)
         action = {g: mats[1] for g, mats in report.g_action_on_h.items()}
         print(f"{name:28s} H_1={report.homology[1]}  action on H_1: {action}")
-        sm = cb.structure_map(X, 3)
+        sm = cb.structure_map(cb.bar(X, 1, 3))
         print(f"{'':28s} structure map iso levels {sm.one_skeleton.level_sizes()}, "
               f"equivariant={sm.equivariant}")
 

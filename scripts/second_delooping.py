@@ -19,7 +19,7 @@ def main():
     A = alg.cyclic(2)
     X = ps.build_gamma_set(A, 16)
     start = time.time()
-    report = cb.delooping_report(X, 2, 4, 2, budget=budget)
+    report = cb.delooping_report(cb.iterate_bar(X, 2, 4, budget=budget), 2)
     elapsed = time.time() - start
     print(f"levels: {report.levels}  ({elapsed:.1f}s)")
     for q, h in enumerate(report.homology):

@@ -16,9 +16,7 @@ from .gammacat import (DeltaMap, GammaMap, GammaOpMap, SmashObject,
                        bousfield_family, compose, delta_to_gamma, fold_map,
                        from_power_set_form, identity, segal_family, smash,
                        smash_morphisms, to_power_set_form)
-from .ggamma import GGammaMap, diag_inclusion, projection
-# the homology function itself stays under gammaspaces.homology to avoid
-# shadowing the submodule name
+from .ggamma import GGammaMap, diag_inclusion
 from .homology import (ChainComplex, HomologyGroup, InducedMap,
                        induced_map_on_homology, normalized_chain_complex,
                        smith_normal_form)

@@ -91,12 +91,6 @@ class FinAbMonoid:
     def mul(self, i: int, j: int) -> int:
         return self.table[i][j]
 
-    def msum(self, indices) -> int:
-        acc = self.unit
-        for i in indices:
-            acc = self.table[acc][i]
-        return acc
-
     def check(self) -> None:
         n = self.size
         if n == 0:

@@ -6,11 +6,14 @@ The k-fold delooping evaluated at the n-wedge is modeled as the diagonal
 simplicial set with level p given by the presheaf at the (p**k * n)-fold
 object, all simplicial structure maps acting through the interval functor
 in every smash factor at once.  For k = 1 and a monoid-built presheaf this
-is literally the nerve of the monoid.
+is literally the nerve of the monoid.  `iterate_bar` builds one
+`BarSpace`, its level objects computed by `_check_budget` alone, and
+`delooping_report` and `structure_map` both read it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -18,8 +21,7 @@ from . import gammacat as gc
 from .algebra import FinAbMonoid, GMonoid
 from .errors import BudgetError, StrictnessError, TruncationError
 from .homology import (HomologyGroup, HomologyPresentation,
-                       induced_map_on_homology, normalized_chain_complex,
-                       snf_diagonal)
+                       induced_map_on_homology, normalized_chain_complex)
 from .simplicial import (SimplicialMap, TruncatedSimplicialSet, composite,
                          skeleton, skeleton_inclusion, suspension, validate)
 
@@ -28,72 +30,84 @@ DEFAULT_BUDGET = 10 ** 7
 _EXACT_BITS = 4096
 
 
-def _check_budget(X, levels, budget: int) -> None:
-    """Refuse if the presheaf levels behind the bar levels, levels[p] for
-    bar level p, hold more than budget elements in all.  A monoid-built
-    level m holds size**m; one that is past the budget (size >= 2 and
-    m >= the budget's bit length) and too large to write out ends the
-    prediction without being computed."""
+def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
+    """The presheaf objects p**k * n behind bar levels p = 0..d, walked in
+    order.  A monoid-built level m holds size**m simplices; one past the
+    budget and over _EXACT_BITS bits is refused without being computed,
+    and so is p**k once k alone puts it there.  The labels of one-element
+    levels may hold at most budget entries in all, all levels at most
+    budget simplices."""
     algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
-    total = 0
-    for p, m in enumerate(levels):
-        base, exponent = ((algebra.size, m) if isinstance(algebra, FinAbMonoid)
-                          else (X.level_size(m), 1))
+    sized = isinstance(algebra, FinAbMonoid)
+    # for p >= 2, p**k * n >= 2**k: past both bounds once k reaches their bit lengths
+    huge = sized and n and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
+    objects: list[int] = []
+    total = entries = 0
+    for p in range(d + 1):
+        if huge and p >= 2:
+            raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
+        m = p ** k * n
+        base, exponent = (algebra.size, m) if sized else (X.level_size(m), 1)
         if (base >= 2 and exponent >= budget.bit_length()
                 and exponent * base.bit_length() > _EXACT_BITS):
             raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
+        if base == 1:
+            entries += m
+            if entries > budget:
+                raise BudgetError(f"predicted {entries} label entries in one-element "
+                                  f"bar levels exceeds budget {budget}")
         total += base ** exponent
+        objects.append(m)
     if total > budget:
         raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+    return objects
 
 
 @dataclass
 class BarSpace:
-    """A (possibly iterated) classifying space with its provenance and,
-    when the presheaf is equivariant, the group acting levelwise."""
+    """A (possibly iterated) classifying space with its provenance: the
+    presheaf object behind each level and, when the presheaf is
+    equivariant, the group acting levelwise."""
 
     space: TruncatedSimplicialSet
     presheaf: object
     n: int
     d: int
     iterations: int
+    objects: list[int]
 
     @property
     def group(self):
         return self.presheaf.group
 
-    def level_object(self, p: int) -> int:
-        return (p ** self.iterations) * self.n
-
 
 def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> BarSpace:
     """k-fold delooping at the n-wedge, truncated at simplicial dimension d.
 
-    Refuses before allocating anything if the presheaf truncation is too
-    small or the predicted total simplex count exceeds the budget.
+    Refuses before allocating anything if the predicted simplex count
+    exceeds the budget or the presheaf truncation is too small.
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
-    needed = (d ** k) * n
-    if X.N < needed:
+    objects = _check_budget(X, k, d, n, budget)
+    if X.N < objects[-1]:
         raise TruncationError(
-            f"{k}-fold bar at dimension {d} needs presheaf levels up to {needed}, "
-            f"truncation is {X.N}", required=needed)
-    _check_budget(X, [(p ** k) * n for p in range(d + 1)], budget)
+            f"{k}-fold bar at dimension {d} needs presheaf levels up to {objects[-1]}, "
+            f"truncation is {X.N}", required=objects[-1])
 
     def tables(op_fn, p):
         return [X.action_table(X.lift(gc.smash_morphisms(gc.smash_power(op_fn(p, i), k),
                                                          gc.identity(n))))
                 for i in range(p + 1)]
 
-    levels = [X.level((p ** k) * n) for p in range(d + 1)]
+    levels = [X.level(m) for m in objects]
     faces = [tables(gc.face_gamma_op, p) if p else [] for p in range(d + 1)]
     degeneracies = [tables(gc.degeneracy_gamma_op, p) if p < d else [] for p in range(d + 1)]
     space = TruncatedSimplicialSet(d, levels, faces, degeneracies)
     report = validate(space)
     if not report.ok:
         raise StrictnessError(f"bar output failed validation: {report.violation} at {report.witness}")
-    return BarSpace(space, X, n, d, k)
+    return BarSpace(space, X, n, d, k, objects)
 
 
 def bar(X, n: int, d: int, budget: int = DEFAULT_BUDGET) -> BarSpace:
@@ -109,8 +123,7 @@ def g_action_on_bar(B: BarSpace, g: int) -> SimplicialMap:
     if B.group is None:
         raise ValueError("bar space has no group action")
     return SimplicialMap(B.space, B.space,
-                         [X.action_table(X.group_action(B.level_object(p), g))
-                          for p in range(B.d + 1)])
+                         [X.action_table(X.group_action(m, g)) for m in B.objects])
 
 
 @dataclass
@@ -128,9 +141,9 @@ class StructureMapResult:
                 "equivariant": self.equivariant}
 
 
-def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult:
+def structure_map(B: BarSpace) -> StructureMapResult:
     """The suspension of level 1 mapped isomorphically onto the 1-skeleton
-    of the bar space, plus the skeleton inclusion.
+    of B, a once-delooped bar at the 1-wedge, plus the skeleton inclusion.
 
     Simplices of the suspension are basepoint collapses or pairs
     (element, switch word); the word with switch position t goes to the
@@ -138,12 +151,14 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
     structured error with a witness if the candidate is not an
     isomorphism (which signals a violated single-point level 0).
     """
+    if (B.iterations, B.n) != (1, 1):
+        raise ValueError("structure map needs the once-delooped bar at the 1-wedge")
+    X, d = B.presheaf, B.d
     if d < 2:
         raise TruncationError("structure map needs dimension at least 2", required=2)
     if not X.is_pointed():
         raise StrictnessError(
             f"level 0 has {X.level_size(0)} elements, expected a single point")
-    B = bar(X, 1, d, budget=budget)
     level1 = X.level(1)
     unit = X.action_table(X.unit_inclusion())[0]
     loops = [a for a in range(len(level1)) if a != unit]
@@ -196,18 +211,37 @@ def structure_map(X, d: int, budget: int = DEFAULT_BUDGET) -> StructureMapResult
     return StructureMapResult(susp, sk, iso, incl, equivariant)
 
 
+def _primes(x: int) -> list[int]:
+    return [p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p))]
+
+
+def _invariant_factors(primes, at_least) -> list[int]:
+    """Invariant factors, in divisibility order, of the finite abelian group
+    with at_least(p, j) cyclic factors of order a multiple of p**j: the t-th
+    factor from the top takes p**e, e counting the j with at_least >= t."""
+    top: dict[int, int] = {}
+    for p in primes:
+        counts = list(itertools.takewhile(bool, (at_least(p, j) for j in itertools.count(1))))
+        for t in range(1, counts[0] + 1):
+            top[t] = top.get(t, 1) * p ** sum(c >= t for c in counts)
+    return sorted(top.values())
+
+
 def _cyclic_decomposition(A: FinAbMonoid) -> list[int]:
-    """Invariant factors of a finite abelian group given by its table: the
-    Smith diagonal of the relations e_a + e_b - e_ab, one column per element."""
-    relations = []
+    """Invariant factors of a finite abelian group given by its table, from
+    element orders alone: when p**j kills p**s_j elements, s_j - s_(j-1)
+    cyclic p-power factors have order at least p**j."""
+    orders = []
     for a in range(A.size):
-        for b in range(a, A.size):
-            row = [0] * A.size
-            row[a] += 1
-            row[b] += 1
-            row[A.table[a][b]] -= 1
-            relations.append(row)
-    return [x for x in snf_diagonal(relations) if x > 1]
+        x, order = a, 1
+        while x != A.unit:
+            x, order = A.table[x][a], order + 1
+        orders.append(order)
+
+    def at_least(p, j):
+        ratio = sum(p ** j % o == 0 for o in orders) // sum(p ** (j - 1) % o == 0 for o in orders)
+        return next(e for e in range(ratio) if p ** e == ratio)
+    return _invariant_factors(_primes(A.size), at_least)
 
 
 def _cyclic_list_homology(orders: list[int], q: int) -> list[int]:
@@ -242,10 +276,10 @@ def _tor(xs, ys):
 
 def _canonical_group(orders: list[int]) -> HomologyGroup:
     """The direct sum of cyclic groups of the given orders (0 meaning a free
-    summand), in invariant-factor form via the Smith form of diag(orders)."""
-    diag = snf_diagonal([[x if i == j else 0 for j in range(len(orders))]
-                         for i, x in enumerate(orders)])
-    return HomologyGroup(diag.count(0), tuple(x for x in diag if x > 1))
+    summand), in invariant-factor form."""
+    nonzero = [x for x in orders if x]
+    return HomologyGroup(orders.count(0), tuple(_invariant_factors(
+        _primes(math.lcm(*nonzero)), lambda p, j: sum(x % p ** j == 0 for x in nonzero))))
 
 
 def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None:
@@ -295,15 +329,11 @@ class DeloopingReport:
         }
 
 
-def delooping_report(X, k: int, d: int, maxdeg: int, budget: int = DEFAULT_BUDGET) -> DeloopingReport:
-    """Homology of the k-fold delooping through degree maxdeg, with the
-    induced action of every group element and, when the presheaf came from
-    a group, a comparison against the expected pattern."""
-    if maxdeg + 1 > d:
-        raise TruncationError(
-            f"homology through degree {maxdeg} needs dimension {maxdeg + 1}, given {d}",
-            required=maxdeg + 1)
-    B = iterate_bar(X, k, d, budget=budget)
+def delooping_report(B: BarSpace, maxdeg: int) -> DeloopingReport:
+    """Homology of the bar B through degree maxdeg, with the induced
+    action of every group element and, when the presheaf came from a
+    group, a comparison against the expected pattern of its delooping.
+    Degree maxdeg needs B.d > maxdeg."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
     presentations = [HomologyPresentation(chain, q) for q in range(maxdeg + 1)]
     groups = [pres.group() for pres in presentations]
@@ -319,15 +349,15 @@ def delooping_report(X, k: int, d: int, maxdeg: int, budget: int = DEFAULT_BUDGE
                                         target_pres=presentations[q]).as_dict()["matrix"]
                 for q in range(maxdeg + 1)]
 
-    source = X.algebra
+    source = B.presheaf.algebra
     carrier = source.monoid if isinstance(source, GMonoid) else source
     expected: list = [None] * (maxdeg + 1)
     matches: list = [None] * (maxdeg + 1)
     if isinstance(carrier, FinAbMonoid) and carrier.is_group():
         invariants = _cyclic_decomposition(carrier)
         for q in range(maxdeg + 1):
-            expected[q] = _expected_from_invariants(invariants, k, q)
+            expected[q] = _expected_from_invariants(invariants, B.iterations, q)
             if expected[q] is not None:
                 matches[q] = expected[q] == groups[q]
-    return DeloopingReport(k, d, maxdeg, B.space.level_sizes(), groups,
+    return DeloopingReport(B.iterations, B.d, maxdeg, B.space.level_sizes(), groups,
                            g_action, expected, matches)

@@ -251,6 +251,8 @@ def cmd_classify(args) -> int:
     _require_positive(iterate=args.iterate, dim=args.dim, budget=args.budget)
     if args.homology < 0 or args.at < 0:
         raise InputError("--homology and --at must be nonnegative")
+    if args.at > 1:
+        raise InputError(f"--at must be 0 or 1, got {args.at}")
     data, digest = _load_json(args.input)
     if not ("kind" in data and data["kind"] in ("gamma", "ggamma")):
         raise InputError("classify expects a presheaf file produced by build")
@@ -258,9 +260,15 @@ def cmd_classify(args) -> int:
     if stored.algebra is None:
         raise InputError("presheaf file carries no source algebra; rebuild it with build")
     budget = args.budget if args.budget is not None else _default_budget()
-    needed = (args.dim ** args.iterate) * max(args.at, 1)
-    X = _build_presheaf(stored.algebra, max(needed, stored.N))
+    if args.at and args.homology + 1 > args.dim:
+        raise TruncationError(f"homology through degree {args.homology} needs dimension "
+                              f"{args.homology + 1}, given {args.dim}", required=args.homology + 1)
+    # at the zero object every level is the point, whatever the iteration count
+    k = args.iterate if args.at else 1
+    objects = cb._check_budget(stored, k, args.dim, args.at, budget)
+    X = _build_presheaf(stored.algebra, max(objects[-1], stored.N))
     _verify_stored_tables(data, X)
+    B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
 
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,
               "dim": args.dim, "homology": args.homology, "at": args.at,
@@ -268,18 +276,16 @@ def cmd_classify(args) -> int:
     report: dict = {"meta": _meta(config, {args.input: digest})}
 
     if args.at == 0:
-        B = cb.bar(X, 0, args.dim, budget=budget)
-        report["evaluation_at_zero"] = {"is_point": B.space.level_sizes() == [1] * (args.dim + 1),
-                                        "levels": B.space.level_sizes()}
+        sizes = B.space.level_sizes()
+        report["evaluation_at_zero"] = {"is_point": sizes == [1] * (args.dim + 1), "levels": sizes}
         _emit(report, args.format, args.out,
-              f"evaluation at the zero object: point with levels {B.space.level_sizes()}")
+              f"evaluation at the zero object: point with levels {sizes}")
         return EXIT_PASS
 
-    deloop = cb.delooping_report(X, args.iterate, args.dim, args.homology, budget=budget)
+    deloop = cb.delooping_report(B, args.homology)
     report["delooping"] = deloop.as_dict()
     if args.iterate == 1 and args.dim >= 2:
-        result = cb.structure_map(X, args.dim, budget=budget)
-        report["structure_map"] = result.as_dict()
+        report["structure_map"] = cb.structure_map(B).as_dict()
     homology_text = ", ".join(f"H_{q}={h}" for q, h in enumerate(deloop.homology))
     _emit(report, args.format, args.out,
           f"{args.iterate}-fold delooping at dim {args.dim}: {homology_text}")
@@ -320,7 +326,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--iterate", type=int, default=1, help="number of deloopings")
     p_classify.add_argument("--dim", type=int, default=3, help="simplicial truncation of the bar space")
     p_classify.add_argument("--homology", type=int, default=1, help="largest homology degree")
-    p_classify.add_argument("--at", type=int, default=1, help="evaluation object (0 gives the point report)")
+    p_classify.add_argument("--at", type=int, default=1, help="evaluation object: 0 (point report) or 1")
     p_classify.add_argument("--budget", type=int, default=None,
                             help=f"simplex budget (default from ${DEFAULT_BUDGET_ENV} or {cb.DEFAULT_BUDGET})")
     return parser

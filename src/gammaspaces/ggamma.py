@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .algebra import FiniteGroup
 from .errors import CompositionError
-from .gammacat import GammaOpMap, identity, segal_family
+from .gammacat import GammaOpMap, identity
 
 
 @dataclass(frozen=True)
@@ -62,20 +62,9 @@ def compose(b: GGammaMap, a: GGammaMap) -> GGammaMap:
     return GGammaMap(GammaOpMap(a.source, b.target, values), b.group.table[b.g][a.g], a.group)
 
 
-def ggamma_identity(n: int, group: FiniteGroup) -> GGammaMap:
-    return GGammaMap(identity(n), 0, group)
-
-
 def group_action_map(n: int, g: int, group: FiniteGroup) -> GGammaMap:
     """The relabeling automorphism of the n-wedge by a group element."""
     return GGammaMap(identity(n), g, group)
-
-
-def projection(n: int, i: int, group: FiniteGroup) -> GGammaMap:
-    """n-wedge -> 1-wedge keeping only position i of every summand."""
-    if not 1 <= i <= n:
-        raise ValueError(f"projection index {i} outside 1..{n}")
-    return GGammaMap(segal_family(n)[i - 1], 0, group)
 
 
 def diag_inclusion(f: GammaOpMap, group: FiniteGroup) -> GGammaMap:

@@ -194,11 +194,6 @@ def _fold_pair(d, u, v, i, rows, cols):
                 u[k][j] = -u[k][j]
 
 
-def snf_diagonal(a: Matrix) -> list[int]:
-    d, _, _ = smith_normal_form(a)
-    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
-
-
 @dataclass(frozen=True)
 class HomologyGroup:
     """Finitely generated abelian group: free rank plus torsion coefficients
@@ -256,11 +251,6 @@ class ChainComplex:
             return zeros(self.ranks[p - 1], self.ranks[p])
         return b
 
-    def to_json(self) -> dict:
-        return {"ranks": list(self.ranks),
-                "boundaries": {str(p): [row[:] for row in self.boundary(p)]
-                               for p in range(1, self.top + 1)}}
-
 
 def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
     """Normalized chains: one generator per nondegenerate simplex, with
@@ -281,12 +271,6 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
                     mat[row][col] += -1 if i % 2 else 1
         boundaries.append(mat)
     return ChainComplex(ranks, boundaries)
-
-
-def homology(C: ChainComplex, p: int) -> HomologyGroup:
-    """Homology in degree p; needs the boundary out of degree p+1, so p
-    must lie strictly below the top degree of the complex."""
-    return HomologyPresentation(C, p).group()
 
 
 def solve_exact(a: Matrix, rhs: Matrix) -> Matrix:
@@ -380,13 +364,6 @@ class InducedMap:
     def as_dict(self) -> dict:
         return {"source": self.source.as_dict(), "target": self.target.as_dict(),
                 "matrix": [list(r) for r in self.matrix]}
-
-    def is_identity_shaped(self) -> bool:
-        if self.source != self.target:
-            return False
-        n = len(self.matrix)
-        return all(self.matrix[i][j] == (1 if i == j else 0)
-                   for i in range(n) for j in range(len(self.matrix[i])))
 
 
 def chain_map_matrix(f: SimplicialMap, p: int) -> Matrix:

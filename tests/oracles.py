@@ -9,8 +9,10 @@ bisimplicial bar and its diagonal check the direct iterated bar.  The
 suspension is rebuilt from its labels, and simplicial sets and maps given
 as dicts between simplices are converted to index tables here.  The
 unnormalized chain complex, an exact determinant and a Smith-form
-certificate check the homology layer, and wedge objects give the
-normalized pairs of the wedge-indexed category their concrete functions.
+certificate check the homology layer, the Smith diagonal checks the
+invariant factors that the expected-homology oracle finds without it, and
+wedge objects give the normalized pairs of the wedge-indexed category
+their concrete functions.
 """
 
 import itertools
@@ -18,8 +20,9 @@ from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
 from gammaspaces.errors import TruncationError
-from gammaspaces.homology import (ChainComplex, HomologyGroup, Matrix, homology,
-                                  mat_mul, normalized_chain_complex, zeros)
+from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
+                                  mat_mul, normalized_chain_complex, smith_normal_form,
+                                  zeros)
 from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
                                     ValidationReport, validate)
 
@@ -118,7 +121,7 @@ def bar_resolution_homology(M: FinAbMonoid, q: int) -> HomologyGroup:
     from gammaspaces.homology import ChainComplex
 
     ranks, boundaries = bar_resolution_boundaries(M, q + 1)
-    return homology(ChainComplex(ranks, boundaries), q)
+    return HomologyPresentation(ChainComplex(ranks, boundaries), q).group()
 
 
 def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
@@ -182,7 +185,7 @@ def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
 
 def em_two_homology(A, q: int) -> HomologyGroup:
     space = em_two_cocycle_space(A, q + 1)
-    return homology(normalized_chain_complex(space), q)
+    return HomologyPresentation(normalized_chain_complex(space), q).group()
 
 
 def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
@@ -310,6 +313,12 @@ def determinant(a: Matrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def snf_diagonal(a: Matrix) -> list[int]:
+    """The diagonal of the Smith normal form of a."""
+    d, _, _ = smith_normal_form(a)
+    return [d[i][i] for i in range(min(len(d), len(d[0]) if d else 0))]
 
 
 def verify_snf(a: Matrix, d: Matrix, u: Matrix, v: Matrix) -> bool:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -10,7 +11,7 @@ from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup
 from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, diagonal,
-                     em_two_homology, map_from_label_maps, nerve_of_monoid)
+                     em_two_homology, map_from_label_maps, nerve_of_monoid, snf_diagonal)
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
@@ -64,6 +65,19 @@ class TestBar:
         with pytest.raises(BudgetError):
             cb.bar(X, 1, 6, budget=100)
 
+    def test_budget_counts_the_labels_of_one_element_levels(self):
+        # levels of one simplex each, whose labels hold 0, 1, 8, 27 entries
+        X = ps.build_gamma_set(alg.trivial_monoid(), 27)
+        assert cb.iterate_bar(X, 3, 3, budget=36).space.level_sizes() == [1, 1, 1, 1]
+        with pytest.raises(BudgetError, match="^predicted 36 label entries in one-element "
+                                              "bar levels exceeds budget 35$"):
+            cb.iterate_bar(X, 3, 3, budget=35)
+
+    def test_bar_stores_its_level_objects(self):
+        B = cb.iterate_bar(ps.build_gamma_set(Z2, 9), 2, 3)
+        assert B.objects == [0, 1, 4, 9]
+        assert B.space.level_sizes() == [2 ** m for m in B.objects]
+
 
 class TestGActionOnBar:
     def test_identity_acts_as_identity(self):
@@ -115,7 +129,7 @@ class TestGActionOnBar:
 class TestStructureMap:
     def test_plain_monoid_iso(self):
         X = ps.build_gamma_set(Z3, 3)
-        result = cb.structure_map(X, 3)
+        result = cb.structure_map(cb.bar(X, 1, 3))
         assert result.iso.check().ok
         assert result.iso.is_levelwise_bijection()
         assert result.suspension_space.level_sizes() == result.one_skeleton.level_sizes()
@@ -123,20 +137,20 @@ class TestStructureMap:
 
     def test_vertex_counts(self):
         X = ps.build_gamma_set(Z4, 2)
-        result = cb.structure_map(X, 2)
+        result = cb.structure_map(cb.bar(X, 1, 2))
         assert result.suspension_space.level_sizes()[0] == 1
         assert result.one_skeleton.level_sizes()[0] == 1
 
     def test_nondegenerate_edges_biject_with_nonunit_elements(self):
         X = ps.build_gamma_set(KLEIN, 2)
-        result = cb.structure_map(X, 2)
+        result = cb.structure_map(cb.bar(X, 1, 2))
         assert len(result.suspension_space.nondegenerate(1)) == 3
         assert len(result.one_skeleton.nondegenerate(1)) == 3
 
     def test_equivariant_for_inversion_fixture(self):
         A = alg.inversion_action(Z3)
         X = ps.build_ggamma_set(A, 3)
-        result = cb.structure_map(X, 3)
+        result = cb.structure_map(cb.bar(X, 1, 3))
         assert result.iso.check().ok
         assert result.equivariant is True
 
@@ -161,20 +175,13 @@ class TestStructureMap:
 
     @staticmethod
     def tamper_after_bar(monkeypatch, X, applies, tamper):
-        """Replace the tables of X that `applies` selects by `tamper(f,
-        table)` once the bar space is built, so the bar still validates."""
-        armed = []
-        build = cb.bar
-
-        def bar(*args, **kwargs):
-            B = build(*args, **kwargs)
-            armed.append(True)
-            return B
-
+        """Build the bar space of X, then replace the tables of X that
+        `applies` selects by `tamper(f, table)`, so the bar still validates."""
+        B = cb.bar(X, 1, 3)
         table = X.action_table
-        monkeypatch.setattr(cb, "bar", bar)
         monkeypatch.setattr(X, "action_table",
-                            lambda f: tamper(f, list(table(f))) if armed and applies(f) else table(f))
+                            lambda f: tamper(f, list(table(f))) if applies(f) else table(f))
+        return B
 
     @pytest.mark.parametrize("tamper, message", [
         ("swap_loops", "structure map is not simplicial: map commutes with faces at "
@@ -185,14 +192,14 @@ class TestStructureMap:
     ])
     def test_tampered_edges_name_the_failure(self, monkeypatch, tamper, message):
         X = ps.build_ggamma_set(alg.inversion_action(Z3), 3)
-        self.tamper_after_bar(monkeypatch, X, self.edge, getattr(self, tamper))
+        B = self.tamper_after_bar(monkeypatch, X, self.edge, getattr(self, tamper))
         with pytest.raises(StrictnessError) as err:
-            cb.structure_map(X, 3)
+            cb.structure_map(B)
         assert str(err.value) == message
 
     def test_equivariant_with_the_unit_listed_last(self):
         X = ps.build_ggamma_set(alg.inversion_action(z3_with_unit(2)), 3)
-        assert cb.structure_map(X, 3).equivariant is True
+        assert cb.structure_map(cb.bar(X, 1, 3)).equivariant is True
 
     @pytest.mark.parametrize("unit", [0, 2])
     @pytest.mark.parametrize("wedge", [1, 2])
@@ -205,20 +212,28 @@ class TestStructureMap:
             return [unit] * len(table) if wedge == 1 else sorted(table, key=lambda v: v * 7 % len(table))
 
         X = ps.build_ggamma_set(alg.inversion_action(z3_with_unit(unit)), 3)
-        self.tamper_after_bar(monkeypatch, X, applies, tamper)
-        assert cb.structure_map(X, 3).equivariant is False
+        B = self.tamper_after_bar(monkeypatch, X, applies, tamper)
+        assert cb.structure_map(B).equivariant is False
 
     def test_broken_level_zero_raises(self):
         Y = ps.build_gamma_set(Z2, 3)
         X = ps.TruncatedGammaSet(3, lambda n: [(0,), (1,)] if n == 0 else Y.level(n),
                                  Y.action_table)
-        with pytest.raises(StrictnessError):
-            cb.structure_map(X, 2)
+        # the bar of X fails validation first, so the bar read is that of Y
+        B = dataclasses.replace(cb.bar(Y, 1, 2), presheaf=X)
+        with pytest.raises(StrictnessError, match="^level 0 has 2 elements"):
+            cb.structure_map(B)
 
     def test_dimension_guard(self):
         X = ps.build_gamma_set(Z2, 3)
         with pytest.raises(TruncationError):
-            cb.structure_map(X, 1)
+            cb.structure_map(cb.bar(X, 1, 1))
+
+    @pytest.mark.parametrize("k, n", [(2, 1), (1, 0), (1, 2)])
+    def test_needs_the_once_delooped_bar_at_one(self, k, n):
+        X = ps.build_gamma_set(Z2, 8)
+        with pytest.raises(ValueError, match="once-delooped bar at the 1-wedge"):
+            cb.structure_map(cb.iterate_bar(X, k, 2, n=n))
 
 
 class TestIterateBar:
@@ -341,7 +356,7 @@ class TestDeloopingReports:
     ], ids=["Z2", "Z3", "Z4", "Klein"])
     def test_first_delooping_h1(self, A, h1):
         X = ps.build_gamma_set(A, 4)
-        report = cb.delooping_report(X, 1, 4, 2)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 2)
         assert report.homology[0] == HomologyGroup(1)
         assert report.homology[1] == h1
         assert report.homology[2] == bar_resolution_homology(A, 2)
@@ -349,26 +364,26 @@ class TestDeloopingReports:
 
     def test_z3_h2_vanishes(self):
         X = ps.build_gamma_set(Z3, 4)
-        report = cb.delooping_report(X, 1, 4, 2)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 2)
         assert report.homology[2] == HomologyGroup(0)
 
     def test_induced_inversion_action_on_h1(self):
         A = alg.inversion_action(Z3)
         X = ps.build_ggamma_set(A, 4)
-        report = cb.delooping_report(X, 1, 4, 1)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 1)
         assert report.homology[1] == HomologyGroup(0, (3,))
         assert report.g_action_on_h["0"][1] == [[1]]
         assert report.g_action_on_h["1"][1] == [[2]]
 
     def test_monoid_report_has_no_oracle(self):
         X = ps.build_gamma_set(alg.max_monoid(2), 3)
-        report = cb.delooping_report(X, 1, 3, 1)
+        report = cb.delooping_report(cb.bar(X, 1, 3), 1)
         assert report.expected == [None, None]
 
     def test_truncation_guard(self):
         X = ps.build_gamma_set(Z2, 4)
         with pytest.raises(TruncationError):
-            cb.delooping_report(X, 1, 2, 2)
+            cb.delooping_report(cb.bar(X, 1, 2), 2)
 
 
 class TestExpectedPattern:
@@ -400,12 +415,34 @@ class TestExpectedPattern:
         assert cb._cyclic_decomposition(prod(Z3, Z3)) == [3, 3]
         assert cb._cyclic_decomposition(alg.cyclic(8)) == [8]
 
+    def test_invariant_factors_agree_with_smith_form(self):
+        # every abelian group of order up to 8, up to isomorphism
+        prod, c = alg.direct_product, alg.cyclic
+        groups = [c(n) for n in range(1, 9)] + [
+            prod(Z2, Z2), prod(Z2, Z3), prod(Z2, Z4), prod(Z4, Z2), prod(prod(Z2, Z2), Z2)]
+        for A in groups:
+            relations = []  # e_a + e_b - e_ab, one column per element
+            for a in range(A.size):
+                for b in range(a, A.size):
+                    row = [0] * A.size
+                    row[a] += 1
+                    row[b] += 1
+                    row[A.table[a][b]] -= 1
+                    relations.append(row)
+            invariants = cb._cyclic_decomposition(A)
+            assert invariants == [x for x in snf_diagonal(relations) if x > 1]
+            for orders in (invariants, [0] + invariants[::-1], [6, 4, 0, 9][:A.size]):
+                diag = snf_diagonal([[x if i == j else 0 for j in range(len(orders))]
+                                     for i, x in enumerate(orders)]) if orders else []
+                assert cb._canonical_group(orders) == HomologyGroup(
+                    diag.count(0), tuple(x for x in diag if x > 1))
+
 
 @pytest.mark.slow
 class TestSecondDelooping:
     def test_z2_second_delooping_homology(self):
         X = ps.build_gamma_set(Z2, 16)
-        report = cb.delooping_report(X, 2, 4, 2, budget=10 ** 7)
+        report = cb.delooping_report(cb.iterate_bar(X, 2, 4, budget=10 ** 7), 2)
         assert report.levels == [1, 2, 16, 512, 65536]
         assert report.homology[0] == HomologyGroup(1)
         assert report.homology[1] == HomologyGroup(0)

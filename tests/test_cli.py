@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pathlib
+import resource
 import subprocess
 import sys
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gammaspaces import algebra as alg
+from gammaspaces import classifying as cb
 from gammaspaces import cli
 from gammaspaces import presheaves as ps
 
@@ -279,22 +281,52 @@ class TestClassify:
         # level 4 is past the budget, yet small enough to count exactly
         assert err == "resource error: predicted 341 simplices exceeds budget 10\n"
 
-    @pytest.mark.parametrize("bounds, level",
-                             [(["--dim", "100", "--iterate", "5"], 5),
-                              (["--dim", "3", "--iterate", "40"], 2),
-                              # level 2 holds 2**(2**20000): too many digits to print
-                              (["--dim", "3", "--iterate", "20000"], 2)],
-                             ids=["dim100_iterate5", "dim3_iterate40", "dim3_iterate20000"])
-    def test_budget_refuses_astronomical_levels_at_once(self, tmp_path, bounds, level):
-        presheaf = build(tmp_path, "z2", levels=2)
+    @pytest.mark.parametrize("fixture, bounds, message", [
+        ("z2", ["--dim", "100", "--iterate", "5"], "predicted bar level 5 alone"),
+        ("z2", ["--dim", "3", "--iterate", "40"], "predicted bar level 2 alone"),
+        # level 2 holds 2**(2**20000): too many digits to print
+        ("z2", ["--dim", "3", "--iterate", "20000"], "predicted bar level 2 alone"),
+        # p**k is not computed once k alone puts level 2 past the budget
+        ("z2", ["--dim", "3", "--iterate", "10000000"], "predicted bar level 2 alone"),
+        # the levels are not listed up front
+        ("z2", ["--dim", "100000000"], "predicted bar level 2049 alone"),
+        # one simplex per level, but its label holds p**k entries
+        ("trivial", ["--dim", "100", "--iterate", "5"],
+         "predicted 12333300 label entries in one-element bar levels"),
+        ("trivial", ["--dim", "40", "--iterate", "4"],
+         "predicted 11268978 label entries in one-element bar levels"),
+    ], ids=["dim100_iterate5", "dim3_iterate40", "dim3_iterate20000", "dim3_iterate1e7",
+            "dim1e8", "trivial_dim100_iterate5", "trivial_dim40_iterate4"])
+    def test_budget_refuses_astronomical_levels_at_once(self, tmp_path, fixture, bounds, message):
+        presheaf = build(tmp_path, fixture, levels=2)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         env.pop(cli.DEFAULT_BUDGET_ENV, None)
+
+        def cap_memory():  # a run that allocates the bar fails fast instead
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
         proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "classify",
-                               "--input", str(presheaf), *bounds],
-                              capture_output=True, text=True, env=env, timeout=20)
+                               "--input", str(presheaf), *bounds], capture_output=True,
+                              text=True, env=env, timeout=20, preexec_fn=cap_memory)
+        assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (4, "")
-        assert proc.stderr == (f"resource error: predicted bar level {level} alone "
-                               f"exceeds budget 10000000\n")
+        assert proc.stderr == f"resource error: {message} exceeds budget 10000000\n"
+
+    def test_at_above_one_exits_two(self, tmp_path, capsys):
+        presheaf = build(tmp_path, "z3", levels=2)
+        code, out, err = run(["classify", "--input", str(presheaf), "--at", "2",
+                              "--dim", "3", "--homology", "2"], capsys)
+        assert (code, out, err) == (2, "", "input error: --at must be 0 or 1, got 2\n")
+
+    def test_classify_validates_one_bar(self, tmp_path, capsys, monkeypatch):
+        presheaf = build(tmp_path, "klein", levels=2)
+        validated = []
+        validate = cb.validate
+        monkeypatch.setattr(cb, "validate", lambda space: validated.append(space) or validate(space))
+        code, out, _ = run(["classify", "--input", str(presheaf), "--iterate", "1",
+                            "--dim", "5", "--homology", "4"], capsys)
+        assert code == 0 and "structure_map" in json.loads(out)
+        assert len(validated) == 1
 
     def test_classify_requires_presheaf_file(self, capsys):
         code, _, err = run(["classify", "--input", str(FIXTURES / "z3.json")], capsys)

@@ -65,9 +65,9 @@ class TestGGammaMap:
 
     def test_mismatch_raises(self):
         with pytest.raises(CompositionError):
-            gg.compose(gg.ggamma_identity(2, Z2), gg.ggamma_identity(3, Z2))
+            gg.compose(gg.group_action_map(2, 0, Z2), gg.group_action_map(3, 0, Z2))
         with pytest.raises(CompositionError):
-            gg.compose(gg.ggamma_identity(2, Z2), gg.ggamma_identity(2, Z3))
+            gg.compose(gg.group_action_map(2, 0, Z2), gg.group_action_map(2, 0, Z3))
 
     def test_pair_presentation_faithful(self):
         # exhaustive for source, target <= 2 over the order-2 group
@@ -85,8 +85,8 @@ class TestGGammaMap:
                 for m in sizes for n in sizes}
         for m, n in itertools.product(sizes, repeat=2):
             for a in maps[(m, n)]:
-                assert gg.compose(gg.ggamma_identity(n, group), a) == a
-                assert gg.compose(a, gg.ggamma_identity(m, group)) == a
+                assert gg.compose(gg.group_action_map(n, 0, group), a) == a
+                assert gg.compose(a, gg.group_action_map(m, 0, group)) == a
         for m, n, p, q in itertools.product(sizes, repeat=4):
             for a in maps[(m, n)]:
                 for b in maps[(n, p)]:
@@ -126,31 +126,22 @@ class TestGroupHomomorphismIntoAutomorphisms:
                 assert lhs == rhs
 
     def test_identity_acts_as_identity(self):
-        assert gg.group_action_map(3, 0, Z3) == gg.ggamma_identity(3, Z3)
+        assert gg.group_action_map(3, 0, Z3) == gg.diag_inclusion(gc.identity(3), Z3)
 
 
 class TestProjectionAndInclusion:
     def test_projection_formula(self):
-        p = gg.projection(2, 1, Z2)
+        p = gg.diag_inclusion(gc.segal_family(2)[0], Z2)
         assert wedge_apply(p, (1, 0)) == (1, 0)
         assert wedge_apply(p, (1, 1)) == (1, 1)
         assert wedge_apply(p, (2, 0)) == 0
         assert wedge_apply(p, (2, 1)) == 0
 
     def test_projection_on_singleton_is_identity(self):
-        assert gg.projection(1, 1, Z3) == gg.ggamma_identity(1, Z3)
-
-    def test_projection_underlying_map(self):
-        for n in range(1, 5):
-            for i in range(1, n + 1):
-                assert gg.projection(n, i, Z2).f == gc.segal_family(n)[i - 1]
-
-    def test_projection_out_of_range(self):
-        with pytest.raises(ValueError):
-            gg.projection(2, 3, Z2)
+        assert gg.diag_inclusion(gc.segal_family(1)[0], Z3) == gg.group_action_map(1, 0, Z3)
 
     def test_inclusion_is_functor(self):
-        assert gg.diag_inclusion(gc.identity(3), Z2) == gg.ggamma_identity(3, Z2)
+        assert gg.diag_inclusion(gc.identity(3), Z2) == gg.group_action_map(3, 0, Z2)
         rng = random.Random(5)
         for _ in range(100):
             m, n, p = (rng.randint(0, 3) for _ in range(3))
@@ -166,6 +157,9 @@ class TestProjectionAndInclusion:
             assert wedge_apply(incl, (2, g)) == (1, g)
 
     def test_inclusion_sends_projections_to_projections(self):
+        # position i of every summand is kept, with its group label
         for n in range(1, 4):
             for i in range(1, n + 1):
-                assert gg.diag_inclusion(gc.segal_family(n)[i - 1], Z2) == gg.projection(n, i, Z2)
+                p = gg.diag_inclusion(gc.segal_family(n)[i - 1], Z2)
+                assert all(wedge_apply(p, (k, g)) == ((1, g) if k == i else 0)
+                           for k in range(1, n + 1) for g in range(2))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from . import gammacat as gc
 from .algebra import FinAbMonoid, GMonoid
 from .errors import BudgetError, StrictnessError, TruncationError
-from .homology import (HomologyGroup, HomologyPresentation,
+from .homology import (HomologyGroup, HomologyPresentation, homology_groups,
                        induced_map_on_homology, normalized_chain_complex)
 from .simplicial import (SimplicialMap, TruncatedSimplicialSet, composite,
                          skeleton, skeleton_inclusion, suspension, validate)
@@ -36,9 +36,15 @@ def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
     budget and over _EXACT_BITS bits is refused without being computed,
     and so is p**k once k alone puts it there.  The labels of one-element
     levels may hold at most budget entries in all, all levels at most
-    budget simplices."""
+    budget simplices.  At n = 0 every level is object 0, so the total is
+    known without the walk."""
     algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
     sized = isinstance(algebra, FinAbMonoid)
+    if not n:
+        total = (d + 1) * (1 if sized else X.level_size(0))
+        if total > budget:
+            raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+        return [0] * (d + 1)
     # for p >= 2, p**k * n >= 2**k: past both bounds once k reaches their bit lengths
     huge = sized and n and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
     objects: list[int] = []
@@ -333,13 +339,15 @@ def delooping_report(B: BarSpace, maxdeg: int) -> DeloopingReport:
     """Homology of the bar B through degree maxdeg, with the induced
     action of every group element and, when the presheaf came from a
     group, a comparison against the expected pattern of its delooping.
-    Degree maxdeg needs B.d > maxdeg."""
+    Degree maxdeg needs B.d > maxdeg.  The groups come from the sparse
+    boundaries; only a bar with a group builds presentations, whose
+    representative cycles the induced maps need."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
-    presentations = [HomologyPresentation(chain, q) for q in range(maxdeg + 1)]
-    groups = [pres.group() for pres in presentations]
+    groups = homology_groups(chain, maxdeg)
 
     g_action: dict = {}
     if B.group is not None:
+        presentations = [HomologyPresentation(chain, q) for q in range(maxdeg + 1)]
         for g in range(B.group.size):
             label = str(B.group.elements[g])
             action_map = g_action_on_bar(B, g)

@@ -1,5 +1,14 @@
-"""Integer chain complexes of truncated simplicial sets, Smith normal
-form, homology groups, and induced maps on homology.
+"""Integer chain complexes of truncated simplicial sets, their homology
+groups, Smith normal form, and induced maps on homology.
+
+Boundaries are held as sparse columns.  Homology groups come from a
+transform-free elimination: +-1 pivots are cleared first, cheapest
+Markowitz cost first (Kaczynski-Mrozek-Slusarek, "Homology computation by
+reduction of chain complexes", 1998), and what is left goes to a dense
+diagonal reduction (Dumas-Saunders-Villard, "On efficient sparse integer
+matrix Smith normal form computations", 2001).  Induced maps need
+representative cycles, so `HomologyPresentation` keeps the dense Smith
+form with its transforms.
 
 All arithmetic is exact (Python integers).  Smith reduction pivots on the
 minimal-absolute-value nonzero entry, ties broken by lowest row then
@@ -8,12 +17,15 @@ lowest column, so output is deterministic for a fixed input.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
 
 from .errors import TruncationError
 from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 Matrix = list  # list of rows, each a list of ints
+Column = dict  # sparse column: row index -> nonzero coefficient
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -221,35 +233,40 @@ class HomologyGroup:
 class ChainComplex:
     """Nonnegatively graded integer chain complex up to a top degree.
 
-    ranks[p] for 0 <= p <= top; boundaries[p] is the matrix of the
-    differential from degree p to degree p-1 for 1 <= p <= top, stored as
-    ranks[p-1] x ranks[p].  The composite of consecutive boundaries is
+    ranks[p] for 0 <= p <= top; columns[p] is the differential from degree
+    p to degree p-1 for 1 <= p <= top, stored as ranks[p] sparse columns
+    with rows below ranks[p-1].  The composite of consecutive boundaries is
     checked to vanish at construction time.
     """
 
-    def __init__(self, ranks: list[int], boundaries: list[Matrix]):
+    def __init__(self, ranks: list[int], columns: list[list[Column]]):
         self.ranks = ranks
         self.top = len(ranks) - 1
-        self.boundaries = boundaries
+        self.columns = columns
         for p in range(1, self.top + 1):
-            b = boundaries[p]
-            expected = (ranks[p - 1], ranks[p])
-            if (len(b), len(b[0]) if b else 0) != expected and ranks[p - 1] and ranks[p]:
-                raise ValueError(f"boundary {p} has shape {(len(b), len(b[0]) if b else 0)}, expected {expected}")
+            rows = ranks[p - 1]
+            if len(columns[p]) != ranks[p] or any(not 0 <= r < rows
+                                                  for col in columns[p] for r in col):
+                raise ValueError(f"boundary {p} does not fit shape {(rows, ranks[p])}")
         for p in range(2, self.top + 1):
-            if self.ranks[p - 2] and self.ranks[p]:
-                prod = mat_mul(self.boundary(p - 1), self.boundary(p))
-                if any(any(row) for row in prod):
+            below = columns[p - 1]
+            for col in columns[p]:
+                image: dict[int, int] = {}
+                for r, x in col.items():
+                    for s, y in below[r].items():
+                        image[s] = image.get(s, 0) + x * y
+                if any(image.values()):
                     raise ValueError(f"boundary composite in degree {p} is nonzero")
 
     def boundary(self, p: int) -> Matrix:
-        """The differential out of degree p, zero-padded to shape."""
+        """The differential out of degree p as a dense matrix."""
         if p < 1 or p > self.top:
             raise TruncationError(f"boundary {p} outside 1..{self.top}", required=p)
-        b = self.boundaries[p]
-        if not b or not b[0]:
-            return zeros(self.ranks[p - 1], self.ranks[p])
-        return b
+        mat = zeros(self.ranks[p - 1], self.ranks[p])
+        for j, col in enumerate(self.columns[p]):
+            for r, x in col.items():
+                mat[r][j] = x
+        return mat
 
 
 def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
@@ -260,23 +277,146 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
         raise TruncationError(f"requested top degree {top} beyond truncation {X.d}", required=top)
     basis = [X.nondegenerate_indices(p) for p in range(top + 1)]
     ranks = [len(b) for b in basis]
-    boundaries: list[Matrix] = [[]]
+    columns: list[list[Column]] = [[]]
     for p in range(1, top + 1):
-        row_of = {k: r for r, k in enumerate(basis[p - 1])}
-        mat = zeros(ranks[p - 1], ranks[p])
-        for col, k in enumerate(basis[p]):
-            for i, table in enumerate(X.faces[p]):
-                row = row_of.get(table[k])
-                if row is not None:
-                    mat[row][col] += -1 if i % 2 else 1
-        boundaries.append(mat)
-    return ChainComplex(ranks, boundaries)
+        row_of = [-1] * len(X.levels[p - 1])
+        for r, k in enumerate(basis[p - 1]):
+            row_of[k] = r
+        signed = [(table, -1 if i % 2 else 1) for i, table in enumerate(X.faces[p])]
+        level: list[Column] = []
+        for k in basis[p]:
+            col: Column = {}
+            for table, sign in signed:
+                row = row_of[table[k]]
+                if row >= 0:
+                    col[row] = col.get(row, 0) + sign
+            level.append({r: x for r, x in col.items() if x})
+        columns.append(level)
+    return ChainComplex(ranks, columns)
 
 
-def solve_exact(a: Matrix, rhs: Matrix) -> Matrix:
+def boundary_invariants(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
+    """Rank and torsion coefficients (the invariant factors above 1) of a
+    matrix given by sparse columns, without transforms.
+
+    A +-1 pivot is cleared by column operations and leaves a unit factor.
+    Each row queues its unit entry in the shortest column, and the entry
+    of least Markowitz cost (row count - 1) * (column length - 1) goes
+    first; its cost is rechecked when it is taken.  A row whose entries
+    changed is queued again once the queue runs dry.  The residual, which
+    has no unit entry, goes to `_diagonal_factors`.
+    """
+    cols: list[Column | None] = [dict(col) for col in columns if col]
+    rows: dict[int, set[int]] = {}
+    for j, col in enumerate(cols):
+        for r in col:
+            rows.setdefault(r, set()).add(j)
+
+    def cost(r, j):
+        return (len(rows[r]) - 1) * (len(cols[j]) - 1)
+
+    heap: list[tuple[int, int, int]] = []
+    dirty = set(rows)  # rows to scan for their unit entry in the shortest column
+    units = 0
+    while dirty:
+        for r in dirty:
+            shortest = min(((len(cols[j]), j) for j in rows.get(r, ()) if cols[j][r] in (1, -1)),
+                           default=None)
+            if shortest:
+                heapq.heappush(heap, (cost(r, shortest[1]), r, shortest[1]))
+        dirty = set()
+        while heap:
+            queued, r, j = heapq.heappop(heap)
+            pivot = cols[j]
+            if r not in rows or pivot is None or pivot.get(r) not in (1, -1):
+                dirty.add(r)  # cleared or changed since it was queued
+                continue
+            now = cost(r, j)
+            if now > queued:
+                heapq.heappush(heap, (now, r, j))
+                continue
+            cols[j] = None
+            units += 1
+            for c in pivot:
+                rows[c].discard(j)
+            sign = pivot[r]
+            others = [(c, x * sign) for c, x in pivot.items() if c != r]
+            dirty.update(c for c, _ in others)
+            for i in rows.pop(r):
+                col = cols[i]
+                factor = col.pop(r)
+                for c, x in others:
+                    old = col.get(c)
+                    if old is None:
+                        rows[c].add(i)
+                        col[c] = -factor * x
+                    elif old != factor * x:
+                        col[c] = old - factor * x
+                    else:
+                        del col[c]
+                        rows[c].discard(i)
+                if len(col) == 1:  # a column left with one unit entry costs nothing
+                    (c, y), = col.items()
+                    if y in (1, -1):
+                        heapq.heappush(heap, (0, c, i))
+    left = [col for col in cols if col]
+    residual = [[col.get(r, 0) for col in left] for r in sorted(r for r in rows if rows[r])]
+    factors = _diagonal_factors(residual)
+    for i in range(len(factors)):  # (gcd, lcm) folding gives the divisibility chain
+        for k in range(i + 1, len(factors)):
+            g = math.gcd(factors[i], factors[k])
+            factors[i], factors[k] = g, factors[i] * factors[k] // g
+    return units + len(factors), tuple(x for x in factors if x > 1)
+
+
+def _diagonal_factors(m: Matrix) -> list[int]:
+    """Absolute values of the nonzero entries of a diagonal form of m,
+    reached by row and column operations that are not recorded.  Each
+    round clears the row and column of a least nonzero entry by division
+    with remainder; a nonzero remainder is the next, smaller, pivot."""
+    m = [row for row in m if any(row)]
+    factors: list[int] = []
+    while m:
+        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
+        pivot_row = m[i]
+        a = pivot_row[j]
+        for k, row in enumerate(m):
+            if k != i and row[j]:
+                q = row[j] // a
+                m[k] = [x - q * y for x, y in zip(row, pivot_row)]
+        for t, x in enumerate(pivot_row):
+            if t != j and x:
+                q = x // a
+                for row in m:
+                    row[t] -= q * row[j]
+        if any(row[j] for row in m if row is not pivot_row) or \
+                any(x for t, x in enumerate(pivot_row) if t != j):
+            continue
+        factors.append(abs(a))
+        del m[i]
+        for row in m:
+            del row[j]
+        m = [row for row in m if any(row)]
+    return factors
+
+
+def homology_groups(C: ChainComplex, top: int) -> list[HomologyGroup]:
+    """H_0 .. H_top of C: H_q is Z^(n_q - rank d_q - rank d_(q+1)) plus the
+    torsion of d_(q+1)."""
+    if top + 1 > C.top:
+        raise TruncationError(
+            f"homology in degree {top} needs boundaries up to degree {top + 1}; "
+            f"complex stops at {C.top}", required=top + 1)
+    invariants = [(0, ())] + [boundary_invariants(C.columns[p]) for p in range(1, top + 2)]
+    return [HomologyGroup(C.ranks[q] - invariants[q][0] - invariants[q + 1][0],
+                          invariants[q + 1][1]) for q in range(top + 1)]
+
+
+def solve_exact(a: Matrix, rhs: Matrix, smith: tuple | None = None) -> Matrix:
     """One integer solution X of a @ X = rhs, column by column, from a
-    single Smith form of a; raises ValueError if some column has none."""
-    d, u, v = smith_normal_form(a)
+    single Smith form of a (`smith`, when already computed); raises
+    ValueError if some column has none."""
+    d, u, v = smith or smith_normal_form(a)
     rows, cols = len(a), len(a[0]) if a else 0
     c = mat_mul(u, rhs)
     y = zeros(cols, len(rhs[0]) if rhs else 0)
@@ -317,8 +457,10 @@ class HomologyPresentation:
         else:
             self.kernel = eye(n_p)
         s = len(self.kernel[0]) if self.kernel else 0
+        # factored once: the relations and every coordinates() call solve against it
+        self._kernel_smith = smith_normal_form(self.kernel)
         # the next boundary written in the kernel basis, then diagonalized
-        relations = solve_exact(self.kernel, C.boundary(p + 1))
+        relations = solve_exact(self.kernel, C.boundary(p + 1), self._kernel_smith)
         rel_d, self.rel_u, _ = smith_normal_form(relations)
         diag = [rel_d[i][i] for i in range(min(s, C.ranks[p + 1]))]
         rel_rank = sum(1 for x in diag if x)
@@ -336,7 +478,7 @@ class HomologyPresentation:
         """Canonical coordinates of cycles given as the columns of a matrix
         in the chain basis: row i holds coordinate i of every cycle, torsion
         coordinates reduced mod their order."""
-        y = mat_mul(self.rel_u, solve_exact(self.kernel, cycles))
+        y = mat_mul(self.rel_u, solve_exact(self.kernel, cycles, self._kernel_smith))
         orders = self.torsion + (0,) * len(self.free_positions)
         return tuple(tuple(x % t if t else x for x in y[pos])
                      for pos, t in zip(self.positions, orders))

@@ -9,8 +9,10 @@ bisimplicial bar and its diagonal check the direct iterated bar.  The
 suspension is rebuilt from its labels, and simplicial sets and maps given
 as dicts between simplices are converted to index tables here.  The
 unnormalized chain complex, an exact determinant and a Smith-form
-certificate check the homology layer, the Smith diagonal checks the
-invariant factors that the expected-homology oracle finds without it, and
+certificate check the homology layer, every presentation's group is
+checked against the sparse elimination, the Smith diagonal checks the
+elimination and the invariant factors that the expected-homology oracle
+finds without it, and
 wedge objects give the normalized pairs of the wedge-indexed category
 their concrete functions.
 """
@@ -21,8 +23,8 @@ from dataclasses import dataclass
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
 from gammaspaces.errors import TruncationError
 from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
-                                  mat_mul, normalized_chain_complex, smith_normal_form,
-                                  zeros)
+                                  homology_groups, mat_mul, normalized_chain_complex,
+                                  smith_normal_form, zeros)
 from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
                                     ValidationReport, validate)
 
@@ -117,11 +119,29 @@ def bar_resolution_boundaries(M: FinAbMonoid, top: int):
     return [len(b) for b in basis], boundaries
 
 
-def bar_resolution_homology(M: FinAbMonoid, q: int) -> HomologyGroup:
-    from gammaspaces.homology import ChainComplex
+def sparse_columns(a: Matrix, cols: int) -> list[dict]:
+    """The columns of a dense matrix with cols columns, as row -> entry dicts."""
+    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]
 
+
+def chain_complex(ranks: list[int], boundaries: list[Matrix]) -> ChainComplex:
+    """The chain complex of dense boundary matrices, boundaries[p] of shape
+    ranks[p-1] x ranks[p] for p >= 1."""
+    return ChainComplex(ranks, [[]] + [sparse_columns(boundaries[p], ranks[p])
+                                       for p in range(1, len(ranks))])
+
+
+def presentation_group(C: ChainComplex, q: int) -> HomologyGroup:
+    """H_q of C read off its dense Smith presentation, checked against the
+    group the sparse elimination gives."""
+    group = HomologyPresentation(C, q).group()
+    assert homology_groups(C, q)[q] == group, (q, group)
+    return group
+
+
+def bar_resolution_homology(M: FinAbMonoid, q: int) -> HomologyGroup:
     ranks, boundaries = bar_resolution_boundaries(M, q + 1)
-    return HomologyPresentation(ChainComplex(ranks, boundaries), q).group()
+    return presentation_group(chain_complex(ranks, boundaries), q)
 
 
 def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
@@ -185,7 +205,7 @@ def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
 
 def em_two_homology(A, q: int) -> HomologyGroup:
     space = em_two_cocycle_space(A, q + 1)
-    return HomologyPresentation(normalized_chain_complex(space), q).group()
+    return presentation_group(normalized_chain_complex(space), q)
 
 
 def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
@@ -288,7 +308,7 @@ def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> Cha
                 row = X.index(p - 1, X.face(p, i, x))
                 mat[row][j] += -1 if i % 2 else 1
         boundaries.append(mat)
-    return ChainComplex(ranks, boundaries)
+    return chain_complex(ranks, boundaries)
 
 
 def determinant(a: Matrix) -> int:

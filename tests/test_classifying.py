@@ -9,7 +9,7 @@ from gammaspaces import classifying as cb
 from gammaspaces import presheaves as ps
 from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
-from gammaspaces.homology import HomologyGroup
+from gammaspaces.homology import HomologyGroup, HomologyPresentation
 from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, diagonal,
                      em_two_homology, map_from_label_maps, nerve_of_monoid, snf_diagonal)
 
@@ -72,6 +72,14 @@ class TestBar:
         with pytest.raises(BudgetError, match="^predicted 36 label entries in one-element "
                                               "bar levels exceeds budget 35$"):
             cb.iterate_bar(X, 3, 3, budget=35)
+
+    def test_budget_at_zero_is_refused_without_the_walk(self):
+        # every level is the point, so 10**12 + 1 simplices are counted, not walked
+        X = ps.build_gamma_set(Z2, 2)
+        with pytest.raises(BudgetError, match="^predicted 1000000000001 simplices "
+                                              "exceeds budget 10000000$"):
+            cb.bar(X, 0, 10 ** 12)
+        assert cb._check_budget(X, 3, 4, 0, 5) == [0] * 5
 
     def test_bar_stores_its_level_objects(self):
         B = cb.iterate_bar(ps.build_gamma_set(Z2, 9), 2, 3)
@@ -374,6 +382,18 @@ class TestDeloopingReports:
         assert report.homology[1] == HomologyGroup(0, (3,))
         assert report.g_action_on_h["0"][1] == [[1]]
         assert report.g_action_on_h["1"][1] == [[2]]
+
+    @pytest.mark.parametrize("algebra, built", [
+        (KLEIN, 0), (alg.swap_action(), 3)], ids=["klein", "swap_on_klein"])
+    def test_presentations_only_for_induced_maps(self, monkeypatch, algebra, built):
+        # groups come from the sparse boundaries; only a group action needs cycles
+        presentations = []
+        monkeypatch.setattr(cb, "HomologyPresentation",
+                            lambda C, q: presentations.append(q) or HomologyPresentation(C, q))
+        build = ps.build_ggamma_set if built else ps.build_gamma_set
+        report = cb.delooping_report(cb.bar(build(algebra, 3), 1, 3), 2)
+        assert presentations == list(range(built))
+        assert report.homology[1] == HomologyGroup(0, (2, 2))
 
     def test_monoid_report_has_no_oracle(self):
         X = ps.build_gamma_set(alg.max_monoid(2), 3)

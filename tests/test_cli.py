@@ -295,8 +295,12 @@ class TestClassify:
          "predicted 12333300 label entries in one-element bar levels"),
         ("trivial", ["--dim", "40", "--iterate", "4"],
          "predicted 11268978 label entries in one-element bar levels"),
+        # every level is the point at the zero object: d + 1 simplices, not walked
+        ("z2", ["--at", "0", "--dim", "20000000"], "predicted 20000001 simplices"),
+        ("z2", ["--at", "0", "--dim", "2000000000"], "predicted 2000000001 simplices"),
     ], ids=["dim100_iterate5", "dim3_iterate40", "dim3_iterate20000", "dim3_iterate1e7",
-            "dim1e8", "trivial_dim100_iterate5", "trivial_dim40_iterate4"])
+            "dim1e8", "trivial_dim100_iterate5", "trivial_dim40_iterate4",
+            "at0_dim2e7", "at0_dim2e9"])
     def test_budget_refuses_astronomical_levels_at_once(self, tmp_path, fixture, bounds, message):
         presheaf = build(tmp_path, fixture, levels=2)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -311,6 +315,25 @@ class TestClassify:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"resource error: {message} exceeds budget 10000000\n"
+
+    def test_second_delooping_of_z2_through_degree_three(self, tmp_path):
+        # the 63,577-column boundary out of degree 4 under a 3 GB address space
+        presheaf = build(tmp_path, "z2", levels=2)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "classify",
+                               "--input", str(presheaf), "--iterate", "2", "--dim", "4",
+                               "--homology", "3"], capture_output=True, text=True,
+                              env=env, timeout=120, preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
+        deloop = json.loads(proc.stdout)["delooping"]
+        assert deloop["levels"] == [1, 2, 16, 512, 65536]
+        assert deloop["homology"][3] == {"degree": 3, "rank": 0, "torsion": []}
+        assert [c["match"] for c in deloop["oracle_comparisons"]] == [True] * 4
 
     def test_at_above_one_exits_two(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z3", levels=2)

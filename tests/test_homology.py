@@ -7,8 +7,9 @@ from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import TruncationError
-from oracles import (bar_resolution_homology, em_two_cocycle_space, full_chain_complex,
-                     map_from_label_maps, nerve_of_monoid, verify_snf)
+from oracles import (bar_resolution_homology, chain_complex, em_two_cocycle_space,
+                     full_chain_complex, map_from_label_maps, nerve_of_monoid,
+                     presentation_group, snf_diagonal, sparse_columns, verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -122,26 +123,28 @@ class TestChainComplexes:
 class TestHomology:
     def test_point(self):
         C = hm.normalized_chain_complex(ss.point(3))
-        assert hm.HomologyPresentation(C, 0).group() == hm.HomologyGroup(1)
-        assert hm.HomologyPresentation(C, 1).group() == hm.HomologyGroup(0)
+        assert presentation_group(C, 0) == hm.HomologyGroup(1)
+        assert presentation_group(C, 1) == hm.HomologyGroup(0)
 
     def test_circle(self):
         C = hm.normalized_chain_complex(ss.suspension([0, 1], 0, 2))
-        assert hm.HomologyPresentation(C, 0).group() == hm.HomologyGroup(1)
-        assert hm.HomologyPresentation(C, 1).group() == hm.HomologyGroup(1)
+        assert presentation_group(C, 0) == hm.HomologyGroup(1)
+        assert presentation_group(C, 1) == hm.HomologyGroup(1)
 
     def test_wedge_of_two_circles(self):
         C = hm.normalized_chain_complex(ss.suspension([0, 1, 2], 0, 2))
-        assert hm.HomologyPresentation(C, 1).group() == hm.HomologyGroup(2)
+        assert presentation_group(C, 1) == hm.HomologyGroup(2)
 
     def test_nerve_z3_h1(self):
         C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(3), 3))
-        assert hm.HomologyPresentation(C, 1).group() == hm.HomologyGroup(0, (3,))
+        assert presentation_group(C, 1) == hm.HomologyGroup(0, (3,))
 
     def test_insufficient_truncation(self):
         C = hm.normalized_chain_complex(ss.point(2))
         with pytest.raises(TruncationError, match="insufficient|needs"):
             hm.HomologyPresentation(C, 2).group()
+        with pytest.raises(TruncationError, match="needs boundaries up to degree 3"):
+            hm.homology_groups(C, 2)
 
     def test_agrees_with_bar_resolution_oracle(self):
         for M, q, expected in [
@@ -152,14 +155,14 @@ class TestHomology:
         ]:
             assert bar_resolution_homology(M, q) == expected
             C = hm.normalized_chain_complex(nerve_of_monoid(M, q + 1))
-            assert hm.HomologyPresentation(C, q).group() == expected
+            assert presentation_group(C, q) == expected
 
     def test_zero_rank_below_degree(self):
         # the boundary out of degree 2 has no rows, so every 2-chain is a cycle
         X = em_two_cocycle_space(cyclic(2), 3)
         C = hm.normalized_chain_complex(X)
         assert C.ranks == [1, 0, 1, 4]
-        assert hm.HomologyPresentation(C, 2).group() == hm.HomologyGroup(0, (2,))
+        assert presentation_group(C, 2) == hm.HomologyGroup(0, (2,))
         assert hm.induced_map_on_homology(ss.identity_map(X), 2).matrix == ((1,),)
 
     def test_normalized_vs_full_agreement(self):
@@ -168,8 +171,84 @@ class TestHomology:
             Cn = hm.normalized_chain_complex(X)
             Cf = full_chain_complex(X)
             for p in range(X.d):
-                assert (hm.HomologyPresentation(Cn, p).group()
-                        == hm.HomologyPresentation(Cf, p).group())
+                assert presentation_group(Cn, p) == presentation_group(Cf, p)
+
+
+entries = st.integers(-3, 3)
+unitless = st.sampled_from([0, 2, -2, 3, -3, 6])
+
+
+def shaped_matrices(values, most=6):
+    """(column count, matrix) pairs, 0 x n and n x 0 included."""
+    return st.integers(0, most).flatmap(
+        lambda c: st.tuples(st.just(c), st.lists(st.lists(values, min_size=c, max_size=c),
+                                                 max_size=most)))
+
+
+def dense_invariants(a):
+    diag = snf_diagonal(a)
+    return sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+
+
+class TestSparseElimination:
+    @settings(max_examples=200)
+    @given(shaped_matrices(entries))
+    def test_agrees_with_smith_diagonal(self, shaped):
+        cols, a = shaped
+        assert hm.boundary_invariants(sparse_columns(a, cols)) == dense_invariants(a)
+
+    @settings(max_examples=100)
+    @given(shaped_matrices(unitless))
+    def test_agrees_without_unit_entries(self, shaped):
+        cols, a = shaped
+        assert hm.boundary_invariants(sparse_columns(a, cols)) == dense_invariants(a)
+
+    @settings(max_examples=100)
+    @given(shaped_matrices(entries, most=4), st.integers(0, 4), st.integers(0, 4))
+    def test_zero_rows_and_columns_change_nothing(self, shaped, i, j):
+        cols, a = shaped
+        padded = [row[:j] + [0] + row[j:] for row in a]
+        padded.insert(min(i, len(padded)), [0] * (cols + 1))
+        expected = dense_invariants(a)
+        assert dense_invariants(padded) == expected
+        assert hm.boundary_invariants(sparse_columns(padded, cols + 1)) == expected
+
+    def test_empty_shapes(self):
+        assert hm.boundary_invariants([]) == (0, ())
+        assert hm.boundary_invariants([{}, {}, {}]) == (0, ())
+
+    def test_residual_needs_the_divisibility_chain(self):
+        # no unit entry: the diagonal reduction finds 2 and 3, folded to 1 and 6
+        assert hm.boundary_invariants(sparse_columns([[2, 0], [0, 3]], 2)) == (2, (6,))
+        assert hm.boundary_invariants(sparse_columns([[4, 6], [6, 4]], 2)) == (2, (2, 10))
+
+    def test_groups_agree_with_presentations(self):
+        spaces = [ss.point(3), ss.suspension([0, 1, 2], 0, 3), em_two_cocycle_space(cyclic(2), 3)]
+        spaces += [nerve_of_monoid(M, 4) for M in (cyclic(2), cyclic(4), klein_four(), max_monoid(2))]
+        for X in spaces:
+            for C in (hm.normalized_chain_complex(X), full_chain_complex(X)):
+                assert hm.homology_groups(C, C.top - 1) == \
+                    [hm.HomologyPresentation(C, q).group() for q in range(C.top)]
+
+    def test_tampered_boundary_fails_the_composite_check(self):
+        C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(3), 3))
+        columns = [[dict(col) for col in level] for level in C.columns]
+        col = next(col for col in columns[3] if col)
+        row = next(iter(col))
+        col[row] += 1
+        with pytest.raises(ValueError, match="^boundary composite in degree 3 is nonzero$"):
+            hm.ChainComplex(C.ranks, columns)
+
+    def test_misshapen_boundary_rejected(self):
+        with pytest.raises(ValueError, match="does not fit shape"):
+            hm.ChainComplex([1, 1], [[], [{1: 1}]])
+        with pytest.raises(ValueError, match="does not fit shape"):
+            hm.ChainComplex([1, 1], [[], []])
+
+    def test_dense_boundary_on_demand(self):
+        C = chain_complex([2, 3], [[], [[1, 0, -1], [0, 2, 0]]])
+        assert C.columns[1] == [{0: 1}, {1: 2}, {0: -1}]
+        assert C.boundary(1) == [[1, 0, -1], [0, 2, 0]]
 
 
 class TestHomologyGroupType:

@@ -7,8 +7,12 @@ Markowitz cost first (Kaczynski-Mrozek-Slusarek, "Homology computation by
 reduction of chain complexes", 1998), and what is left goes to a dense
 diagonal reduction (Dumas-Saunders-Villard, "On efficient sparse integer
 matrix Smith normal form computations", 2001).  Induced maps need
-representative cycles, so `HomologyPresentation` keeps the dense Smith
-form with its transforms.
+representative cycles, so `HomologyPresentation` runs two dense Smith
+forms per degree, each keeping only the transforms it reads: V and V^-1
+of the boundary give the cycle basis and coordinates in it, so the
+relations and every induced map are read off V^-1 with no solve, and U
+and U^-1 of the relations give the canonical coordinates and their
+representative cycles.
 
 All arithmetic is exact (Python integers).  Smith reduction pivots on the
 minimal-absolute-value nonzero entry, ties broken by lowest row then
@@ -26,6 +30,8 @@ from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 Matrix = list  # list of rows, each a list of ints
 Column = dict  # sparse column: row index -> nonzero coefficient
+
+_BLOCK = 1024  # sparse columns turned dense at a time
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -69,60 +75,59 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
-    """Return (D, U, V) with U @ a @ V = D, U and V unimodular, and D
-    diagonal with each entry dividing the next.
+def smith_normal_form(a: Matrix, track: tuple[str, ...] = ("u", "v")) -> tuple[Matrix, ...]:
+    """Return D followed by the transforms named in `track`, in that order,
+    out of "u", "u_inv", "v" and "v_inv": U @ a @ V = D with U and V
+    unimodular, D diagonal with each entry dividing the next, and U^-1 and
+    V^-1 their exact inverses.  By default (D, U, V).
 
     Pivot choice is the smallest nonzero |entry|, lowest row index first,
-    then lowest column index, so the factorization is deterministic.
-    Elimination uses Bezout 2x2 transforms, which reach each gcd in one
-    step and keep entry growth polynomial.
+    then lowest column index, so the factorization is deterministic and
+    does not depend on `track`.  Elimination uses Bezout 2x2 transforms,
+    which reach each gcd in one step and keep entry growth polynomial.
+
+    Every transform is kept as rows: a row operation M on D acts on the
+    rows of U and, as M^-T, on the rows of U^-1 transposed; a column
+    operation acts the same way on V transposed and on V^-1.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
     d = [row[:] for row in a]
-    u = eye(rows)
-    v = eye(cols)
+    kept = {name: eye(rows if name.startswith("u") else cols) for name in track}
+    # [forward, inverse-transpose] for row operations, then for column operations
+    row_side = (kept.get("u"), kept.get("u_inv"))
+    col_side = (kept.get("v"), kept.get("v_inv"))
 
     def clear_row_entry(s, i):
         # zero d[i][s] against the pivot row by a unimodular row pair
         aa, bb = d[s][s], d[i][s]
-        if bb == 0:
-            return
-        ds, di = d[s], d[i]
-        us, ui = u[s], u[i]
-        if aa and bb % aa == 0:
+        if bb % aa == 0:
             q = bb // aa
-            for j in range(cols):
-                di[j] -= q * ds[j]
-            for j in range(rows):
-                ui[j] -= q * us[j]
+            _subtract((d, None), s, i, q)
+            _subtract(row_side, s, i, q)
             return
         g, x, y = _xgcd(aa, bb)
         ca, cb = -(bb // g), aa // g
-        for j in range(cols):
-            ds[j], di[j] = x * ds[j] + y * di[j], ca * ds[j] + cb * di[j]
-        for j in range(rows):
-            us[j], ui[j] = x * us[j] + y * ui[j], ca * us[j] + cb * ui[j]
+        _bezout((d, None), s, i, x, y, ca, cb)
+        _bezout(row_side, s, i, x, y, ca, cb)
 
-    def clear_col_entry(s, j):
-        # zero d[s][j] against the pivot column by a unimodular column pair
+    def clear_col_entry(s, j, live):
+        # zero d[s][j] against the pivot column by a unimodular column pair;
+        # `live` lists the rows of d that are nonzero in column s, and the
+        # rows that are afterwards are returned
         aa, bb = d[s][s], d[s][j]
-        if bb == 0:
-            return
-        if aa and bb % aa == 0:
+        if bb % aa == 0:
             q = bb // aa
-            for row in d:
+            for row in live:
                 row[j] -= q * row[s]
-            for row in v:
-                row[j] -= q * row[s]
-            return
+            _subtract(col_side, s, j, q)
+            return live
         g, x, y = _xgcd(aa, bb)
         ca, cb = -(bb // g), aa // g
         for row in d:
             row[s], row[j] = x * row[s] + y * row[j], ca * row[s] + cb * row[j]
-        for row in v:
-            row[s], row[j] = x * row[s] + y * row[j], ca * row[s] + cb * row[j]
+        _bezout(col_side, s, j, x, y, ca, cb)
+        return [row for row in d if row[s]]
 
     def find_pivot(s):
         best = None
@@ -143,26 +148,26 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         _, pi, pj = pivot
         if pi != s:
             d[s], d[pi] = d[pi], d[s]
-            u[s], u[pi] = u[pi], u[s]
+            _swap(row_side, s, pi)
         if pj != s:
             for row in d:
                 row[s], row[pj] = row[pj], row[s]
-            for row in v:
-                row[s], row[pj] = row[pj], row[s]
+            _swap(col_side, s, pj)
+        # clearing one entry leaves the others in the pivot row and column
+        # as they were, so only the nonzero ones are visited
         while True:
-            for i in range(s + 1, rows):
+            for i in [i for i in range(s + 1, rows) if d[i][s]]:
                 clear_row_entry(s, i)
-            if all(d[s][j] == 0 for j in range(s + 1, cols)):
+            if not any(d[s][s + 1:]):
                 break
-            for j in range(s + 1, cols):
-                clear_col_entry(s, j)
-            if all(d[i][s] == 0 for i in range(s + 1, rows)):
+            live = [row for row in d if row[s]]
+            for j in [j for j in range(s + 1, cols) if d[s][j]]:
+                live = clear_col_entry(s, j, live)
+            if not any(d[i][s] for i in range(s + 1, rows)):
                 break
         if d[s][s] < 0:
-            for j in range(cols):
-                d[s][j] = -d[s][j]
-            for j in range(rows):
-                u[s][j] = -u[s][j]
+            _negate((d, None), s)
+            _negate(row_side, s)
 
     # enforce the divisibility chain d1 | d2 | ...
     rank = sum(1 for i in range(min(rows, cols)) if d[i][i])
@@ -171,39 +176,74 @@ def smith_normal_form(a: Matrix) -> tuple[Matrix, Matrix, Matrix]:
         changed = False
         for i in range(rank - 1):
             if d[i + 1][i + 1] % d[i][i]:
-                _fold_pair(d, u, v, i, rows, cols)
+                _fold_pair(d, row_side, col_side, i)
                 changed = True
-    return d, u, v
+    for name in ("u_inv", "v"):  # kept transposed
+        if name in kept:
+            kept[name] = [list(col) for col in zip(*kept[name])]
+    return (d, *(kept[name] for name in track))
 
 
-def _fold_pair(d, u, v, i, rows, cols):
+# Row operations on a (forward, inverse-transpose) pair of matrices, either
+# of which may be None; D itself is passed as (D, None).  Each operation M
+# on the forward rows is M^-T on the inverse-transpose rows, so the pair
+# stays mutually inverse.
+
+def _swap(side, a, b):
+    for m in side:
+        if m is not None:
+            m[a], m[b] = m[b], m[a]
+
+
+def _negate(side, a):
+    for m in side:
+        if m is not None:
+            m[a] = [-x for x in m[a]]
+
+
+def _subtract(side, a, b, q):
+    # forward: row b -= q * row a; inverse transpose: row a += q * row b
+    fwd, inv = side
+    if fwd is not None:
+        fwd[b] = [x - q * y for x, y in zip(fwd[b], fwd[a])]
+    if inv is not None:
+        inv[a] = [x + q * y for x, y in zip(inv[a], inv[b])]
+
+
+def _bezout(side, a, b, x, y, ca, cb):
+    # forward: rows (a, b) by [[x, y], [ca, cb]] of determinant 1;
+    # inverse transpose: by [[cb, -ca], [-y, x]]
+    fwd, inv = side
+    if fwd is not None:
+        ra, rb = fwd[a], fwd[b]
+        fwd[a] = [x * p + y * q for p, q in zip(ra, rb)]
+        fwd[b] = [ca * p + cb * q for p, q in zip(ra, rb)]
+    if inv is not None:
+        ra, rb = inv[a], inv[b]
+        inv[a] = [cb * p - ca * q for p, q in zip(ra, rb)]
+        inv[b] = [x * q - y * p for p, q in zip(ra, rb)]
+
+
+def _fold_pair(d, row_side, col_side, i):
     """Replace adjacent diagonal entries (a, b) by (gcd, a*b/gcd), keeping
     the factorization exact; assumes their rows and columns are otherwise
     zero, which the main loop guarantees."""
     aa, bb = d[i][i], d[i + 1][i + 1]
     for row in d:
         row[i] += row[i + 1]
-    for row in v:
-        row[i] += row[i + 1]
+    _subtract(col_side, i + 1, i, -1)
     g, x, y = _xgcd(aa, bb)
     ca, cb = -(bb // g), aa // g
-    di, dn = d[i], d[i + 1]
-    for j in range(cols):
-        di[j], dn[j] = x * di[j] + y * dn[j], ca * di[j] + cb * dn[j]
-    ui, un = u[i], u[i + 1]
-    for j in range(rows):
-        ui[j], un[j] = x * ui[j] + y * un[j], ca * ui[j] + cb * un[j]
+    _bezout((d, None), i, i + 1, x, y, ca, cb)
+    _bezout(row_side, i, i + 1, x, y, ca, cb)
     q = d[i][i + 1] // d[i][i]
     for row in d:
         row[i + 1] -= q * row[i]
-    for row in v:
-        row[i + 1] -= q * row[i]
+    _subtract(col_side, i, i + 1, q)
     for k in (i, i + 1):
         if d[k][k] < 0:
-            for j in range(cols):
-                d[k][j] = -d[k][j]
-            for j in range(rows):
-                u[k][j] = -u[k][j]
+            _negate((d, None), k)
+            _negate(row_side, k)
 
 
 @dataclass(frozen=True)
@@ -412,11 +452,14 @@ def homology_groups(C: ChainComplex, top: int) -> list[HomologyGroup]:
                           invariants[q + 1][1]) for q in range(top + 1)]
 
 
-def solve_exact(a: Matrix, rhs: Matrix, smith: tuple | None = None) -> Matrix:
+# `solve_exact` and `invert_unimodular` are reached only by the tests and
+# by the benchmark tracer, which looks them up by name; the presentations
+# read unique solutions off kept inverse transforms instead.
+
+def solve_exact(a: Matrix, rhs: Matrix) -> Matrix:
     """One integer solution X of a @ X = rhs, column by column, from a
-    single Smith form of a (`smith`, when already computed); raises
-    ValueError if some column has none."""
-    d, u, v = smith or smith_normal_form(a)
+    single Smith form of a; raises ValueError if some column has none."""
+    d, u, v = smith_normal_form(a)
     rows, cols = len(a), len(a[0]) if a else 0
     c = mat_mul(u, rhs)
     y = zeros(cols, len(rhs[0]) if rhs else 0)
@@ -437,8 +480,12 @@ def invert_unimodular(a: Matrix) -> Matrix:
 class HomologyPresentation:
     """Canonical presentation of one homology group of a chain complex.
 
-    Generators are a basis of the cycle lattice; relations are the image
-    of the next boundary written in that basis and diagonalized.  The
+    Generators are a basis of the cycle lattice: the columns of V past the
+    rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is kept
+    alongside.  A p-chain z is a cycle exactly when the first rank
+    coordinates of V^-1 z vanish, and the rest are its coordinates in the
+    kernel basis, so the relations are the next boundary's columns written
+    that way, and they are diagonalized keeping U and U^-1 only.  The
     canonical coordinates list torsion positions first (in divisibility
     order), then free positions.
     """
@@ -450,18 +497,28 @@ class HomologyPresentation:
                 f"complex stops at {C.top}", required=p + 1)
         n_p = C.ranks[p]
         if p >= 1 and C.ranks[p - 1]:
-            d, _, v = smith_normal_form(C.boundary(p))
-            rank = sum(1 for i in range(min(len(d), n_p)) if d[i][i])
+            d, v, self._v_inv = smith_normal_form(C.boundary(p), ("v", "v_inv"))
+            self._rank = sum(1 for i in range(min(len(d), n_p)) if d[i][i])
             # kernel basis: columns of V past the rank
-            self.kernel = [row[rank:] for row in v]
+            self.kernel = [row[self._rank:] for row in v]
         else:
-            self.kernel = eye(n_p)
-        s = len(self.kernel[0]) if self.kernel else 0
-        # factored once: the relations and every coordinates() call solve against it
-        self._kernel_smith = smith_normal_form(self.kernel)
-        # the next boundary written in the kernel basis, then diagonalized
-        relations = solve_exact(self.kernel, C.boundary(p + 1), self._kernel_smith)
-        rel_d, self.rel_u, _ = smith_normal_form(relations)
+            self.kernel, self._v_inv, self._rank = eye(n_p), eye(n_p), 0
+        s = n_p - self._rank
+        # the next boundary in kernel coordinates, from its sparse columns,
+        # a block of columns at a time so that only one block is held twice
+        coords = [[row[r] for row in self._v_inv[self._rank:]] for r in range(n_p)]
+        self.relations: Matrix = [[] for _ in range(s)]
+        columns = C.columns[p + 1]
+        for start in range(0, len(columns), _BLOCK):
+            images = []
+            for col in columns[start:start + _BLOCK]:
+                image = [0] * s
+                for r, x in col.items():
+                    image = [a + x * b for a, b in zip(image, coords[r])]
+                images.append(image)
+            for row, part in zip(self.relations, zip(*images)):
+                row.extend(part)
+        rel_d, self.rel_u, self._rel_u_inv = smith_normal_form(self.relations, ("u", "u_inv"))
         diag = [rel_d[i][i] for i in range(min(s, C.ranks[p + 1]))]
         rel_rank = sum(1 for x in diag if x)
         # coordinate layout: torsion positions then free positions
@@ -477,8 +534,12 @@ class HomologyPresentation:
     def coordinates(self, cycles: Matrix) -> tuple[tuple[int, ...], ...]:
         """Canonical coordinates of cycles given as the columns of a matrix
         in the chain basis: row i holds coordinate i of every cycle, torsion
-        coordinates reduced mod their order."""
-        y = mat_mul(self.rel_u, solve_exact(self.kernel, cycles, self._kernel_smith))
+        coordinates reduced mod their order.  Raises ValueError if some
+        column is not a cycle."""
+        z = mat_mul(self._v_inv, cycles)
+        if any(any(row) for row in z[:self._rank]):
+            raise ValueError("not a cycle")
+        y = mat_mul(self.rel_u, z[self._rank:])
         orders = self.torsion + (0,) * len(self.free_positions)
         return tuple(tuple(x % t if t else x for x in y[pos])
                      for pos, t in zip(self.positions, orders))
@@ -487,9 +548,8 @@ class HomologyPresentation:
         """Representative cycles in the chain basis, one column per
         canonical coordinate; computed on first use and shared."""
         if self._generators is None:
-            u_inv = invert_unimodular(self.rel_u)
-            self._generators = mat_mul(self.kernel,
-                                       [[row[pos] for pos in self.positions] for row in u_inv])
+            self._generators = mat_mul(self.kernel, [[row[pos] for pos in self.positions]
+                                                     for row in self._rel_u_inv])
         return self._generators
 
 
@@ -508,27 +568,22 @@ class InducedMap:
                 "matrix": [list(r) for r in self.matrix]}
 
 
-def chain_map_matrix(f: SimplicialMap, p: int) -> Matrix:
-    """Matrix of a simplicial map on normalized p-chains; a simplex sent to
-    a degenerate one contributes a zero column."""
-    table = f.tables[p]
-    src = f.source.nondegenerate_indices(p)
-    tgt = f.target.nondegenerate_indices(p)
-    row_of = {k: i for i, k in enumerate(tgt)}
-    mat = zeros(len(tgt), len(src))
-    for j, k in enumerate(src):
-        row = row_of.get(table[k])
-        if row is not None:
-            mat[row][j] = 1
-    return mat
-
-
 def induced_map_on_homology(f: SimplicialMap, p: int,
                             source_pres: HomologyPresentation | None = None,
                             target_pres: HomologyPresentation | None = None) -> InducedMap:
     """Push each source generator through the chain map and express it in
-    the target presentation."""
+    the target presentation.  A generator's entry on a source simplex is
+    added onto the row of that simplex's image; an image that is degenerate
+    drops out."""
     source_pres = source_pres or HomologyPresentation(normalized_chain_complex(f.source, p + 1), p)
     target_pres = target_pres or HomologyPresentation(normalized_chain_complex(f.target, p + 1), p)
-    images = mat_mul(chain_map_matrix(f, p), source_pres.generator_cycles())
+    generators = source_pres.generator_cycles()
+    tgt = f.target.nondegenerate_indices(p)
+    row_of = {k: i for i, k in enumerate(tgt)}
+    images = zeros(len(tgt), len(generators[0]) if generators else 0)
+    table = f.tables[p]
+    for k, gen in zip(f.source.nondegenerate_indices(p), generators):
+        row = row_of.get(table[k])
+        if row is not None:
+            images[row] = [x + y for x, y in zip(images[row], gen)]
     return InducedMap(source_pres.group(), target_pres.group(), target_pres.coordinates(images))

@@ -335,6 +335,28 @@ class TestClassify:
         assert deloop["homology"][3] == {"degree": 3, "rank": 0, "torsion": []}
         assert [c["match"] for c in deloop["oracle_comparisons"]] == [True] * 4
 
+    def test_equivariant_second_delooping_of_z3(self, tmp_path):
+        # nondegenerate ranks 1, 2, 76, 19448: the degree-2 relations are 74 x 19,448,
+        # diagonalized without their 19,448^2 V, under a 1.5 GB address space
+        presheaf = build(tmp_path, "z2_inversion_on_z3", levels=2)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 29, 3 << 29))
+
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "classify",
+                               "--input", str(presheaf), "--iterate", "2", "--dim", "3",
+                               "--homology", "2"], capture_output=True, text=True,
+                              env=env, timeout=120, preexec_fn=cap_memory)
+        assert proc.returncode == 0, proc.stderr
+        deloop = json.loads(proc.stdout)["delooping"]
+        assert deloop["levels"] == [1, 3, 81, 19683]
+        assert deloop["homology"][2] == {"degree": 2, "rank": 0, "torsion": [3]}
+        # the identity and the inversion on H_0, H_1 = 0 and H_2 = Z/3
+        assert deloop["g_action_on_H"] == {"0": [[[1]], [], [[1]]], "1": [[[1]], [], [[2]]]}
+        assert [c["match"] for c in deloop["oracle_comparisons"]] == [True] * 3
+
     def test_at_above_one_exits_two(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z3", levels=2)
         code, out, err = run(["classify", "--input", str(presheaf), "--at", "2",

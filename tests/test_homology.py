@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,9 +9,10 @@ from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import TruncationError
-from oracles import (bar_resolution_homology, chain_complex, em_two_cocycle_space,
-                     full_chain_complex, map_from_label_maps, nerve_of_monoid,
-                     presentation_group, snf_diagonal, sparse_columns, verify_snf)
+from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_complex,
+                     em_two_cocycle_space, full_chain_complex, map_from_label_maps,
+                     nerve_of_monoid, presentation_group, snf_diagonal, sparse_columns,
+                     verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -55,6 +58,42 @@ class TestSmithNormalForm:
         for a in ([[1, 2, 3]], [[1], [2], [3]], [[0, 0, 4]]):
             d, u, v = hm.smith_normal_form(a)
             assert verify_snf(a, d, u, v)
+
+    @settings(max_examples=150)
+    @given(int_matrices)
+    def test_tracked_inverses_are_exact(self, a):
+        d, u, u_inv, v, v_inv = hm.smith_normal_form(a, ("u", "u_inv", "v", "v_inv"))
+        assert (d, u, v) == hm.smith_normal_form(a)
+        assert hm.mat_mul(u, u_inv) == hm.eye(len(a))
+        assert hm.mat_mul(v_inv, v) == hm.eye(len(a[0]))
+        # the transforms kept change nothing else, and come back in the order named
+        assert hm.smith_normal_form(a, ("v_inv", "u_inv")) == (d, v_inv, u_inv)
+        assert hm.smith_normal_form(a, ()) == (d,)
+
+    def test_tracked_inverses_of_pinned_matrices(self):
+        for a in pinned_matrices():
+            d, u, u_inv, v, v_inv = hm.smith_normal_form(a, ("u", "u_inv", "v", "v_inv"))
+            assert hm.mat_mul(u_inv, u) == hm.eye(len(a))
+            assert hm.mat_mul(v, v_inv) == hm.eye(len(a[0]))
+
+    def test_outputs_pinned(self):
+        # (D, U, V) of 200 seeded matrices, 19 of which need a divisibility fold
+        outputs = [hm.smith_normal_form(a) for a in pinned_matrices()]
+        digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+        assert digest == "994184263114c4c7e9e8685d34ae03bf708b5ae367317143255d30d6c44c54c3"
+
+
+def pinned_matrices():
+    """Entries in -3..3 (every other one without units), shapes up to 7 x 7,
+    after six small matrices whose diagonals need folding, such as diag(2, 3)."""
+    rng = random.Random(9)
+    mats = [[[2, 0], [0, 3]], [[4, 6], [6, 4]], [[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+            [[6, 0], [0, 4]], [[0, 2], [3, 0]], [[2, 0], [0, 3], [0, 0]]]
+    for k in range(200 - len(mats)):
+        rows, cols = rng.randint(1, 7), rng.randint(1, 7)
+        values = (-3, -2, -1, 0, 1, 2, 3) if k % 2 else (0, 0, 2, -2, 3, -3)
+        mats.append([[rng.choice(values) for _ in range(cols)] for _ in range(rows)])
+    return mats
 
 
 class TestExactSolve:
@@ -251,6 +290,49 @@ class TestSparseElimination:
         assert C.boundary(1) == [[1, 0, -1], [0, 2, 0]]
 
 
+def contract_complexes():
+    """Every complex the homology tests build: normalized and unnormalized
+    chains of the test spaces, and the hand-written bar resolutions."""
+    spaces = [ss.point(3), ss.suspension([0, 1], 0, 2), ss.suspension([0, 1, 2], 0, 3),
+              em_two_cocycle_space(cyclic(2), 3)]
+    spaces += [nerve_of_monoid(M, 4) for M in (cyclic(2), cyclic(3), cyclic(4), klein_four(),
+                                               max_monoid(2))]
+    complexes = [C for X in spaces for C in (hm.normalized_chain_complex(X), full_chain_complex(X))]
+    for M, q in [(cyclic(2), 1), (cyclic(3), 1), (cyclic(4), 2), (klein_four(), 2)]:
+        complexes.append(chain_complex(*bar_resolution_boundaries(M, q + 1)))
+    return complexes
+
+
+class TestPresentationContract:
+    def test_kernel_times_relations_is_the_next_boundary(self):
+        for C in contract_complexes():
+            for p in range(C.top):
+                pres = hm.HomologyPresentation(C, p)
+                boundary = C.boundary(p + 1)
+                product = [[sum(k * r[j] for k, r in zip(row, pres.relations))
+                            for j in range(C.ranks[p + 1])] for row in pres.kernel]
+                assert product == boundary
+                assert pres.relations == hm.solve_exact(pres.kernel, boundary)
+
+    def test_generators_have_unit_coordinates(self):
+        for C in contract_complexes():
+            for p in range(C.top):
+                pres = hm.HomologyPresentation(C, p)
+                n = len(pres.positions)
+                assert pres.coordinates(pres.generator_cycles()) == \
+                    tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+    def test_non_cycle_raises(self):
+        for C in contract_complexes():
+            for p in range(1, C.top):
+                pres = hm.HomologyPresentation(C, p)
+                for j, col in enumerate(C.columns[p]):
+                    if col:  # the j-th basis chain has a nonzero boundary
+                        chain = [[int(i == j)] for i in range(C.ranks[p])]
+                        with pytest.raises(ValueError, match="not a cycle"):
+                            pres.coordinates(chain)
+
+
 class TestHomologyGroupType:
     def test_str(self):
         assert str(hm.HomologyGroup(1, (2, 4))) == "Z + Z/2 + Z/4"
@@ -325,6 +407,17 @@ class TestInducedMaps:
         square = _compose_induced(ind, ind)
         assert square.source == square.target
         assert square.matrix == ((1, 0), (0, 1))
+
+    def test_fold_adds_loops_sent_to_one_simplex(self):
+        X = ss.suspension([0, 1, 2], 0, 2)
+        Y = ss.suspension([0, 1], 0, 2)
+        tables = [{x: x if x == "*" else (1, x[1]) for x in X.levels[p]} for p in range(3)]
+        f = map_from_label_maps(X, Y, tables)
+        assert f.check().ok
+        ind = hm.induced_map_on_homology(f, 1)
+        assert (ind.source, ind.target) == (hm.HomologyGroup(2), hm.HomologyGroup(1))
+        # both loops land on the one loop, so their images add up
+        assert ind.matrix == ((1, 1),)
 
 
 def _compose_induced(g: hm.InducedMap, f: hm.InducedMap) -> hm.InducedMap:

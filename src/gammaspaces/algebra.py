@@ -56,7 +56,7 @@ class FiniteGroup:
     @classmethod
     def from_json(cls, data: dict) -> "FiniteGroup":
         try:
-            elements = tuple(data["elements"])
+            elements = tuple(_freeze_label(e) for e in data["elements"])
             index = {e: i for i, e in enumerate(elements)}
             table = tuple(tuple(_label_index(index, v, "group") for v in row)
                           for row in data["table"])

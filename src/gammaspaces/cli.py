@@ -43,7 +43,11 @@ DEFAULT_BUDGET_ENV = "GAMMASPACES_BUDGET"
 
 
 def _default_budget() -> int:
-    return int(os.environ.get(DEFAULT_BUDGET_ENV, cb.DEFAULT_BUDGET))
+    value = os.environ.get(DEFAULT_BUDGET_ENV, str(cb.DEFAULT_BUDGET))
+    try:
+        return int(value)
+    except ValueError:
+        raise InputError(f"${DEFAULT_BUDGET_ENV} must be an integer, got {value!r}") from None
 
 
 def _load_json(path: str) -> tuple[dict, str]:
@@ -170,6 +174,10 @@ def cmd_build(args) -> int:
     data, digest = _load_json(args.input)
     algebra = _load_algebra(data)
     X = _build_presheaf(algebra, args.levels)
+    try:
+        cb._check_budget(X, 1, args.levels, 1, _default_budget())
+    except BudgetError as exc:
+        raise BudgetError(f"--levels {args.levels}: {exc}") from exc
     report = ps.presheaf_to_json(X)
     config = {"command": "build", "input": args.input, "levels": args.levels,
               "seed": args.seed, "format": args.format}
@@ -332,22 +340,24 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    """Report a failure on one stderr line; a line break in the message,
+    say from an element label read from the input, is written as \\n."""
+    print(f"{kind}: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         # looked up at call time, so a rebound cmd_* takes effect
         return globals()[f"cmd_{args.command}"](args)
     except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("input error", exc, EXIT_INPUT)
     except (AxiomError, StrictnessError, CompositionError, DisjointnessError) as exc:
-        print(f"algebra/extraction error: {exc}", file=sys.stderr)
-        if isinstance(exc, StrictnessError) and exc.report is not None:
-            print(json.dumps(exc.report.as_dict(), sort_keys=True), file=sys.stderr)
-        return EXIT_ALGEBRA
+        return _fail("algebra/extraction error", exc, EXIT_ALGEBRA)
     except (TruncationError, BudgetError) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _fail("resource error", exc, EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

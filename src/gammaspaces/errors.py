@@ -34,10 +34,13 @@ class AxiomError(GammaError):
 
 
 class StrictnessError(GammaError):
-    """A strictness precondition failed; carries the checker report."""
+    """A strictness precondition failed; carries the checker report, whose
+    witness ends the message."""
 
     def __init__(self, message, report=None):
         self.report = report
+        if report is not None and report.witness is not None:
+            message += f" (witness: {report.witness})"
         super().__init__(message)
 
 

@@ -4,9 +4,10 @@ groups, Smith normal form, and induced maps on homology.
 Boundaries are held as sparse columns.  Homology groups come from a
 transform-free elimination: +-1 pivots are cleared first, cheapest
 Markowitz cost first (Kaczynski-Mrozek-Slusarek, "Homology computation by
-reduction of chain complexes", 1998), and what is left goes to a dense
-diagonal reduction (Dumas-Saunders-Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001).  Induced maps need
+reduction of chain complexes", 1998), and what is left goes to the dense
+Smith form below with no transforms kept (Dumas-Saunders-Villard, "On
+efficient sparse integer matrix Smith normal form computations", 2001),
+so one Smith routine gives every diagonal.  Induced maps need
 representative cycles, so `HomologyPresentation` runs two dense Smith
 forms per degree, each keeping only the transforms it reads: V and V^-1
 of the boundary give the cycle basis and coordinates in it, so the
@@ -22,7 +23,6 @@ lowest column, so output is deterministic for a fixed input.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 
 from .errors import TruncationError
@@ -344,7 +344,8 @@ def boundary_invariants(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
     of least Markowitz cost (row count - 1) * (column length - 1) goes
     first; its cost is rechecked when it is taken.  A row whose entries
     changed is queued again once the queue runs dry.  The residual, which
-    has no unit entry, goes to `_diagonal_factors`.
+    has no unit entry, goes to `smith_normal_form` without transforms, and
+    its diagonal is already in divisibility order.
     """
     cols: list[Column | None] = [dict(col) for col in columns if col]
     rows: dict[int, set[int]] = {}
@@ -401,43 +402,9 @@ def boundary_invariants(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
                         heapq.heappush(heap, (0, c, i))
     left = [col for col in cols if col]
     residual = [[col.get(r, 0) for col in left] for r in sorted(r for r in rows if rows[r])]
-    factors = _diagonal_factors(residual)
-    for i in range(len(factors)):  # (gcd, lcm) folding gives the divisibility chain
-        for k in range(i + 1, len(factors)):
-            g = math.gcd(factors[i], factors[k])
-            factors[i], factors[k] = g, factors[i] * factors[k] // g
+    d, = smith_normal_form(residual, ())
+    factors = [d[i][i] for i in range(min(len(d), len(left))) if d[i][i]]
     return units + len(factors), tuple(x for x in factors if x > 1)
-
-
-def _diagonal_factors(m: Matrix) -> list[int]:
-    """Absolute values of the nonzero entries of a diagonal form of m,
-    reached by row and column operations that are not recorded.  Each
-    round clears the row and column of a least nonzero entry by division
-    with remainder; a nonzero remainder is the next, smaller, pivot."""
-    m = [row for row in m if any(row)]
-    factors: list[int] = []
-    while m:
-        _, i, j = min((abs(x), i, j) for i, row in enumerate(m) for j, x in enumerate(row) if x)
-        pivot_row = m[i]
-        a = pivot_row[j]
-        for k, row in enumerate(m):
-            if k != i and row[j]:
-                q = row[j] // a
-                m[k] = [x - q * y for x, y in zip(row, pivot_row)]
-        for t, x in enumerate(pivot_row):
-            if t != j and x:
-                q = x // a
-                for row in m:
-                    row[t] -= q * row[j]
-        if any(row[j] for row in m if row is not pivot_row) or \
-                any(x for t, x in enumerate(pivot_row) if t != j):
-            continue
-        factors.append(abs(a))
-        del m[i]
-        for row in m:
-            del row[j]
-        m = [row for row in m if any(row)]
-    return factors
 
 
 def homology_groups(C: ChainComplex, top: int) -> list[HomologyGroup]:

@@ -227,11 +227,10 @@ def check_strict_bousfield(X, upto: int) -> CheckReport:
     return _check_strict(X, upto, "bousfield")
 
 
-def _segal_inverse(X, n: int):
-    """Inverse of the assembled Segal bijection at level n, as a dict from
-    tuples of level-1 indices to level-n elements."""
-    images = _assembled_map(X, n, "segal")
-    return {img: X.level(n)[i] for i, img in enumerate(images)}
+def _assembled_inverse(X, n: int, kind: str) -> dict:
+    """Inverse of the assembled Segal or Bousfield bijection at level n, as
+    a dict from tuples of level-1 indices to level-n positions."""
+    return {img: i for i, img in enumerate(_assembled_map(X, n, kind))}
 
 
 def extract_monoid(X) -> FinAbMonoid:
@@ -244,11 +243,11 @@ def extract_monoid(X) -> FinAbMonoid:
     if not report.passed:
         raise StrictnessError("presheaf is not strict up to level 2", report=report)
     carrier = list(X.level(1))
-    inverse = _segal_inverse(X, 2)
+    inverse = _assembled_inverse(X, 2, "segal")
     fold_table = X.action_table(X.fold(2))
     unit_idx = X.action_table(X.unit_inclusion())[0]
     size = len(carrier)
-    table = tuple(tuple(fold_table[X.index(2, inverse[(i, j)])] for j in range(size))
+    table = tuple(tuple(fold_table[inverse[(i, j)]] for j in range(size))
                   for i in range(size))
     monoid = FinAbMonoid(tuple(carrier), unit_idx, table)
     monoid.check()
@@ -273,8 +272,7 @@ def extract_g_monoid(X) -> GMonoid:
 def _difference_operation(X):
     """The binary map sending (a, b) to b*a^{-1} built from the second
     projection through the inverted Bousfield bijection at level 2."""
-    images = _assembled_map(X, 2, "bousfield")
-    inverse = {img: i for i, img in enumerate(images)}
+    inverse = _assembled_inverse(X, 2, "bousfield")
     proj2 = X.action_table(X.segal_component(2, 2))
     size = X.level_size(1)
 

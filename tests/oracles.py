@@ -9,15 +9,17 @@ bisimplicial bar and its diagonal check the direct iterated bar.  The
 suspension is rebuilt from its labels, and simplicial sets and maps given
 as dicts between simplices are converted to index tables here.  The
 unnormalized chain complex, an exact determinant and a Smith-form
-certificate check the homology layer, every presentation's group is
-checked against the sparse elimination, the Smith diagonal checks the
-elimination and the invariant factors that the expected-homology oracle
-finds without it, and
-wedge objects give the normalized pairs of the wedge-indexed category
-their concrete functions.
+certificate check the homology layer, and every presentation's group is
+checked against the sparse elimination.  The sparse elimination finishes
+with `smith_normal_form`, so it is also checked against invariant factors
+read off determinantal divisors, which share no code with it; the Smith
+diagonal checks the invariant factors that the expected-homology oracle
+finds without it.  Wedge objects give the normalized pairs of the
+wedge-indexed category their concrete functions.
 """
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
@@ -333,6 +335,26 @@ def determinant(a: Matrix) -> int:
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def determinantal_invariants(a: Matrix) -> list[int]:
+    """The nonzero invariant factors of a, from its determinantal divisors
+    and sharing no code with `smith_normal_form`: d_k is the gcd of the
+    k x k minors, each a `determinant`, and the k-th factor is
+    d_k / d_(k-1) for k up to the rank."""
+    rows, cols = len(a), len(a[0]) if a else 0
+    factors: list[int] = []
+    previous = 1
+    for k in range(1, min(rows, cols) + 1):
+        divisor = 0
+        for r in itertools.combinations(range(rows), k):
+            for c in itertools.combinations(range(cols), k):
+                divisor = math.gcd(divisor, determinant([[a[i][j] for j in c] for i in r]))
+        if not divisor:
+            break
+        factors.append(divisor // previous)
+        previous = divisor
+    return factors
 
 
 def snf_diagonal(a: Matrix) -> list[int]:

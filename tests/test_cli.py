@@ -1,5 +1,10 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import pathlib
 import resource
@@ -67,6 +72,46 @@ class TestBuild:
         bad.write_text(json.dumps({"elements": [0, 1]}))
         code, _, err = run(["build", "--input", str(bad)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("fixture, levels, message", [
+        ("klein", 30, "predicted 1537228672809129301 simplices"),
+        ("z2", 24, "predicted 33554431 simplices"),
+        # one label per level, of N entries
+        ("trivial", 5000, "predicted 10001628 label entries in one-element bar levels"),
+    ], ids=["klein_30", "z2_24", "trivial_5000"])
+    def test_levels_past_the_budget_exit_four_at_once(self, tmp_path, fixture, levels, message):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+
+        def cap_memory():  # a build that lists the levels fails fast instead
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "build", "--input",
+                               str(FIXTURES / f"{fixture}.json"), "--levels", str(levels)],
+                              capture_output=True, text=True, env=env, timeout=20,
+                              preexec_fn=cap_memory)
+        assert (proc.returncode, proc.stdout) == (4, "")
+        assert proc.stderr == (f"resource error: --levels {levels}: {message} "
+                               f"exceeds budget 10000000\n")
+
+    def test_budget_env_var_bounds_build(self, capsys, monkeypatch):
+        args = ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "3"]
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "15")  # 1 + 2 + 4 + 8 simplices
+        assert run(args, capsys)[0] == 0
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "14")
+        assert run(args, capsys) == \
+            (4, "", "resource error: --levels 3: predicted 15 simplices exceeds budget 14\n")
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "ten")
+        assert run(args, capsys) == \
+            (2, "", "input error: $GAMMASPACES_BUDGET must be an integer, got 'ten'\n")
+
+    def test_line_break_in_a_label_stays_on_one_line(self, tmp_path, capsys):
+        bad = tmp_path / "unit.json"
+        bad.write_text(json.dumps({"elements": ["x\ny", "b"], "unit": "x\ny",
+                                   "table": [["b", "b"], ["b", "b"]]}))
+        code, _, err = run(["build", "--input", str(bad)], capsys)
+        assert (code, err) == (3, "algebra/extraction error: axiom violated: unit "
+                                  "(witness: x\\ny)\n")
 
 
 class TestCheck:
@@ -164,6 +209,16 @@ class TestRoundtrip:
         code, _, err = run(["roundtrip", "--input", str(corrupted)], capsys)
         assert code == 3
         assert "not strict" in err
+
+    def test_strictness_failure_is_one_line_with_its_witness(self, tmp_path, capsys):
+        data = json.loads(build(tmp_path, "z3").read_text())
+        data["maps"]["2>1:0,1,0"] = data["maps"]["2>1:0,0,1"]
+        corrupted = tmp_path / "corrupted.json"
+        corrupted.write_text(json.dumps(data))
+        code, _, err = run(["roundtrip", "--input", str(corrupted)], capsys)
+        assert (code, err) == (3, "algebra/extraction error: presheaf is not strict up to "
+                                  "level 2 (witness: not injective at n=2: (0, 0) and (1, 0) "
+                                  "share image (0, 0))\n")
 
 
 # fixture to build, then the damage done to its presheaf file
@@ -264,6 +319,26 @@ class TestClassify:
         report = json.loads(out)
         assert report["delooping"]["homology"][1] == {"degree": 1, "rank": 0, "torsion": [3]}
         assert report["delooping"]["g_action_on_H"]["flip"][1] == [[2]]
+
+    def test_group_labels_that_are_json_lists(self, tmp_path, capsys):
+        # tuple labels written by FiniteGroup.to_json come out of json as lists
+        action = json.loads((FIXTURES / "z2_swap_on_klein.json").read_text())
+        group = alg.FiniteGroup(((0,), (1,)), ((0, 1), (1, 0)))
+        action["group"] = json.loads(json.dumps(group.to_json()))
+        assert action["group"]["elements"] == [[0], [1]]
+        source = tmp_path / "list_group.json"
+        source.write_text(json.dumps(action))
+        presheaf = tmp_path / "list_group_presheaf.json"
+        assert run(["build", "--input", str(source), "--out", str(presheaf)], capsys)[0] == 0
+        assert run(["roundtrip", "--input", str(source)], capsys)[0] == 0
+        code, out, _ = run(["classify", "--input", str(presheaf), "--dim", "3",
+                            "--homology", "2"], capsys)
+        assert code == 0
+        plain = build(tmp_path, "z2_swap_on_klein")
+        _, plain_out, _ = run(["classify", "--input", str(plain), "--dim", "3",
+                               "--homology", "2"], capsys)
+        action_on_h = json.loads(out)["delooping"]["g_action_on_H"]
+        assert action_on_h["(1,)"] == json.loads(plain_out)["delooping"]["g_action_on_H"]["1"]
 
     def test_evaluation_at_zero_is_point(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z3", levels=2)
@@ -398,8 +473,8 @@ class TestClassify:
         assert code == 2
 
     def test_budget_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "10")
         presheaf = build(tmp_path, "z4", levels=2)
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "10")
         code, _, err = run(["classify", "--input", str(presheaf), "--dim", "4",
                             "--homology", "2"], capsys)
         assert code == 4
@@ -529,3 +604,70 @@ class TestEmitter:
                          "--homology", "2", "--out", str(out)]) == 0
         text = out.read_text()
         assert text == reference_dumps(json.loads(text)) + "\n"
+
+
+# -- fuzzed inputs: every failure is an exit code in 0..4 with one stderr line
+
+FUZZ_FIXTURES = ("trivial", "z2", "z3", "max2", "z2_trivial_on_z2", "z2_inversion_on_z3")
+FUZZ_COMMANDS = (["build", "--levels", "2"], ["check"], ["check", "--bousfield"],
+                 ["roundtrip", "--levels", "2"], ["classify"])
+FUZZ_VALUES = (st.integers(-2, 4) | st.integers() | st.sampled_from([2 ** 64, -(10 ** 30)])
+               | st.booleans() | st.none() | st.floats() | st.text(max_size=3)
+               | st.lists(st.integers(-1, 3), max_size=3)
+               | st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=2))
+
+
+@functools.cache
+def fuzz_documents() -> tuple:
+    """Each small fixture as an algebra file and as a level-2 presheaf file."""
+    documents = []
+    for name in FUZZ_FIXTURES:
+        algebra = json.loads((FIXTURES / f"{name}.json").read_text())
+        presheaf = cli._build_presheaf(cli._load_algebra(algebra), 2)
+        documents += [algebra, ps.presheaf_to_json(presheaf)]
+    return tuple(documents)
+
+
+def json_paths(node, prefix=()):
+    """The path of every node of a JSON tree, the root's included."""
+    yield prefix
+    children = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from json_paths(child, prefix + (key,))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestFuzzedInputs:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_failures_keep_the_contract(self, fuzz_dir, data):
+        doc = copy.deepcopy(data.draw(st.sampled_from(fuzz_documents())))
+        mutation = data.draw(st.sampled_from(["replace", "copy", "delete", "truncate"]))
+        if mutation == "truncate":
+            text = json.dumps(doc)
+            text = text[:data.draw(st.integers(0, len(text) - 1))]
+        else:
+            paths = list(json_paths(doc))
+            *parent_path, key = data.draw(st.sampled_from(paths[1:]))
+            parent = functools.reduce(operator.getitem, parent_path, doc)
+            if mutation == "delete":
+                del parent[key]
+            elif mutation == "copy":  # say, one stored table over another
+                other = data.draw(st.sampled_from(paths))
+                parent[key] = copy.deepcopy(functools.reduce(operator.getitem, other, doc))
+            else:
+                parent[key] = data.draw(FUZZ_VALUES)
+            text = json.dumps(doc)
+        source = fuzz_dir / "input.json"
+        source.write_text(text)
+        command, *bounds = data.draw(st.sampled_from(FUZZ_COMMANDS))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main([command, "--input", str(source), *bounds])  # raising is a traceback
+        assert code in range(5)
+        assert len(err.getvalue().splitlines()) <= 1

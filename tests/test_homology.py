@@ -10,9 +10,9 @@ from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import TruncationError
 from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_complex,
-                     em_two_cocycle_space, full_chain_complex, map_from_label_maps,
-                     nerve_of_monoid, presentation_group, snf_diagonal, sparse_columns,
-                     verify_snf)
+                     determinantal_invariants, em_two_cocycle_space, full_chain_complex,
+                     map_from_label_maps, nerve_of_monoid, presentation_group, snf_diagonal,
+                     sparse_columns, verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -242,6 +242,15 @@ class TestSparseElimination:
         cols, a = shaped
         assert hm.boundary_invariants(sparse_columns(a, cols)) == dense_invariants(a)
 
+    @pytest.mark.parametrize("values", [entries, unitless], ids=["entries", "unitless"])
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_agrees_with_determinantal_divisors(self, values, data):
+        cols, a = data.draw(shaped_matrices(values, most=4))
+        factors = determinantal_invariants(a)
+        assert hm.boundary_invariants(sparse_columns(a, cols)) == \
+            (len(factors), tuple(x for x in factors if x > 1))
+
     @settings(max_examples=100)
     @given(shaped_matrices(entries, most=4), st.integers(0, 4), st.integers(0, 4))
     def test_zero_rows_and_columns_change_nothing(self, shaped, i, j):
@@ -257,7 +266,7 @@ class TestSparseElimination:
         assert hm.boundary_invariants([{}, {}, {}]) == (0, ())
 
     def test_residual_needs_the_divisibility_chain(self):
-        # no unit entry: the diagonal reduction finds 2 and 3, folded to 1 and 6
+        # no unit entry: the residual's Smith form turns diag(2, 3) into diag(1, 6)
         assert hm.boundary_invariants(sparse_columns([[2, 0], [0, 3]], 2)) == (2, (6,))
         assert hm.boundary_invariants(sparse_columns([[4, 6], [6, 4]], 2)) == (2, (2, 10))
 

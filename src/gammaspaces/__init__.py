@@ -12,10 +12,9 @@ from .algebra import (FinAbGroup, FinAbMonoid, FiniteGroup, GMonoid, cyclic,
 from .classifying import (BarSpace, DeloopingReport, StructureMapResult, bar,
                           delooping_report, expected_em_homology,
                           g_action_on_bar, iterate_bar, structure_map)
-from .gammacat import (DeltaMap, GammaMap, GammaOpMap, SmashObject,
-                       bousfield_family, compose, delta_to_gamma, fold_map,
-                       from_power_set_form, identity, segal_family, smash,
-                       smash_morphisms, to_power_set_form)
+from .gammacat import (DeltaMap, GammaMap, GammaOpMap, bousfield_family,
+                       compose, delta_to_gamma, fold_map, from_power_set_form,
+                       identity, segal_family, smash_morphisms)
 from .ggamma import GGammaMap, diag_inclusion
 from .homology import (ChainComplex, HomologyGroup, InducedMap,
                        induced_map_on_homology, normalized_chain_complex,

@@ -271,6 +271,22 @@ class GMonoid:
         return gm
 
 
+def from_json(data) -> FinAbMonoid | GMonoid:
+    """The algebra of an action file, or of a monoid file, read as a group
+    when it lists inverses or its table has them."""
+    if not isinstance(data, dict):
+        raise InputError("an algebra must be a JSON object")
+    if {"group", "monoid", "action"} <= set(data):
+        return GMonoid.from_json(data)
+    if {"elements", "unit", "table"} <= set(data):
+        monoid = FinAbMonoid.from_json(data)
+        if "inverse" in data or monoid.is_group():
+            monoid = FinAbGroup(monoid.elements, monoid.unit, monoid.table)
+            monoid.check()  # listed inverses must exist
+        return monoid
+    raise InputError("input is neither a monoid/group file nor an action file")
+
+
 def trivial_action(monoid: FinAbMonoid, group: FiniteGroup | None = None) -> GMonoid:
     group = group or trivial_group()
     action = tuple(tuple(range(monoid.size)) for _ in range(group.size))

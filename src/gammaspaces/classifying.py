@@ -8,7 +8,8 @@ object, all simplicial structure maps acting through the interval functor
 in every smash factor at once.  For k = 1 and a monoid-built presheaf this
 is literally the nerve of the monoid.  `iterate_bar` builds one
 `BarSpace`, its level objects computed by `_check_budget` alone, and
-`delooping_report` and `structure_map` both read it.
+`delooping_report` and `structure_map` both read it.  A report computes
+each homology group once, from the presentations when there is a group.
 """
 
 from __future__ import annotations
@@ -102,8 +103,7 @@ def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> 
             f"truncation is {X.N}", required=objects[-1])
 
     def tables(op_fn, p):
-        return [X.action_table(X.lift(gc.smash_morphisms(gc.smash_power(op_fn(p, i), k),
-                                                         gc.identity(n))))
+        return [X.action_table(X.lift(gc.smash_morphisms(*[op_fn(p, i)] * k, gc.identity(n))))
                 for i in range(p + 1)]
 
     levels = [X.level(m) for m in objects]
@@ -339,15 +339,17 @@ def delooping_report(B: BarSpace, maxdeg: int) -> DeloopingReport:
     """Homology of the bar B through degree maxdeg, with the induced
     action of every group element and, when the presheaf came from a
     group, a comparison against the expected pattern of its delooping.
-    Degree maxdeg needs B.d > maxdeg.  The groups come from the sparse
-    boundaries; only a bar with a group builds presentations, whose
-    representative cycles the induced maps need."""
+    Degree maxdeg needs B.d > maxdeg.  A bar without a group takes its
+    groups from the sparse boundaries.  A bar with a group builds a
+    presentation per degree, whose representative cycles the induced maps
+    need, and reads each group off it."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
-    groups = homology_groups(chain, maxdeg)
-
     g_action: dict = {}
-    if B.group is not None:
+    if B.group is None:
+        groups = homology_groups(chain, maxdeg)
+    else:
         presentations = [HomologyPresentation(chain, q) for q in range(maxdeg + 1)]
+        groups = [pres.group() for pres in presentations]
         for g in range(B.group.size):
             label = str(B.group.elements[g])
             action_map = g_action_on_bar(B, g)

@@ -51,25 +51,18 @@ def _default_budget() -> int:
 
 
 def _load_json(path: str) -> tuple[dict, str]:
-    """The parsed file and the sha256 of its bytes, read once.  The bytes
-    must be strict UTF-8; a byte-order mark is a JSON error."""
+    """The parsed file, which must hold a JSON object, and the sha256 of its
+    bytes, read once.  The bytes must be strict UTF-8; a byte-order mark is
+    a JSON error."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
+        data = json.loads(raw.decode("utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_algebra(data: dict):
-    if {"group", "monoid", "action"} <= set(data):
-        return alg.GMonoid.from_json(data)
-    if {"elements", "unit", "table"} <= set(data):
-        monoid = alg.FinAbMonoid.from_json(data)
-        if "inverse" in data or monoid.is_group():
-            return alg.FinAbGroup(monoid.elements, monoid.unit, monoid.table)
-        return monoid
-    raise InputError("input is neither a monoid/group file nor an action file")
+    if not isinstance(data, dict):
+        raise InputError(f"{path} does not hold a JSON object")
+    return data, hashlib.sha256(raw).hexdigest()
 
 
 def _build_presheaf(algebra, N: int):
@@ -172,7 +165,7 @@ def _require_positive(**bounds) -> None:
 def cmd_build(args) -> int:
     _require_positive(levels=args.levels)
     data, digest = _load_json(args.input)
-    algebra = _load_algebra(data)
+    algebra = alg.from_json(data)
     X = _build_presheaf(algebra, args.levels)
     try:
         cb._check_budget(X, 1, args.levels, 1, _default_budget())
@@ -233,7 +226,7 @@ def cmd_roundtrip(args) -> int:
         if reference is None:
             raise InputError("presheaf file carries no source algebra to compare against")
     else:
-        reference = _load_algebra(data)
+        reference = alg.from_json(data)
         _require_positive(levels=args.levels)
         X = _build_presheaf(reference, args.levels)
     result = _roundtrip(X, reference)
@@ -274,7 +267,8 @@ def cmd_classify(args) -> int:
     # at the zero object every level is the point, whatever the iteration count
     k = args.iterate if args.at else 1
     objects = cb._check_budget(stored, k, args.dim, args.at, budget)
-    X = _build_presheaf(stored.algebra, max(objects[-1], stored.N))
+    # a built presheaf has level 1 at least; the point report reads level 0 only
+    X = _build_presheaf(stored.algebra, max(objects[-1], stored.N, 1))
     _verify_stored_tables(data, X)
     B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
 

@@ -1,6 +1,7 @@
 """Combinatorial models of the finite pointed-map category, its power-set
 presentation, and the ordinal category, together with the generating
-morphism families used by the Segal and Bousfield conditions.
+morphism families used by the Segal and Bousfield conditions and the smash
+of any number of pointed maps.
 
 Objects of the pointed-map category are the sets {0, ..., n} with basepoint
 0; a morphism m -> n is any function preserving 0, stored as its value
@@ -143,15 +144,9 @@ def compose_gamma(psi: GammaMap, theta: GammaMap) -> GammaMap:
     return GammaMap(theta.source, psi.target, images)
 
 
-def to_power_set_form(f: GammaOpMap) -> GammaMap:
-    """Preimage assignment of a pointed map; reverses the arrow."""
-    images = tuple(frozenset(j for j in range(1, f.source + 1) if f.values[j] == i)
-                   for i in range(1, f.target + 1))
-    return GammaMap(f.target, f.source, images)
-
-
 def from_power_set_form(theta: GammaMap) -> GammaOpMap:
-    """Inverse of to_power_set_form; valid because images are disjoint."""
+    """The pointed map whose preimages are the images of theta; valid
+    because images are disjoint.  Reverses the arrow."""
     values = [0] * (theta.target + 1)
     for i in range(1, theta.source + 1):
         for j in theta.image(i):
@@ -212,13 +207,6 @@ def edge(n: int, k: int) -> DeltaMap:
     return DeltaMap(1, n, (k, k + 1))
 
 
-def edge_from_zero(n: int, k: int) -> DeltaMap:
-    """[1] -> [n] picking the edge from vertex 0 to vertex k+1, 0 <= k < n."""
-    if not 0 <= k < n:
-        raise ValueError(f"edge index {k} outside 0..{n - 1}")
-    return DeltaMap(1, n, (0, k + 1))
-
-
 def delta_to_gamma(f: DeltaMap) -> GammaMap:
     """The interval functor: i is assigned {j | f(i-1) < j <= f(i)}.
 
@@ -241,52 +229,14 @@ def degeneracy_gamma_op(p: int, i: int) -> GammaOpMap:
     return from_power_set_form(delta_to_gamma(codegeneracy(p, i)))
 
 
-@dataclass(frozen=True)
-class SmashObject:
-    """Smash of pointed sets of sizes m and n: mn nonzero elements plus
-    basepoint, paired row-major."""
-
-    factors: tuple[int, int]
-
-    @property
-    def size(self) -> int:
-        return self.factors[0] * self.factors[1]
-
-    def index(self, i: int, j: int) -> int:
-        """Row-major position of the nonzero pair (i, j); 0 if either is 0."""
-        m, n = self.factors
-        if i == 0 or j == 0:
-            return 0
-        if not (1 <= i <= m and 1 <= j <= n):
-            raise ValueError(f"pair ({i}, {j}) outside {self.factors}")
-        return (i - 1) * n + j
-
-    def unindex(self, k: int) -> tuple[int, int]:
-        m, n = self.factors
-        if not 1 <= k <= m * n:
-            raise ValueError(f"index {k} outside 1..{m * n}")
-        return (k - 1) // n + 1, (k - 1) % n + 1
-
-
-def smash(m: int, n: int) -> SmashObject:
-    return SmashObject((m, n))
-
-
-def smash_morphisms(f: GammaOpMap, g: GammaOpMap) -> GammaOpMap:
-    """Smash of morphisms: (i, j) -> (f(i), g(j)), collapsing to the
-    basepoint when either coordinate lands on it."""
-    src = smash(f.source, g.source)
-    tgt = smash(f.target, g.target)
-    values = [0] * (src.size + 1)
-    for k in range(1, src.size + 1):
-        i, j = src.unindex(k)
-        values[k] = tgt.index(f.values[i], g.values[j])
-    return GammaOpMap(src.size, tgt.size, tuple(values))
-
-
-def smash_power(f: GammaOpMap, k: int) -> GammaOpMap:
-    """Left-associated k-fold smash of f with itself; k = 0 gives identity(1)."""
-    result = identity(1)
-    for _ in range(k):
-        result = smash_morphisms(result, f)
-    return result
+def smash_morphisms(*maps: GammaOpMap) -> GammaOpMap:
+    """Smash of any number of morphisms.  The nonzero elements of a smash
+    are tuples of nonzero elements, one per factor, paired row-major with
+    the first factor varying slowest; a tuple goes to the tuple of its
+    images, or to the basepoint when some image is.  No factors give
+    identity(1)."""
+    values, target = [0, 1], 1
+    for f in maps:
+        values = [0] + [v and w and (v - 1) * f.target + w for v in values[1:] for w in f.values[1:]]
+        target *= f.target
+    return GammaOpMap(len(values) - 1, target, tuple(values))

@@ -13,7 +13,9 @@ forms per degree, each keeping only the transforms it reads: V and V^-1
 of the boundary give the cycle basis and coordinates in it, so the
 relations and every induced map are read off V^-1 with no solve, and U
 and U^-1 of the relations give the canonical coordinates and their
-representative cycles.
+representative cycles.  Invariant factors are unique, so a presentation's
+group is the one the elimination finds; a report with induced maps reads
+its groups off the presentations and runs no elimination.
 
 All arithmetic is exact (Python integers).  Smith reduction pivots on the
 minimal-absolute-value nonzero entry, ties broken by lowest row then

@@ -25,6 +25,7 @@ import itertools
 import json
 from dataclasses import dataclass
 
+from . import algebra as alg
 from . import gammacat as gc
 from . import ggamma as gg
 from .algebra import FinAbGroup, FinAbMonoid, FiniteGroup, GMonoid
@@ -350,6 +351,7 @@ def presheaf_to_json(X) -> dict:
         "maps": maps,
         "digests": {key: _digest(table) for key, table in sorted(maps.items())},
     }
+    # algebra_kind is read by nothing; it stays so that build reports keep their bytes
     if X.group is not None:
         data["group"] = X.group.to_json()
         if isinstance(X.algebra, GMonoid):
@@ -418,7 +420,9 @@ def presheaf_from_json(data: dict):
     X = TruncatedGammaSet(N, levels.__getitem__, table_fn, group=stored_group)
     X.table_backed = True
     if "algebra" in data:
-        X.algebra = _algebra_from_json(data)
+        X.algebra = alg.from_json(data["algebra"])
+        if isinstance(X.algebra, GMonoid) != (kind == "ggamma"):
+            raise InputError(f"a {kind} presheaf file carries the algebra of the other kind")
     return X
 
 
@@ -434,13 +438,3 @@ def _morphism_from_key(key: str, group: FiniteGroup | None):
         return gc.GammaOpMap.from_key(key)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad morphism key {key!r}: {exc}") from exc
-
-
-def _algebra_from_json(data: dict):
-    kind = data.get("algebra_kind", "monoid")
-    if kind == "gmonoid":
-        return GMonoid.from_json(data["algebra"])
-    if kind == "group":
-        monoid = FinAbMonoid.from_json(data["algebra"])
-        return FinAbGroup(monoid.elements, monoid.unit, monoid.table)
-    return FinAbMonoid.from_json(data["algebra"])

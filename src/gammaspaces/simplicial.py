@@ -215,26 +215,12 @@ class SimplicialMap:
                    for p, table in enumerate(self.tables))
 
 
-def identity_map(X: TruncatedSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, X, [list(range(len(level))) for level in X.levels])
-
-
-def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
-    if f.target is not g.source and f.target.levels != g.source.levels:
-        raise ValueError("maps not composable")
-    return SimplicialMap(f.source, g.target, list(map(composite, g.tables, f.tables)))
-
-
 def point(d: int) -> TruncatedSimplicialSet:
     """One simplex per level, everything degenerate."""
     return TruncatedSimplicialSet(d, [["*"] for _ in range(d + 1)],
                                   [[[0] for _ in range(p + 1)] if p else [] for p in range(d + 1)],
                                   [[[0] for _ in range(p + 1)] if p < d else []
                                    for p in range(d + 1)])
-
-
-def constant_map_to_point(X: TruncatedSimplicialSet) -> SimplicialMap:
-    return SimplicialMap(X, point(X.d), [[0] * len(level) for level in X.levels])
 
 
 def suspension(points, base, d: int) -> TruncatedSimplicialSet:

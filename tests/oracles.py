@@ -15,7 +15,9 @@ with `smith_normal_form`, so it is also checked against invariant factors
 read off determinantal divisors, which share no code with it; the Smith
 diagonal checks the invariant factors that the expected-homology oracle
 finds without it.  Wedge objects give the normalized pairs of the
-wedge-indexed category their concrete functions.
+wedge-indexed category their concrete functions.  The category-axiom tests
+build the preimage form of a pointed map, the edges from vertex zero and
+identity, composite and constant simplicial maps here.
 """
 
 import itertools
@@ -24,11 +26,12 @@ from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
 from gammaspaces.errors import TruncationError
+from gammaspaces.gammacat import DeltaMap, GammaMap, GammaOpMap
 from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
                                   homology_groups, mat_mul, normalized_chain_complex,
                                   smith_normal_form, zeros)
 from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
-                                    ValidationReport, validate)
+                                    ValidationReport, composite, point, validate)
 
 
 def from_label_maps(d: int, levels: list[list], faces: list[list[dict]],
@@ -425,3 +428,31 @@ def wedge_apply(a, x):
 def wedge_action_table(a) -> tuple:
     """Image of every source element in order; the concrete-function view."""
     return tuple(wedge_apply(a, x) for x in wedge_object(a.source, a.group).elements)
+
+
+def to_power_set_form(f: GammaOpMap) -> GammaMap:
+    """Preimage assignment of a pointed map; reverses the arrow."""
+    images = tuple(frozenset(j for j in range(1, f.source + 1) if f.values[j] == i)
+                   for i in range(1, f.target + 1))
+    return GammaMap(f.target, f.source, images)
+
+
+def edge_from_zero(n: int, k: int) -> DeltaMap:
+    """[1] -> [n] picking the edge from vertex 0 to vertex k+1, 0 <= k < n."""
+    if not 0 <= k < n:
+        raise ValueError(f"edge index {k} outside 0..{n - 1}")
+    return DeltaMap(1, n, (0, k + 1))
+
+
+def identity_map(X: TruncatedSimplicialSet) -> SimplicialMap:
+    return SimplicialMap(X, X, [list(range(len(level))) for level in X.levels])
+
+
+def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
+    if f.target is not g.source and f.target.levels != g.source.levels:
+        raise ValueError("maps not composable")
+    return SimplicialMap(f.source, g.target, list(map(composite, g.tables, f.tables)))
+
+
+def constant_map_to_point(X: TruncatedSimplicialSet) -> SimplicialMap:
+    return SimplicialMap(X, point(X.d), [[0] * len(level) for level in X.levels])

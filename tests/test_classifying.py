@@ -6,11 +6,12 @@ import pytest
 
 from gammaspaces import algebra as alg
 from gammaspaces import classifying as cb
+from gammaspaces import homology as hm
 from gammaspaces import presheaves as ps
 from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup, HomologyPresentation
-from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, diagonal,
+from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, compose_maps, diagonal,
                      em_two_homology, map_from_label_maps, nerve_of_monoid, snf_diagonal)
 
 Z2 = alg.cyclic(2)
@@ -107,7 +108,7 @@ class TestGActionOnBar:
         A = alg.swap_action()
         B = cb.bar(ps.build_ggamma_set(A, 2), 1, 2)
         act = cb.g_action_on_bar(B, 1)
-        square = ss.compose_maps(act, act)
+        square = compose_maps(act, act)
         assert all(square.apply(p, x) == x for p in range(3) for x in B.space.levels[p])
 
     @pytest.mark.parametrize("name", ACTION_FIXTURES)
@@ -129,7 +130,7 @@ class TestGActionOnBar:
         acts = [cb.g_action_on_bar(B, g) for g in range(2)]
         for g in range(2):
             for h in range(2):
-                composite = ss.compose_maps(acts[g], acts[h])
+                composite = compose_maps(acts[g], acts[h])
                 expected = acts[A.group.table[g][h]]
                 assert composite.tables == expected.tables
 
@@ -386,13 +387,18 @@ class TestDeloopingReports:
     @pytest.mark.parametrize("algebra, built", [
         (KLEIN, 0), (alg.swap_action(), 3)], ids=["klein", "swap_on_klein"])
     def test_presentations_only_for_induced_maps(self, monkeypatch, algebra, built):
-        # groups come from the sparse boundaries; only a group action needs cycles
-        presentations = []
+        # a plain report takes its groups from the sparse boundaries; only a
+        # group action needs cycles, and its presentations give the groups
+        presentations, eliminations = [], []
         monkeypatch.setattr(cb, "HomologyPresentation",
                             lambda C, q: presentations.append(q) or HomologyPresentation(C, q))
+        eliminate = hm.boundary_invariants
+        monkeypatch.setattr(hm, "boundary_invariants",
+                            lambda columns: eliminations.append(len(columns)) or eliminate(columns))
         build = ps.build_ggamma_set if built else ps.build_gamma_set
         report = cb.delooping_report(cb.bar(build(algebra, 3), 1, 3), 2)
         assert presentations == list(range(built))
+        assert len(eliminations) == (0 if built else 3)
         assert report.homology[1] == HomologyGroup(0, (2, 2))
 
     def test_monoid_report_has_no_oracle(self):

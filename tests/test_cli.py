@@ -67,6 +67,15 @@ class TestBuild:
         code, _, err = run(["build", "--input", str(bad)], capsys)
         assert code == 2
 
+    def test_listed_inverses_need_a_group_table(self, tmp_path, capsys):
+        # a monoid file that lists inverses is read as a group, and checked as one
+        bad = tmp_path / "max2_with_inverses.json"
+        bad.write_text(json.dumps({**json.loads((FIXTURES / "max2.json").read_text()),
+                                   "inverse": [0, 1]}))
+        code, out, err = run(["build", "--input", str(bad)], capsys)
+        assert (code, out) == (3, "")
+        assert err == "algebra/extraction error: axiom violated: inverse (witness: 1)\n"
+
     def test_missing_keys_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "partial.json"
         bad.write_text(json.dumps({"elements": [0, 1]}))
@@ -232,6 +241,10 @@ PRESHEAF_DEFECTS = {
         {"2>1:0,1,0": [bool(v) for v in data["maps"]["2>1:0,1,0"]]})),
     "n_not_integer": ("z2", lambda data: data.__setitem__("N", str(data["N"]))),
     "maps_not_object": ("z2", lambda data: data.__setitem__("maps", list(data["maps"].values()))),
+    "algebra_not_object": ("z2", lambda data: data.__setitem__("algebra", 0)),
+    # the action's monoid in place of the action: a plain algebra on a ggamma file
+    "algebra_of_other_kind": ("z2_inversion_on_z3",
+                              lambda data: data.__setitem__("algebra", data["algebra"]["monoid"])),
 }
 
 
@@ -281,6 +294,20 @@ class TestUndecodableInput:
         assert code == 0
         digest = hashlib.sha256(presheaf.read_bytes()).hexdigest()
         assert json.loads(out)["meta"]["inputs"] == {str(presheaf): digest}
+
+
+class TestNonObjectInput:
+    @pytest.mark.parametrize("command", ["build", "check", "roundtrip", "classify"])
+    @pytest.mark.parametrize("root", ["[[1]]", "5", '"x"'], ids=["list", "number", "string"])
+    def test_exits_two_with_one_line(self, tmp_path, command, root):
+        source = tmp_path / "root.json"
+        source.write_text(root)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", command,
+                               "--input", str(source)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr == f"input error: {source} does not hold a JSON object\n"
 
 
 class TestClassify:
@@ -348,6 +375,17 @@ class TestClassify:
         report = json.loads(out)
         assert report["evaluation_at_zero"]["is_point"] is True
 
+    def test_point_report_of_a_level_zero_file(self, tmp_path, capsys):
+        # a file cut down to level 0: the rebuilt presheaf still needs level 1
+        presheaf = build(tmp_path, "z2", levels=1)
+        data = json.loads(presheaf.read_text())
+        data.update(N=0, levels=data["levels"][:1], maps={})
+        presheaf.write_text(json.dumps(data))
+        code, out, err = run(["classify", "--input", str(presheaf), "--at", "0",
+                              "--dim", "2"], capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["evaluation_at_zero"] == {"is_point": True, "levels": [1, 1, 1]}
+
     def test_budget_exits_four(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z4", levels=2)
         code, _, err = run(["classify", "--input", str(presheaf), "--dim", "4",
@@ -391,6 +429,7 @@ class TestClassify:
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"resource error: {message} exceeds budget 10000000\n"
 
+    @pytest.mark.slow
     def test_second_delooping_of_z2_through_degree_three(self, tmp_path):
         # the 63,577-column boundary out of degree 4 under a 3 GB address space
         presheaf = build(tmp_path, "z2", levels=2)
@@ -410,6 +449,7 @@ class TestClassify:
         assert deloop["homology"][3] == {"degree": 3, "rank": 0, "torsion": []}
         assert [c["match"] for c in deloop["oracle_comparisons"]] == [True] * 4
 
+    @pytest.mark.slow
     def test_equivariant_second_delooping_of_z3(self, tmp_path):
         # nondegenerate ranks 1, 2, 76, 19448: the degree-2 relations are 74 x 19,448,
         # diagonalized without their 19,448^2 V, under a 1.5 GB address space
@@ -623,7 +663,7 @@ def fuzz_documents() -> tuple:
     documents = []
     for name in FUZZ_FIXTURES:
         algebra = json.loads((FIXTURES / f"{name}.json").read_text())
-        presheaf = cli._build_presheaf(cli._load_algebra(algebra), 2)
+        presheaf = cli._build_presheaf(alg.from_json(algebra), 2)
         documents += [algebra, ps.presheaf_to_json(presheaf)]
     return tuple(documents)
 
@@ -653,15 +693,22 @@ class TestFuzzedInputs:
             text = text[:data.draw(st.integers(0, len(text) - 1))]
         else:
             paths = list(json_paths(doc))
-            *parent_path, key = data.draw(st.sampled_from(paths[1:]))
-            parent = functools.reduce(operator.getitem, parent_path, doc)
-            if mutation == "delete":
-                del parent[key]
-            elif mutation == "copy":  # say, one stored table over another
+            # any node, the root too, may be replaced, say by a list; the root is never deleted
+            path = data.draw(st.sampled_from(paths[1:] if mutation == "delete" else paths))
+            if mutation == "copy":  # say, one stored table over another
                 other = data.draw(st.sampled_from(paths))
-                parent[key] = copy.deepcopy(functools.reduce(operator.getitem, other, doc))
+                value = copy.deepcopy(functools.reduce(operator.getitem, other, doc))
+            elif mutation == "replace":
+                value = data.draw(FUZZ_VALUES)
+            if not path:
+                doc = value
             else:
-                parent[key] = data.draw(FUZZ_VALUES)
+                *parent_path, key = path
+                parent = functools.reduce(operator.getitem, parent_path, doc)
+                if mutation == "delete":
+                    del parent[key]
+                else:
+                    parent[key] = value
             text = json.dumps(doc)
         source = fuzz_dir / "input.json"
         source.write_text(text)

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from gammaspaces.errors import CompositionError, DisjointnessError
 from gammaspaces import gammacat as gc
+from oracles import edge_from_zero, to_power_set_form
 
 
 def gamma_op_maps(max_size=4):
@@ -95,7 +96,7 @@ class TestSegalAndBousfieldFamilies:
         # dual route: the k-th member must be the image of the k-1st edge from zero
         fam = gc.bousfield_family(n)
         for k in range(1, n + 1):
-            via_delta = gc.from_power_set_form(gc.delta_to_gamma(gc.edge_from_zero(n, k - 1)))
+            via_delta = gc.from_power_set_form(gc.delta_to_gamma(edge_from_zero(n, k - 1)))
             assert fam[k - 1] == via_delta
 
     def test_fold_map_tables(self):
@@ -111,11 +112,11 @@ class TestSegalAndBousfieldFamilies:
 
 class TestPowerSetForm:
     def test_identity_has_singleton_images(self):
-        theta = gc.to_power_set_form(gc.identity(2))
+        theta = to_power_set_form(gc.identity(2))
         assert theta.images == (frozenset({1}), frozenset({2}))
 
     def test_projection_preimage(self):
-        theta = gc.to_power_set_form(gc.segal_family(2)[0])
+        theta = to_power_set_form(gc.segal_family(2)[0])
         assert theta.source == 1 and theta.target == 2
         assert theta.image(1) == frozenset({1})
 
@@ -127,7 +128,7 @@ class TestPowerSetForm:
     def test_mutually_inverse_exhaustive(self, m, n):
         seen = set()
         for f in gc.enumerate_maps(m, n):
-            theta = gc.to_power_set_form(f)
+            theta = to_power_set_form(f)
             assert gc.from_power_set_form(theta) == f
             seen.add(theta)
         # to_power_set_form is injective onto the disjoint-assignment set
@@ -160,7 +161,7 @@ class TestDeltaToGamma:
             assert gc.from_power_set_form(img) == gc.segal_family(n)[k - 1]
 
     def test_edge_from_zero_interval(self):
-        theta = gc.delta_to_gamma(gc.edge_from_zero(2, 1))
+        theta = gc.delta_to_gamma(edge_from_zero(2, 1))
         assert theta.image(1) == frozenset({1, 2})
 
     @given(st.data())
@@ -185,19 +186,27 @@ class TestDeltaToGamma:
 
 
 class TestSmash:
-    def test_sizes(self):
-        assert gc.smash(2, 3).size == 6
-        assert gc.smash(0, 5).size == 0
+    def test_no_factors_is_identity_of_one(self):
+        assert gc.smash_morphisms() == gc.identity(1)
 
-    def test_pairing_bijective(self):
-        obj = gc.smash(3, 4)
-        seen = {obj.index(i, j) for i in range(1, 4) for j in range(1, 5)}
-        assert seen == set(range(1, 13))
-        for k in range(1, 13):
-            assert obj.index(*obj.unindex(k)) == k
+    @given(gamma_op_maps())
+    def test_one_factor_is_itself(self, f):
+        assert gc.smash_morphisms(f) == f
 
     def test_identity_smash(self):
         assert gc.smash_morphisms(gc.identity(2), gc.identity(3)) == gc.identity(6)
+
+    @given(gamma_op_maps(3), gamma_op_maps(3), gamma_op_maps(3))
+    def test_three_factors_nest(self, f, g, h):
+        smash = gc.smash_morphisms(f, g, h)
+        assert smash == gc.smash_morphisms(gc.smash_morphisms(f, g), h)
+        assert smash == gc.smash_morphisms(f, gc.smash_morphisms(g, h))
+
+    def test_pairs_row_major_first_factor_slowest(self):
+        # the element (i, j) of the smash of 2 and 3 sits at (i - 1) * 3 + j
+        f = gc.GammaOpMap(2, 2, (0, 2, 0))
+        g = gc.GammaOpMap(3, 3, (0, 3, 1, 2))
+        assert gc.smash_morphisms(f, g).values == (0, 6, 4, 5, 0, 0, 0)
 
     @given(st.data())
     def test_functorial(self, data):
@@ -213,9 +222,11 @@ class TestSmash:
         assert lhs == rhs
 
     def test_smash_power_unfolds(self):
+        # the bar's k-fold smash of a face map with the identity of the n-wedge
         f = gc.GammaOpMap(2, 1, (0, 1, 0))
-        assert gc.smash_power(f, 1) == f
-        assert gc.smash_power(f, 2) == gc.smash_morphisms(f, f)
+        assert gc.smash_morphisms(*[f] * 2, gc.identity(3)) == \
+            gc.smash_morphisms(gc.smash_morphisms(f, f), gc.identity(3))
+        assert gc.smash_morphisms(*[f] * 2, gc.identity(1)).values == (0, 1, 0, 0, 0)
 
 
 class TestSimplicialOperatorImages:

@@ -6,7 +6,9 @@ values were recorded from the plain and equivariant presheaf code before the
 two presheaf classes were merged, so a refactor of the presheaf, bar or CLI
 layers has to leave every report byte for byte as it was.  The classify
 shapes of the benchmark were recorded from the dense Smith-form homology
-before the groups moved to sparse elimination.
+before the groups moved to sparse elimination, and the equivariant shapes
+from the sparse elimination, before a report with a group read its groups
+off its presentations.
 """
 
 import hashlib
@@ -57,6 +59,15 @@ CLASSIFY_SHAPES = {
         "29aa028dde04549662256f54d6b2d396fb89bb4a375e4a20616d8905de02d7df",
     ("z2_swap_on_klein", "--dim 5 --homology 4"):
         "3cb28d5d23daea6a565cc95a57cc152577d8e527bdec5dc9742241a5fb91c7bd",
+    # equivariant reports, whose groups are read off the presentations
+    ("z2_inversion_on_z3", "--dim 5 --homology 4"):
+        "e18433e1f6bad12fc0427997d2f0eb6abeb26841f60450aab729d4f62e3f886e",
+    ("z2_inversion_on_z3", "--iterate 2 --dim 3 --homology 1"):
+        "2ab8909828a5c6b6043b9f004d907e95b487f642ed0dba5af102080d3e6f3fa5",
+    ("z2_trivial_on_z2", "--dim 5 --homology 4"):
+        "de9d425477349d735eb0f9545b51bae57f95fe7d6adc7daddfab280e75939a70",
+    ("z2_trivial_on_z2", "--iterate 2 --dim 3 --homology 1"):
+        "85133da6b2838a9bd0a1879d9a307dcbc20bb0749fee31f36dfa230016efe32c",
 }
 
 

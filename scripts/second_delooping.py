@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """The stretch computation: homology of the twice-iterated classifying
 space of the order-2 group at simplicial dimension 4, checked against the
-expected pattern.  Takes a simplex budget as an optional argument."""
+expected pattern.  Takes a simplex budget as an optional argument, and
+prints the elapsed time and the process's peak resident set size."""
 
 import pathlib
+import resource
 import sys
 import time
 
@@ -21,7 +23,8 @@ def main():
     start = time.time()
     report = cb.delooping_report(cb.iterate_bar(X, 2, 4, budget=budget), 2)
     elapsed = time.time() - start
-    print(f"levels: {report.levels}  ({elapsed:.1f}s)")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024  # kilobytes on Linux
+    print(f"levels: {report.levels}  ({elapsed:.1f}s, peak RSS {peak_mb:.1f} MB)")
     for q, h in enumerate(report.homology):
         expected = report.expected[q]
         mark = "" if expected is None else ("  ok" if report.matches[q] else "  MISMATCH")

@@ -167,8 +167,13 @@ def cmd_build(args) -> int:
     data, digest = _load_json(args.input)
     algebra = alg.from_json(data)
     X = _build_presheaf(algebra, args.levels)
+    budget = _default_budget()
     try:
-        cb._check_budget(X, 1, args.levels, 1, _default_budget())
+        cb._check_budget(X, 1, args.levels, 1, budget)
+        # the report lists every label, so its entries are held at once
+        entries = sum(n * X.level_size(n) for n in range(args.levels + 1))
+        if entries > budget:
+            raise BudgetError(f"predicted {entries} label entries exceeds budget {budget}")
     except BudgetError as exc:
         raise BudgetError(f"--levels {args.levels}: {exc}") from exc
     report = ps.presheaf_to_json(X)

@@ -9,9 +9,11 @@ are the diagonal copies of pointed maps; a plain presheaf has no group
 and acts by pointed maps themselves, so its morphism keys stay plain.
 
 Levels and morphism actions are tabulated lazily and memoized, since the
-number of morphisms grows as (target+1)**source.  An action is an integer
-index table: entry i is the position in the target level of the image of
-the i-th source element.  The tables of a monoid-built presheaf are
+number of morphisms grows as (target+1)**source.  A monoid-built level is
+decoded on demand: it holds its size and n, not its size**n tuples, and a
+label is built only when read.  An action is an integer index table:
+entry i is the position in the target level of the image of the i-th
+source element.  The tables of a monoid-built presheaf are
 computed by mixed-radix arithmetic over the lexicographic level order,
 never one element at a time.  A built presheaf is immutable once its memo
 tables are populated; populate before sharing across threads or confine
@@ -23,6 +25,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import algebra as alg
@@ -46,14 +50,14 @@ class TruncatedGammaSet:
         self.N = N
         self._level_fn = level_fn
         self._table_fn = table_fn
-        self._levels: dict[int, list] = {}
+        self._levels: dict[int, Sequence] = {}
         self._index: dict[int, dict] = {}
         self._tables: dict[str, list[int]] = {}
         self.algebra = algebra  # provenance: the generating algebra, if any
         self.group = group  # None for a plain presheaf, keeping plain morphism keys
         self.table_backed = False  # True when only stored tables can act
 
-    def level(self, n: int) -> list:
+    def level(self, n: int) -> Sequence:
         if n > self.N:
             raise TruncationError(f"level {n} beyond truncation {self.N}", required=n)
         if n not in self._levels:
@@ -145,10 +149,39 @@ def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
     return images
 
 
+class TupleLevel(Sequence):
+    """The n-tuples over range(size) in lexicographic order, decoded on
+    demand: the tuple at position k holds the digits of k in radix size."""
+
+    def __init__(self, size: int, n: int):
+        if n < 0:
+            raise ValueError("repeat argument cannot be negative")
+        self.size, self.n, self._positions = size, n, range(size ** n)
+
+    def __len__(self) -> int:
+        return len(self._positions)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in self._positions[k]]
+        k, digits = self._positions[k], [0] * self.n  # range gives list indexing
+        for i in reversed(range(self.n)):
+            k, digits[i] = divmod(k, self.size)
+        return tuple(digits)
+
+    def __iter__(self):
+        return itertools.product(range(self.size), repeat=self.n)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+
 def _tuple_levels(M: FinAbMonoid):
     """Level n of a monoid-built presheaf: the n-tuples of element indices
-    in lexicographic order."""
-    return lambda n: list(itertools.product(range(M.size), repeat=n))
+    in lexicographic order, never materialized."""
+    return lambda n: TupleLevel(M.size, n)
 
 
 def build_gamma_set(M: FinAbMonoid, N: int) -> TruncatedGammaSet:

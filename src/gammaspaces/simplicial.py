@@ -1,12 +1,13 @@
 """Truncated simplicial sets with tabulated faces and degeneracies,
 simplicial maps, skeletons, and the reduced suspension of a pointed set.
 
-Level sets are ordered lists of hashable simplices.  Faces, degeneracies
-and the levels of a simplicial map are integer index tables: entry k of a
-table is the position, in the target level, of the image of the k-th
-simplex.  Labels are read only by the label views (``face``,
-``degeneracy``, ``apply``) and to name witnesses.  Everything is finite and
-immutable once constructed, so values can be shared freely.
+Level sets are ordered sequences of hashable simplices: lists, or levels
+that decode their simplices on demand.  Faces, degeneracies and the levels
+of a simplicial map are integer index tables: entry k of a table is the
+position, in the target level, of the image of the k-th simplex.  Labels
+are read only by the label views (``face``, ``degeneracy``, ``apply``) and
+to name witnesses.  Everything is finite and immutable once constructed,
+so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -28,13 +29,13 @@ class ValidationReport:
 class TruncatedSimplicialSet:
     """Simplicial set truncated at dimension d.
 
-    levels[p] lists the p-simplices; faces[p][i] is the index table of the
-    i-th face out of level p for 1 <= p <= d, 0 <= i <= p; degeneracies[p][i]
-    is the index table of the i-th degeneracy out of level p for
-    0 <= p < d, 0 <= i <= p.
+    levels[p] is the sequence of p-simplices, listed or decoded on demand;
+    faces[p][i] is the index table of the i-th face out of level p for
+    1 <= p <= d, 0 <= i <= p; degeneracies[p][i] is the index table of the
+    i-th degeneracy out of level p for 0 <= p < d, 0 <= i <= p.
     """
 
-    def __init__(self, d: int, levels: list[list], faces: list[list[list[int]]],
+    def __init__(self, d: int, levels: list, faces: list[list[list[int]]],
                  degeneracies: list[list[list[int]]]):
         self.d = d
         self.levels = levels
@@ -43,7 +44,7 @@ class TruncatedSimplicialSet:
         self._index: list[dict | None] = [None] * (d + 1)
         self._degenerate: list[bytearray | None] = [None] * (d + 1)
 
-    def level(self, p: int) -> list:
+    def level(self, p: int):
         return self.levels[p]
 
     def positions(self, p: int) -> dict:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import pathlib
+import tracemalloc
 
 import pytest
 
@@ -268,6 +269,27 @@ class TestIterateBar:
 
         with pytest.raises(StrictnessError, match=r"failed validation: d_i s_j = id at"):
             cb.iterate_bar(ps.TruncatedGammaSet(3, X.level, broken), 1, 3)
+
+    def test_witness_names_a_label_of_a_decoded_level(self):
+        B = cb.iterate_bar(ps.build_gamma_set(Z2, 16), 2, 4)
+        face = B.space.faces[4][0]  # out of bar level 4, presheaf level 16
+        face[40000] = (face[40000] + 1) % len(B.space.levels[3])
+        report = ss.validate(B.space)
+        assert (report.violation, report.witness) == (
+            "d_i d_j = d_{j-1} d_i", (4, 0, 1, (1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)))
+
+    def test_levels_are_not_materialized(self):
+        tracemalloc.start()
+        try:
+            ps.build_gamma_set(Z2, 16).level(16)  # 65,536 16-tuples, 11.6 MB as a list
+            level_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            cb.iterate_bar(ps.build_gamma_set(Z2, 16), 2, 4)  # 20.0 MB with listed levels
+            bar_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert level_peak < 4096
+        assert bar_peak < 12 * 2 ** 20
 
     def test_twice_at_zero_is_point(self):
         X = ps.build_gamma_set(Z2, 4)

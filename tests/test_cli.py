@@ -87,7 +87,9 @@ class TestBuild:
         ("z2", 24, "predicted 33554431 simplices"),
         # one label per level, of N entries
         ("trivial", 5000, "predicted 10001628 label entries in one-element bar levels"),
-    ], ids=["klein_30", "z2_24", "trivial_5000"])
+        # 5,592,405 simplices fit; their labels hold sum n * 4**n entries
+        ("klein", 11, "predicted 59652324 label entries"),
+    ], ids=["klein_30", "z2_24", "trivial_5000", "klein_11"])
     def test_levels_past_the_budget_exit_four_at_once(self, tmp_path, fixture, levels, message):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
         env.pop(cli.DEFAULT_BUDGET_ENV, None)
@@ -105,8 +107,12 @@ class TestBuild:
 
     def test_budget_env_var_bounds_build(self, capsys, monkeypatch):
         args = ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "3"]
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "15")  # 1 + 2 + 4 + 8 simplices
+        # 1 + 2 + 4 + 8 simplices, labels of 0 + 2 + 8 + 24 entries
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "34")
         assert run(args, capsys)[0] == 0
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "33")
+        assert run(args, capsys) == \
+            (4, "", "resource error: --levels 3: predicted 34 label entries exceeds budget 33\n")
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "14")
         assert run(args, capsys) == \
             (4, "", "resource error: --levels 3: predicted 15 simplices exceeds budget 14\n")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -76,6 +77,39 @@ class TestBuildGammaSet:
             X.level(3)
         with pytest.raises(TruncationError):
             X.act(gc.fold_map(3), (0, 0, 0))
+
+
+class TestTupleLevel:
+    """A monoid-built level is decoded on demand and reads as the list of
+    tuples it stands for."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 6))
+    def test_reads_as_the_list_of_tuples(self, size, n):
+        level = ps.TupleLevel(size, n)
+        expected = list(itertools.product(range(size), repeat=n))
+        assert list(level) == expected
+        assert len(level) == len(expected)
+        assert [level[k] for k in range(-len(expected), len(expected))] == expected + expected
+        for k in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                level[k]
+        assert level == expected and expected == level
+        assert level != expected[:-1] and expected[:-1] != level
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 6), st.data())
+    def test_slices_as_a_list(self, size, n, data):
+        level = ps.TupleLevel(size, n)
+        expected = list(itertools.product(range(size), repeat=n))
+        bound = st.none() | st.integers(-len(expected) - 2, len(expected) + 2)
+        step = st.none() | st.integers(-5, 5).filter(bool)
+        cut = slice(data.draw(bound), data.draw(bound), data.draw(step))
+        assert level[cut] == expected[cut]
+
+    def test_negative_level_raises(self):
+        with pytest.raises(ValueError):
+            ps.build_gamma_set(Z2, 3).level(-1)
 
 
 class TestActionTables:

@@ -15,9 +15,10 @@ label is built only when read.  An action is an integer index table:
 entry i is the position in the target level of the image of the i-th
 source element.  The tables of a monoid-built presheaf are
 computed by mixed-radix arithmetic over the lexicographic level order,
-never one element at a time.  A built presheaf is immutable once its memo
-tables are populated; populate before sharing across threads or confine
-population to one owner.
+never one element at a time; a large one is an outer sum of the tables
+of blocks of source positions that no fibre crosses.  A built presheaf is
+immutable once its memo tables are populated; populate before sharing
+across threads or confine population to one owner.
 """
 
 from __future__ import annotations
@@ -119,22 +120,55 @@ class TruncatedGammaSet:
 TruncatedGGammaSet = TruncatedGammaSet
 
 
+# tables of more entries than this are laid out as outer sums of block tables
+_WALK_ENTRIES = 4096
+# a block is cut at its last fibre-closed position before it outgrows this many tuples
+_BLOCK_TUPLES = 256
+
+
 def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
     """Index table of the action of f on tuples of elements of M: entry j
     of the image is the product of row[x_i] over the i with f(i) = j,
     the unit when there is none.
 
     Levels list tuples in lexicographic order, so a tuple's index has the
-    digit x_i at weight s**(n-i).  Walking the source positions in order
-    widens the list of image indices by a factor s per position, the new
-    digit running fastest; a position updates the digit f(i) of every
-    image through the multiplication table.
+    digit x_i at weight s**(n-i).  A table of at most _WALK_ENTRIES entries
+    is one digit walk over all source positions (see _digit_walk).  A
+    larger one cuts the positions into consecutive blocks that no fibre of
+    f crosses, walks each block from the all-unit image, and lays the
+    table out block by block, the last block fastest.  Blocks write
+    disjoint target digits, so their changes to the all-unit image add
+    without carries.
     """
     s, t = M.size, f.target
     weights = [s ** (t - j) for j in range(t + 1)]
-    images = [M.unit * sum(weights[1:])]  # the all-unit tuple
+    unit = M.unit * sum(weights[1:])  # the all-unit tuple
+    if s ** f.source <= _WALK_ENTRIES:
+        return _digit_walk(M, row, f.values[1:], weights, unit)
+    tables = [_digit_walk(M, row, block, weights, unit)
+              for block in _fibre_closed_blocks(f.values, s)]
+    out = tables[-1]
+    for table in reversed(tables[:-1]):
+        tail, out = out, []
+        for image in table:
+            step = image - unit
+            out += map(operator.add, tail, itertools.repeat(step)) if step else tail
+    return out
+
+
+def _digit_walk(M: FinAbMonoid, row, values, weights: list[int], start: int) -> list[int]:
+    """Image indices of the tuples over a run of source positions, values
+    listing their images (0 for the basepoint).  Every image starts from
+    the index start, in which each digit that values writes holds the unit.
+
+    Walking the positions in order widens the list of image indices by a
+    factor s per position, the new digit running fastest; a position
+    updates the digit f(i) of every image through the multiplication table.
+    """
+    s = M.size
+    images = [start]
     written: set[int] = set()
-    for j in f.values[1:]:
+    for j in values:
         if not j:
             images = [y for y in images for _ in range(s)]
             continue
@@ -147,6 +181,25 @@ def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
             steps = moves[M.unit]
             images = [y + step for y in images for step in steps]
     return images
+
+
+def _fibre_closed_blocks(values, s: int) -> list:
+    """The images values[1:] of the source positions of a pointed map with
+    the given values, cut into consecutive blocks that no fibre crosses.  A block ends at the last
+    position closing every fibre it meets before it outgrows _BLOCK_TUPLES
+    tuples, or at the first such position when even that outgrows them."""
+    last = {j: i for i, j in enumerate(values) if j}
+    blocks, start, cut, reach = [], 1, 0, 0
+    for i in range(1, len(values)):
+        reach = max(reach, last.get(values[i], 0))
+        if reach > i:
+            continue
+        if cut >= start and s ** (i - start + 1) > _BLOCK_TUPLES:
+            blocks.append(values[start:cut + 1])
+            start = cut + 1
+        cut = i
+    blocks.append(values[start:cut + 1])
+    return blocks
 
 
 class TupleLevel(Sequence):

@@ -7,7 +7,9 @@ space is the classical normalized-cocycle model.  Presheaf actions are
 recomputed one element at a time from the Cayley table, and the explicit
 bisimplicial bar and its diagonal check the direct iterated bar.  The
 suspension is rebuilt from its labels, and simplicial sets and maps given
-as dicts between simplices are converted to index tables here.  The
+as dicts between simplices are converted to index tables here.
+`pairwise_validate` compares the two sides of every simplicial identity
+table by table, the check `validate` packs level by level.  The
 unnormalized chain complex, an exact determinant and a Smith-form
 certificate check the homology layer, and every presentation's group is
 checked against the sparse elimination.  The sparse elimination finishes
@@ -216,19 +218,20 @@ def em_two_homology(A, q: int) -> HomologyGroup:
 def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
     """Action table of a pointed map f on tuples of elements of M, one
     element at a time: relabel every entry through the group row, sum the
-    entries over each preimage starting from the unit, and look the image
-    tuple up in the lexicographic list of the target level."""
-    source = list(itertools.product(range(M.size), repeat=f.source))
-    target = {y: k for k, y in
-              enumerate(itertools.product(range(M.size), repeat=f.target))}
+    entries over each preimage starting from the unit, and read the image
+    tuple's position in the lexicographic target level as the numeral in
+    base M.size whose digits are its entries, first entry leading."""
     table = []
-    for x in source:
+    for x in itertools.product(range(M.size), repeat=f.source):
         out = [M.unit] * f.target
         for i in range(1, f.source + 1):
             j = f.values[i]
             if j:
                 out[j - 1] = M.mul(out[j - 1], row[x[i - 1]])
-        table.append(target[tuple(out)])
+        position = 0
+        for digit in out:
+            position = position * M.size + digit
+        table.append(position)
     return table
 
 
@@ -456,3 +459,44 @@ def compose_maps(g: SimplicialMap, f: SimplicialMap) -> SimplicialMap:
 
 def constant_map_to_point(X: TruncatedSimplicialSet) -> SimplicialMap:
     return SimplicialMap(X, point(X.d), [[0] * len(level) for level in X.levels])
+
+
+def pairwise_validate(X: TruncatedSimplicialSet) -> ValidationReport:
+    """The first violated simplicial identity of X, in the order and with
+    the names `validate` uses, each identity compared as two whole
+    composite tables.  Every structure map must be total and in range;
+    `validate` checks that before any identity."""
+    F, S = X.faces, X.degeneracies
+
+    def comp(a, b):
+        return [a[k] for k in b]
+
+    def identities():
+        for p in range(2, X.d + 1):
+            for j in range(1, p + 1):
+                for i in range(j):
+                    yield ("d_i d_j = d_{j-1} d_i", p, i, j,
+                           comp(F[p - 1][i], F[p][j]), comp(F[p - 1][j - 1], F[p][i]))
+        for p in range(X.d - 1):
+            for j in range(p + 1):
+                for i in range(j + 1):
+                    yield ("s_i s_j = s_{j+1} s_i", p, i, j,
+                           comp(S[p + 1][i], S[p][j]), comp(S[p + 1][j + 1], S[p][i]))
+        for p in range(X.d):
+            for j in range(p + 1):
+                for i in range(p + 2):
+                    lhs = comp(F[p + 1][i], S[p][j])
+                    if i == j or i == j + 1:
+                        yield "d_i s_j = id", p, i, j, lhs, list(range(len(X.levels[p])))
+                    elif i < j:
+                        yield ("d_i s_j = s_{j-1} d_i", p, i, j,
+                               lhs, comp(S[p - 1][j - 1], F[p][i]))
+                    else:
+                        yield ("d_i s_j = s_j d_{i-1}", p, i, j,
+                               lhs, comp(S[p - 1][j], F[p][i - 1]))
+
+    for name, p, i, j, lhs, rhs in identities():
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
+            return ValidationReport(False, name, (p, i, j, X.levels[p][k]))
+    return ValidationReport(True)

@@ -129,6 +129,68 @@ class TestActionTables:
         assert X.action_table(a) == summed_preimage_table(A.monoid, A.action[a.g], f)
 
 
+def random_map(rng, m: int) -> gc.GammaOpMap:
+    n = rng.randint(1, m)
+    return gc.GammaOpMap(m, n, (0, *(rng.randint(0, n) for _ in range(m))))
+
+
+def bar_smash_maps(op, p: int):
+    """The maps behind the tables of op out of level p of a twice-delooped bar."""
+    return [gc.smash_morphisms(op(p, i), op(p, i), gc.identity(1)) for i in range(p + 1)]
+
+
+class TestBlockTables:
+    """Tables over more than 4,096 entries are outer sums of block tables;
+    they must match the per-element oracle."""
+
+    @pytest.mark.parametrize("m", range(13, 17))
+    def test_random_z2_maps(self, m):
+        rng = random.Random(m)
+        unit_last = alg.FinAbGroup((0, 1), 1, ((1, 0), (0, 1)))  # the all-unit tuple is not 0
+        for M in (Z2, unit_last):
+            for f in (random_map(rng, m), random_map(rng, m)):
+                assert ps.build_gamma_set(M, m).action_table(f) == \
+                    summed_preimage_table(M, range(2), f)
+
+    @pytest.mark.parametrize("m", (7, 8))
+    def test_random_klein_maps_with_identity_and_relabelling_rows(self, m):
+        rng, A = random.Random(m), alg.swap_action()
+        for f in (random_map(rng, m), random_map(rng, m)):
+            assert ps.build_gamma_set(KLEIN, m).action_table(f) == \
+                summed_preimage_table(KLEIN, range(4), f)
+            for g in range(A.group.size):
+                assert ps.build_ggamma_set(A, m).action_table(gg.GGammaMap(f, g, A.group)) == \
+                    summed_preimage_table(KLEIN, A.action[g], f)
+
+    def test_bar_faces_out_of_level_four(self):
+        X = ps.build_gamma_set(Z2, 16)
+        for f in bar_smash_maps(gc.face_gamma_op, 4):
+            assert X.action_table(f) == summed_preimage_table(Z2, range(2), f)
+
+    def test_bar_degeneracies_out_of_level_four(self):
+        # an outer and an inner one; level 25 is never listed
+        X = ps.build_gamma_set(Z2, 25)
+        for f in [bar_smash_maps(gc.degeneracy_gamma_op, 4)[i] for i in (0, 2)]:
+            assert X.action_table(f) == summed_preimage_table(Z2, range(2), f)
+
+    @pytest.mark.parametrize("m", range(13, 17))
+    def test_blocks_end_at_the_last_closed_position_that_fits(self, m):
+        rng = random.Random(m)
+        for f in [random_map(rng, m) for _ in range(20)] + bar_smash_maps(gc.face_gamma_op, 4):
+            v = f.values
+            # c is closed when no fibre met by positions 1..c has a position after c
+            closed = [c for c in range(1, f.source + 1)
+                      if not {j for j in v[1:c + 1] if j} & set(v[c + 1:])]
+            blocks = ps._fibre_closed_blocks(v, 2)
+            assert [j for block in blocks for j in block] == list(v[1:])
+            ends = list(itertools.accumulate(map(len, blocks)))
+            for start, end in zip([1] + [e + 1 for e in ends], ends):
+                assert end in closed
+                assert 2 ** (end - start + 1) <= 256 or end == min(c for c in closed if c >= start)
+                later = [c for c in closed if c > end]
+                assert not later or 2 ** (later[0] - start + 1) > 256
+
+
 class TestBuildGGammaSet:
     def test_group_element_acts_on_level_one(self):
         A = alg.inversion_action(Z3)

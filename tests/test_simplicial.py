@@ -1,7 +1,14 @@
+import random
+
+import pytest
+
+from gammaspaces import classifying as cb
+from gammaspaces import presheaves as ps
 from gammaspaces import simplicial as ss
-from gammaspaces.algebra import cyclic, max_monoid
+from gammaspaces.algebra import cyclic, klein_four, max_monoid, trivial_monoid
 from oracles import (TruncatedBisimplicialSet, compose_maps, constant_map_to_point, diagonal,
-                     identity_map, label_suspension, map_from_label_maps, nerve_of_monoid)
+                     identity_map, label_suspension, map_from_label_maps, nerve_of_monoid,
+                     pairwise_validate)
 
 
 class TestValidate:
@@ -52,6 +59,72 @@ class TestValidate:
 
     def test_suspension_passes(self):
         assert ss.validate(ss.suspension([0, 1, 2], 0, 3)).ok
+
+
+@pytest.fixture(scope="module")
+def z2_twice():
+    """The Z/2 k=2 d=4 bar, sizes 1, 2, 16, 512, 65536: every level of
+    at least 2 is p(p+1) times the level below, so each is packed."""
+    return cb.iterate_bar(ps.build_gamma_set(cyclic(2), 16), 2, 4).space
+
+
+@pytest.fixture(scope="module")
+def klein_once():
+    """The Klein four k=1 d=5 bar, sizes 4**p: no level is p(p+1) times
+    the level below, so each is compared table by table."""
+    return cb.iterate_bar(ps.build_gamma_set(klein_four(), 5), 1, 5).space
+
+
+def with_fresh_faces(X, p):
+    """X with copies of the face tables out of level p, free to corrupt."""
+    faces = [[list(t) for t in tables] if q == p else tables for q, tables in enumerate(X.faces)]
+    return ss.TruncatedSimplicialSet(X.d, X.levels, faces, X.degeneracies)
+
+
+class TestPackedFaceCheck:
+    """validate packs the face identities of a large level into one pass;
+    its reports must be those of the table-by-table oracle."""
+
+    @pytest.mark.parametrize("name, packed", [("z2_twice", [2, 3, 4]), ("klein_once", [])])
+    def test_size_rule_picks_the_packed_levels(self, request, monkeypatch, name, packed):
+        X, seen, faces_commute = request.getfixturevalue(name), [], ss._faces_commute
+        monkeypatch.setattr(ss, "_faces_commute", lambda X, p: seen.append(p) or faces_commute(X, p))
+        assert ss.validate(X) == pairwise_validate(X) == ss.ValidationReport(True)
+        assert seen == packed
+
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_moved_entry_reports_as_the_oracle(self, request, name, seed):
+        X, rng = request.getfixturevalue(name), random.Random(seed)
+        for p in (X.d, X.d - 1):
+            Y = with_fresh_faces(X, p)
+            table = rng.choice(Y.faces[p])
+            k = rng.randrange(len(table))
+            table[k] = rng.choice([y for y in range(len(X.levels[p - 1])) if y != table[k]])
+            report = ss.validate(Y)
+            assert not report.ok
+            assert report == pairwise_validate(Y)
+
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_swapped_entries_report_as_the_oracle(self, request, name, seed):
+        # a swap keeps the entries of the table, only their positions change
+        X, rng = request.getfixturevalue(name), random.Random(100 + seed)
+        for p in (X.d, X.d - 1):
+            Y = with_fresh_faces(X, p)
+            table = rng.choice(Y.faces[p])
+            k = rng.randrange(len(table))
+            m = rng.choice([m for m, y in enumerate(table) if y != table[k]])
+            table[k], table[m] = table[m], table[k]
+            report = ss.validate(Y)
+            assert not report.ok
+            assert report == pairwise_validate(Y)
+
+    def test_one_element_levels_pack_with_radix_one(self):
+        X = cb.iterate_bar(ps.build_gamma_set(trivial_monoid(), 16), 2, 4).space
+        assert X.level_sizes() == [1] * 5
+        assert all(ss._faces_commute(X, p) for p in range(2, 5))
+        assert ss.validate(X) == pairwise_validate(X) == ss.ValidationReport(True)
 
 
 class TestSuspension:

@@ -15,10 +15,11 @@ label is built only when read.  An action is an integer index table:
 entry i is the position in the target level of the image of the i-th
 source element.  The tables of a monoid-built presheaf are
 computed by mixed-radix arithmetic over the lexicographic level order,
-never one element at a time; a large one is an outer sum of the tables
-of blocks of source positions that no fibre crosses.  A built presheaf is
-immutable once its memo tables are populated; populate before sharing
-across threads or confine population to one owner.
+never one element at a time, as an outer sum of the tables of blocks of
+source positions that no fibre crosses (one block for a small table).
+A built presheaf is immutable once its memo tables are populated;
+populate before sharing across threads or confine population to one
+owner.
 """
 
 from __future__ import annotations
@@ -120,10 +121,9 @@ class TruncatedGammaSet:
 TruncatedGGammaSet = TruncatedGammaSet
 
 
-# tables of more entries than this are laid out as outer sums of block tables
-_WALK_ENTRIES = 4096
-# a block is cut at its last fibre-closed position before it outgrows this many tuples
-_BLOCK_TUPLES = 256
+# a block takes the most source positions that keep it within this many tuples;
+# on the benchmark's tables 64 timed faster than 128, 256 or one walk per table
+_BLOCK_TUPLES = 64
 
 
 def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
@@ -132,25 +132,23 @@ def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
     the unit when there is none.
 
     Levels list tuples in lexicographic order, so a tuple's index has the
-    digit x_i at weight s**(n-i).  A table of at most _WALK_ENTRIES entries
-    is one digit walk over all source positions (see _digit_walk).  A
-    larger one cuts the positions into consecutive blocks that no fibre of
-    f crosses, walks each block from the all-unit image, and lays the
-    table out block by block, the last block fastest.  Blocks write
-    disjoint target digits, so their changes to the all-unit image add
-    without carries.
+    digit x_i at weight s**(n-i).  The source positions are cut into
+    consecutive blocks that no fibre of f crosses (see _fibre_closed_blocks;
+    one block when the table has at most _BLOCK_TUPLES entries).  Each
+    block is one digit walk from the all-unit image (see _digit_walk), and
+    the table is laid out block by block, the last block fastest: one
+    `map` over the table so far for each image of an earlier block.  Blocks
+    write disjoint target digits, so their changes to the all-unit image
+    add without carries.
     """
     s, t = M.size, f.target
     weights = [s ** (t - j) for j in range(t + 1)]
     unit = M.unit * sum(weights[1:])  # the all-unit tuple
-    if s ** f.source <= _WALK_ENTRIES:
-        return _digit_walk(M, row, f.values[1:], weights, unit)
-    tables = [_digit_walk(M, row, block, weights, unit)
-              for block in _fibre_closed_blocks(f.values, s)]
-    out = tables[-1]
-    for table in reversed(tables[:-1]):
+    *blocks, last = _fibre_closed_blocks(f.values, s)
+    out = _digit_walk(M, row, last, weights, unit)
+    for block in reversed(blocks):
         tail, out = out, []
-        for image in table:
+        for image in _digit_walk(M, row, block, weights, unit):
             step = image - unit
             out += map(operator.add, tail, itertools.repeat(step)) if step else tail
     return out
@@ -185,21 +183,31 @@ def _digit_walk(M: FinAbMonoid, row, values, weights: list[int], start: int) -> 
 
 def _fibre_closed_blocks(values, s: int) -> list:
     """The images values[1:] of the source positions of a pointed map with
-    the given values, cut into consecutive blocks that no fibre crosses.  A block ends at the last
-    position closing every fibre it meets before it outgrows _BLOCK_TUPLES
-    tuples, or at the first such position when even that outgrows them."""
+    the given values, cut into consecutive blocks that no fibre crosses.
+
+    Blocks are cut from the end.  Each ends where the next one starts and
+    begins right after the earliest closed position (one that no fibre
+    crosses) that keeps it within _BLOCK_TUPLES tuples, or right after the
+    latest closed position when none does.  The layout maps once per image
+    of the blocks before the last, so a last block that fills _BLOCK_TUPLES
+    keeps those maps few.
+    """
+    if s ** (len(values) - 1) <= _BLOCK_TUPLES:
+        return [values[1:]]
     last = {j: i for i, j in enumerate(values) if j}
-    blocks, start, cut, reach = [], 1, 0, 0
+    closed, reach = [0], 0
     for i in range(1, len(values)):
         reach = max(reach, last.get(values[i], 0))
-        if reach > i:
-            continue
-        if cut >= start and s ** (i - start + 1) > _BLOCK_TUPLES:
-            blocks.append(values[start:cut + 1])
-            start = cut + 1
-        cut = i
-    blocks.append(values[start:cut + 1])
-    return blocks
+        if reach <= i:
+            closed.append(i)
+    blocks, end = [], closed.pop()
+    while closed:
+        start = closed.pop()
+        while closed and s ** (end - closed[-1]) <= _BLOCK_TUPLES:
+            start = closed.pop()
+        blocks.append(values[start + 1:end + 1])
+        end = start
+    return blocks[::-1]
 
 
 class TupleLevel(Sequence):

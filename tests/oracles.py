@@ -22,6 +22,7 @@ build the preimage form of a pointed map, the edges from vertex zero and
 identity, composite and constant simplicial maps here.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -215,12 +216,25 @@ def em_two_homology(A, q: int) -> HomologyGroup:
     return presentation_group(normalized_chain_complex(space), q)
 
 
+# the largest target level summed_preimage_table lists to look images up in
+LISTED_TARGET = 2 ** 16
+
+
 def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
     """Action table of a pointed map f on tuples of elements of M, one
     element at a time: relabel every entry through the group row, sum the
-    entries over each preimage starting from the unit, and read the image
-    tuple's position in the lexicographic target level as the numeral in
-    base M.size whose digits are its entries, first entry leading."""
+    entries over each preimage starting from the unit, and look the image
+    tuple up in the lexicographic list of the target level.  A target level
+    of more than LISTED_TARGET tuples is not listed; there the image's
+    position is read as the numeral in base M.size whose digits are its
+    entries, first entry leading."""
+    if M.size ** f.target <= LISTED_TARGET:
+        target = {y: k for k, y in
+                  enumerate(itertools.product(range(M.size), repeat=f.target))}
+        position = target.__getitem__
+    else:
+        def position(y):
+            return functools.reduce(lambda k, digit: k * M.size + digit, y, 0)
     table = []
     for x in itertools.product(range(M.size), repeat=f.source):
         out = [M.unit] * f.target
@@ -228,10 +242,7 @@ def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
             j = f.values[i]
             if j:
                 out[j - 1] = M.mul(out[j - 1], row[x[i - 1]])
-        position = 0
-        for digit in out:
-            position = position * M.size + digit
-        table.append(position)
+        table.append(position(tuple(out)))
     return table
 
 

@@ -140,10 +140,10 @@ def bar_smash_maps(op, p: int):
 
 
 class TestBlockTables:
-    """Tables over more than 4,096 entries are outer sums of block tables;
-    they must match the per-element oracle."""
+    """Tables over more than ps._BLOCK_TUPLES entries are outer sums of
+    block tables; they must match the per-element oracle."""
 
-    @pytest.mark.parametrize("m", range(13, 17))
+    @pytest.mark.parametrize("m", range(9, 17))
     def test_random_z2_maps(self, m):
         rng = random.Random(m)
         unit_last = alg.FinAbGroup((0, 1), 1, ((1, 0), (0, 1)))  # the all-unit tuple is not 0
@@ -152,7 +152,7 @@ class TestBlockTables:
                 assert ps.build_gamma_set(M, m).action_table(f) == \
                     summed_preimage_table(M, range(2), f)
 
-    @pytest.mark.parametrize("m", (7, 8))
+    @pytest.mark.parametrize("m", range(5, 9))
     def test_random_klein_maps_with_identity_and_relabelling_rows(self, m):
         rng, A = random.Random(m), alg.swap_action()
         for f in (random_map(rng, m), random_map(rng, m)):
@@ -173,22 +173,29 @@ class TestBlockTables:
         for f in [bar_smash_maps(gc.degeneracy_gamma_op, 4)[i] for i in (0, 2)]:
             assert X.action_table(f) == summed_preimage_table(Z2, range(2), f)
 
-    @pytest.mark.parametrize("m", range(13, 17))
-    def test_blocks_end_at_the_last_closed_position_that_fits(self, m):
-        rng = random.Random(m)
-        for f in [random_map(rng, m) for _ in range(20)] + bar_smash_maps(gc.face_gamma_op, 4):
-            v = f.values
-            # c is closed when no fibre met by positions 1..c has a position after c
-            closed = [c for c in range(1, f.source + 1)
-                      if not {j for j in v[1:c + 1] if j} & set(v[c + 1:])]
-            blocks = ps._fibre_closed_blocks(v, 2)
-            assert [j for block in blocks for j in block] == list(v[1:])
-            ends = list(itertools.accumulate(map(len, blocks)))
-            for start, end in zip([1] + [e + 1 for e in ends], ends):
-                assert end in closed
-                assert 2 ** (end - start + 1) <= 256 or end == min(c for c in closed if c >= start)
-                later = [c for c in closed if c > end]
-                assert not later or 2 ** (later[0] - start + 1) > 256
+    @pytest.mark.parametrize("m", range(5, 17))
+    def test_blocks_start_at_the_first_closed_position_that_fits(self, m):
+        rng, most = random.Random(m), ps._BLOCK_TUPLES
+        for s in (2, 4):
+            maps = [random_map(rng, m) for _ in range(20)]
+            if s == 2:
+                maps += bar_smash_maps(gc.face_gamma_op, 4)
+            for f in maps:
+                v = f.values
+                # c is closed when no fibre met by positions 1..c has a position after c
+                closed = [0] + [c for c in range(1, f.source + 1)
+                                if not {j for j in v[1:c + 1] if j} & set(v[c + 1:])]
+                blocks = ps._fibre_closed_blocks(v, s)
+                assert [j for block in blocks for j in block] == list(v[1:])
+                if s ** f.source <= most:
+                    assert len(blocks) == 1
+                    continue
+                ends = list(itertools.accumulate(map(len, blocks)))
+                for start, end in zip([0] + ends, ends):
+                    assert start in closed
+                    assert s ** (end - start) <= most or start == max(c for c in closed if c < end)
+                    earlier = [c for c in closed if c < start]
+                    assert not earlier or s ** (end - earlier[-1]) > most
 
 
 class TestBuildGGammaSet:

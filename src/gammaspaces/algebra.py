@@ -26,19 +26,11 @@ class FiniteGroup:
     def size(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self):
-        return self.elements[0]
-
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def check(self) -> None:
         n = self.size
         if n == 0:
             raise AxiomError("nonempty")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise AxiomError("table shape")
+        _check_entries(self.table, n)
         for i in range(n):
             if self.table[0][i] != i or self.table[i][0] != i:
                 raise AxiomError("identity", self.elements[i])
@@ -67,6 +59,15 @@ class FiniteGroup:
         return group
 
 
+def _check_entries(table, n: int) -> None:
+    """A Cayley table over n elements is n x n with every entry an index."""
+    if len(table) != n or any(len(row) != n for row in table):
+        raise AxiomError("table shape")
+    for v in itertools.chain.from_iterable(table):
+        if not 0 <= v < n:
+            raise AxiomError("table entry range", v)
+
+
 def trivial_group() -> FiniteGroup:
     return FiniteGroup(("e",), ((0,),))
 
@@ -88,21 +89,13 @@ class FinAbMonoid:
     def size(self) -> int:
         return len(self.elements)
 
-    def mul(self, i: int, j: int) -> int:
-        return self.table[i][j]
-
     def check(self) -> None:
         n = self.size
         if n == 0:
             raise AxiomError("nonempty")
         if not 0 <= self.unit < n:
             raise AxiomError("unit index")
-        if len(self.table) != n or any(len(row) != n for row in self.table):
-            raise AxiomError("table shape")
-        for row in self.table:
-            for v in row:
-                if not 0 <= v < n:
-                    raise AxiomError("table entry range", v)
+        _check_entries(self.table, n)
         for i in range(n):
             if self.table[self.unit][i] != i or self.table[i][self.unit] != i:
                 raise AxiomError("unit", self.elements[i])
@@ -223,9 +216,6 @@ class GMonoid:
     monoid: FinAbMonoid
     group: FiniteGroup
     action: tuple[tuple[int, ...], ...]
-
-    def act(self, g: int, m: int) -> int:
-        return self.action[g][m]
 
     def check(self) -> None:
         self.monoid.check()

@@ -58,7 +58,7 @@ def _load_json(path: str) -> tuple[dict, str]:
         with open(path, "rb") as fh:
             raw = fh.read()
         data = json.loads(raw.decode("utf-8"))
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"{path} does not hold a JSON object")

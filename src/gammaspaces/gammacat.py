@@ -36,9 +36,6 @@ class GammaOpMap:
             if not 0 <= v <= self.target:
                 raise ValueError(f"value {v} outside 0..{self.target}")
 
-    def __call__(self, i: int) -> int:
-        return self.values[i]
-
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.values)
 
@@ -171,9 +168,6 @@ class DeltaMap:
         for a, b in zip(self.values, self.values[1:]):
             if a > b:
                 raise ValueError("values must be weakly increasing")
-
-    def __call__(self, i: int) -> int:
-        return self.values[i]
 
 
 def delta_identity(n: int) -> DeltaMap:

@@ -43,8 +43,8 @@ class TruncatedGammaSet:
     group is given, on its wedge-indexed variant over that group.
 
     level_fn(n) lists the elements of level n; table_fn(f) is the index
-    table of the action of f.  Levels, the label-to-position lookup and
-    action tables are built on first use and memoized.
+    table of the action of f.  Levels and action tables are built on first
+    use and memoized.
     """
 
     def __init__(self, N: int, level_fn, table_fn, algebra=None,
@@ -53,7 +53,6 @@ class TruncatedGammaSet:
         self._level_fn = level_fn
         self._table_fn = table_fn
         self._levels: dict[int, Sequence] = {}
-        self._index: dict[int, dict] = {}
         self._tables: dict[str, list[int]] = {}
         self.algebra = algebra  # provenance: the generating algebra, if any
         self.group = group  # None for a plain presheaf, keeping plain morphism keys
@@ -69,21 +68,11 @@ class TruncatedGammaSet:
     def level_size(self, n: int) -> int:
         return len(self.level(n))
 
-    def index(self, n: int, x) -> int:
-        if n not in self._index:
-            self._index[n] = {y: i for i, y in enumerate(self.level(n))}
-        return self._index[n][x]
-
     def _check_range(self, f) -> None:
         if f.source > self.N or f.target > self.N:
             raise TruncationError(
                 f"morphism {f.key()} needs levels up to {max(f.source, f.target)}, "
                 f"truncation is {self.N}", required=max(f.source, f.target))
-
-    def act(self, f, x):
-        """Image of a single element under the action of a morphism."""
-        table = self.action_table(f)
-        return self.level(f.target)[table[self.index(f.source, x)]]
 
     def action_table(self, f) -> list[int]:
         """Index form of the action of f, memoized per morphism key."""
@@ -481,6 +470,8 @@ def presheaf_from_json(data: dict):
         N = data["N"]
         if type(N) is not int:
             raise InputError(f"presheaf file N must be a JSON integer, got {N!r}")
+        if N < 0:
+            raise InputError(f"presheaf file N must be nonnegative, got {N}")
         levels = [_level_labels(level) for level in data["levels"]]
         maps = {key: list(table) for key, table in data["maps"].items()}
         stored_group = FiniteGroup.from_json(data["group"]) if kind == "ggamma" else None
@@ -488,7 +479,7 @@ def presheaf_from_json(data: dict):
         for n, level in enumerate(levels):
             if len(set(level)) != len(level):
                 raise InputError(f"level {n} of the presheaf file lists an element twice")
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, RecursionError) as exc:
         raise InputError(f"malformed presheaf file: {exc}") from exc
     if len(levels) != N + 1:
         raise InputError(f"presheaf file lists {len(levels)} levels for N={N}")

@@ -5,9 +5,8 @@ Level sets are ordered sequences of hashable simplices: lists, or levels
 that decode their simplices on demand.  Faces, degeneracies and the levels
 of a simplicial map are integer index tables: entry k of a table is the
 position, in the target level, of the image of the k-th simplex.  Labels
-are read only by the label views (``face``, ``degeneracy``, ``apply``) and
-to name witnesses.  Everything is finite and immutable once constructed,
-so values can be shared freely.
+are read only to name witnesses.  Everything is finite and immutable once
+constructed, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ class ValidationReport:
     ok: bool
     violation: str | None = None
     witness: tuple | None = None
-
-    def as_dict(self) -> dict:
-        return {"ok": self.ok, "violation": self.violation,
-                "witness": repr(self.witness) if self.witness else None}
 
 
 class TruncatedSimplicialSet:
@@ -43,26 +38,7 @@ class TruncatedSimplicialSet:
         self.levels = levels
         self.faces = faces
         self.degeneracies = degeneracies
-        self._index: list[dict | None] = [None] * (d + 1)
         self._degenerate: list[bytearray | None] = [None] * (d + 1)
-
-    def level(self, p: int):
-        return self.levels[p]
-
-    def positions(self, p: int) -> dict:
-        """Index of every p-simplex in its level, built on first use."""
-        if self._index[p] is None:
-            self._index[p] = {x: k for k, x in enumerate(self.levels[p])}
-        return self._index[p]
-
-    def index(self, p: int, x) -> int:
-        return self.positions(p)[x]
-
-    def face(self, p: int, i: int, x):
-        return self.levels[p - 1][self.faces[p][i][self.index(p, x)]]
-
-    def degeneracy(self, p: int, i: int, x):
-        return self.levels[p + 1][self.degeneracies[p][i][self.index(p, x)]]
 
     def degenerate_mask(self, p: int) -> bytearray:
         """Entry k is 1 when the k-th p-simplex is the image of a degeneracy."""
@@ -230,9 +206,6 @@ class SimplicialMap:
         self.target = target
         self.tables = tables
 
-    def apply(self, p: int, x):
-        return self.target.levels[p][self.tables[p][self.source.index(p, x)]]
-
     def check(self) -> ValidationReport:
         """Totality, range and commutation with every face and degeneracy,
         each commutation one comparison of two composite tables.  The
@@ -320,10 +293,10 @@ def _skeleton_positions(X: TruncatedSimplicialSet, k: int) -> list[list[int]]:
 def skeleton(X: TruncatedSimplicialSet, k: int) -> TruncatedSimplicialSet:
     """Subobject generated by the simplices of dimension at most k."""
     keep = _skeleton_positions(X, k)
-    new_index = [{a: r for r, a in enumerate(kept)} for kept in keep]
+    renumber = [{a: r for r, a in enumerate(kept)} for kept in keep]
 
     def restrict(tables, p, q):
-        return [[new_index[q][table[a]] for a in keep[p]] for table in tables[p]]
+        return [[renumber[q][table[a]] for a in keep[p]] for table in tables[p]]
 
     return TruncatedSimplicialSet(X.d, [[X.levels[p][a] for a in keep[p]] for p in range(X.d + 1)],
                                   [restrict(X.faces, p, p - 1) for p in range(X.d + 1)],

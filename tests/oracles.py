@@ -40,10 +40,9 @@ from gammaspaces.simplicial import (SimplicialMap, TruncatedSimplicialSet,
 def from_label_maps(d: int, levels: list[list], faces: list[list[dict]],
                     degeneracies: list[list[dict]]) -> TruncatedSimplicialSet:
     """Simplicial set from structure maps given as dicts between simplices."""
-    index = [{x: k for k, x in enumerate(level)} for level in levels]
 
     def tables(maps, p, q):
-        return [[index[q][m[x]] for x in levels[p]] for m in maps[p]]
+        return [[levels[q].index(m[x]) for x in levels[p]] for m in maps[p]]
 
     return TruncatedSimplicialSet(d, levels,
                                   [tables(faces, p, p - 1) for p in range(d + 1)],
@@ -54,7 +53,7 @@ def map_from_label_maps(source: TruncatedSimplicialSet, target: TruncatedSimplic
                         level_maps: list[dict]) -> SimplicialMap:
     """Simplicial map from one dict between simplices per level."""
     return SimplicialMap(source, target,
-                         [[target.index(p, m[x]) for x in source.levels[p]]
+                         [[target.levels[p].index(m[x]) for x in source.levels[p]]
                           for p, m in enumerate(level_maps)])
 
 
@@ -97,7 +96,7 @@ def nerve_of_monoid(M: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
                 elif i == p:
                     table[x] = x[:-1]
                 else:
-                    table[x] = x[:i - 1] + (M.mul(x[i - 1], x[i]),) + x[i + 1:]
+                    table[x] = x[:i - 1] + (M.table[x[i - 1]][x[i]],) + x[i + 1:]
             faces[p].append(table)
     for p in range(d):
         for i in range(p + 1):
@@ -117,7 +116,7 @@ def bar_resolution_boundaries(M: FinAbMonoid, top: int):
         for j, x in enumerate(basis[p]):
             terms = [x[1:]]
             for i in range(1, p):
-                terms.append(x[:i - 1] + (M.mul(x[i - 1], x[i]),) + x[i + 1:])
+                terms.append(x[:i - 1] + (M.table[x[i - 1]][x[i]],) + x[i + 1:])
             terms.append(x[:-1])
             for i, y in enumerate(terms):
                 row = pos[p - 1].get(y)
@@ -171,10 +170,10 @@ def em_two_cocycle_space(A: FinAbMonoid, d: int) -> TruncatedSimplicialSet:
             i, j, k, l = quad
             total = A.unit
             inv = {m: next(n for n in range(A.size)
-                           if A.mul(m, n) == A.unit) for m in range(A.size)}
-            total = A.mul(val[(j, k, l)], inv[val[(i, k, l)]])
-            total = A.mul(total, val[(i, j, l)])
-            total = A.mul(total, inv[val[(i, j, k)]])
+                           if A.table[m][n] == A.unit) for m in range(A.size)}
+            total = A.table[val[(j, k, l)]][inv[val[(i, k, l)]]]
+            total = A.table[total][val[(i, j, l)]]
+            total = A.table[total][inv[val[(i, j, k)]]]
             if total != A.unit:
                 return False
         return True
@@ -241,7 +240,7 @@ def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
         for i in range(1, f.source + 1):
             j = f.values[i]
             if j:
-                out[j - 1] = M.mul(out[j - 1], row[x[i - 1]])
+                out[j - 1] = M.table[out[j - 1]][row[x[i - 1]]]
         table.append(position(tuple(out)))
     return table
 
@@ -322,9 +321,8 @@ def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> Cha
     boundaries: list[Matrix] = [[]]
     for p in range(1, top + 1):
         mat = zeros(ranks[p - 1], ranks[p])
-        for j, x in enumerate(X.levels[p]):
-            for i in range(p + 1):
-                row = X.index(p - 1, X.face(p, i, x))
+        for i, face in enumerate(X.faces[p]):
+            for j, row in enumerate(face):
                 mat[row][j] += -1 if i % 2 else 1
         boundaries.append(mat)
     return chain_complex(ranks, boundaries)

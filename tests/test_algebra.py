@@ -14,6 +14,13 @@ class TestGroups:
         with pytest.raises(AxiomError, match="identity"):
             bad.check()
 
+    @pytest.mark.parametrize("entry", [5, -1], ids=["past_the_end", "negative"])
+    def test_entry_out_of_range_is_named(self, entry):
+        bad = alg.FiniteGroup((0, 1, 2), ((0, 1, 2), (1, entry, 0), (2, 0, 1)))
+        with pytest.raises(AxiomError, match="table entry range") as info:
+            bad.check()
+        assert info.value.witness == entry
+
     def test_json_roundtrip(self):
         g = alg.cyclic_group(3)
         assert alg.FiniteGroup.from_json(g.to_json()) == g
@@ -80,8 +87,8 @@ class TestGMonoids:
 
     def test_inversion_is_nontrivial(self):
         gm = alg.inversion_action(alg.cyclic(3))
-        assert gm.act(1, 1) == 2
-        assert gm.act(1, gm.act(1, 1)) == 1
+        assert gm.action[1][1] == 2
+        assert gm.action[1][gm.action[1][1]] == 1
 
     def test_non_automorphism_rejected(self):
         m = alg.cyclic(3)

@@ -246,6 +246,8 @@ PRESHEAF_DEFECTS = {
     "bool_entry": ("z2", lambda data: data["maps"].update(
         {"2>1:0,1,0": [bool(v) for v in data["maps"]["2>1:0,1,0"]]})),
     "n_not_integer": ("z2", lambda data: data.__setitem__("N", str(data["N"]))),
+    # N = -1 with no levels would pass the level count
+    "n_negative": ("z2", lambda data: data.update(N=-1, levels=[], maps={})),
     "maps_not_object": ("z2", lambda data: data.__setitem__("maps", list(data["maps"].values()))),
     "algebra_not_object": ("z2", lambda data: data.__setitem__("algebra", 0)),
     # the action's monoid in place of the action: a plain algebra on a ggamma file
@@ -300,6 +302,36 @@ class TestUndecodableInput:
         assert code == 0
         digest = hashlib.sha256(presheaf.read_bytes()).hexdigest()
         assert json.loads(out)["meta"]["inputs"] == {str(presheaf): digest}
+
+
+class TestDeepNesting:
+    """Nesting past the recursion limit is an input error, whether json
+    refuses it or the presheaf reader does."""
+
+    @staticmethod
+    def nested(depth: int) -> str:
+        return "[" * depth + "0" + "]" * depth
+
+    def test_algebra_label_past_the_json_decoder_exits_two(self, tmp_path):
+        source = tmp_path / "deep.json"
+        source.write_text('{"elements": [0, %s], "unit": 0, "table": [[0, 0], [0, 0]]}'
+                          % self.nested(5 * sys.getrecursionlimit()))
+        code, _, err = fresh_process(["build", "--input", str(source)], tmp_path)
+        assert code == 2
+        assert err.startswith(f"input error: cannot read {source}: maximum recursion")
+        assert len(err.splitlines()) == 1
+
+    def test_level_label_past_the_label_reader_exits_two(self, tmp_path):
+        # shallow enough for the json decoder, too deep to freeze into tuples
+        data = json.loads(build(tmp_path, "z2").read_text())
+        data["levels"][1][1] = "deep"
+        source = tmp_path / "deep.json"
+        source.write_text(json.dumps(data).replace(
+            '"deep"', self.nested(sys.getrecursionlimit() * 9 // 10)))
+        code, _, err = fresh_process(["check", "--input", str(source)], tmp_path)
+        assert code == 2
+        assert err.startswith("input error: malformed presheaf file: maximum recursion")
+        assert len(err.splitlines()) == 1
 
 
 class TestNonObjectInput:

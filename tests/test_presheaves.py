@@ -9,6 +9,7 @@ from gammaspaces import gammacat as gc
 from gammaspaces import ggamma as gg
 from gammaspaces import presheaves as ps
 from gammaspaces.errors import InputError, StrictnessError, TruncationError
+from gammaspaces.simplicial import composite
 from oracles import summed_preimage_table
 
 Z2 = alg.cyclic(2)
@@ -45,14 +46,13 @@ class TestBuildGammaSet:
 
     def test_fold_acts_by_addition(self):
         X = ps.build_gamma_set(Z3, 2)
-        for a in range(3):
-            for b in range(3):
-                assert X.act(gc.fold_map(2), (a, b)) == ((a + b) % 3,)
+        assert [X.level(1)[k] for k in X.action_table(gc.fold_map(2))] == \
+            [((a + b) % 3,) for (a, b) in X.level(2)]
 
     def test_projection_acts_by_selection(self):
         X = ps.build_gamma_set(Z3, 2)
         proj1 = gc.segal_family(2)[0]
-        assert X.act(proj1, (1, 2)) == (1,)
+        assert [X.level(1)[k] for k in X.action_table(proj1)] == [(a,) for (a, b) in X.level(2)]
 
     def test_functoriality_random_pairs(self):
         X = ps.build_gamma_set(Z3, 3)
@@ -62,21 +62,20 @@ class TestBuildGammaSet:
             m, n, p = (rng.randint(0, 3) for _ in range(3))
             f = rng.choice(maps[(m, n)])
             g = rng.choice(maps[(n, p)])
-            for x in X.level(m):
-                assert X.act(gc.compose(g, f), x) == X.act(g, X.act(f, x))
+            assert X.action_table(gc.compose(g, f)) == \
+                composite(X.action_table(g), X.action_table(f))
 
     def test_identity_acts_trivially(self):
         X = ps.build_gamma_set(Z4, 2)
         for n in range(3):
-            for x in X.level(n):
-                assert X.act(gc.identity(n), x) == x
+            assert X.action_table(gc.identity(n)) == list(range(X.level_size(n)))
 
     def test_truncation_errors(self):
         X = ps.build_gamma_set(Z2, 2)
         with pytest.raises(TruncationError):
             X.level(3)
         with pytest.raises(TruncationError):
-            X.act(gc.fold_map(3), (0, 0, 0))
+            X.action_table(gc.fold_map(3))
 
 
 class TestTupleLevel:
@@ -203,8 +202,7 @@ class TestBuildGGammaSet:
         A = alg.inversion_action(Z3)
         X = ps.build_ggamma_set(A, 2)
         act = gg.group_action_map(1, 1, A.group)
-        assert X.act(act, (1,)) == (2,)
-        assert X.act(act, (0,)) == (0,)
+        assert [X.level(1)[k] for k in X.action_table(act)] == [(0,), (2,), (1,)]
 
     def test_trivial_group_matches_plain_build(self):
         A = alg.trivial_action(Z3)
@@ -226,8 +224,8 @@ class TestBuildGGammaSet:
             m, n, p = (rng.randint(0, 3) for _ in range(3))
             a = rng.choice(maps[(m, n)])
             b = rng.choice(maps[(n, p)])
-            for x in X.level(m):
-                assert X.act(gg.compose(b, a), x) == X.act(b, X.act(a, x))
+            assert X.action_table(gg.compose(b, a)) == \
+                composite(X.action_table(b), X.action_table(a))
 
 
 class TestStrictSegal:
@@ -412,7 +410,7 @@ class TestPresheafFiles:
         X = ps.build_gamma_set(Z2, 3)
         Y = ps.presheaf_from_json(ps.presheaf_to_json(X))
         with pytest.raises(InputError):
-            Y.act(gc.zero_map(3, 3), (0, 0, 0))
+            Y.action_table(gc.zero_map(3, 3))
 
     def test_string_and_nested_labels_are_frozen(self):
         levels = [["*"], ["a", ["b", ["c"]]], [[0, 1], [1, 0]], [[0, "x"], [[1], 2]]]
@@ -421,8 +419,12 @@ class TestPresheafFiles:
         assert X.level(1) == ["a", ("b", ("c",))]
         assert X.level(2) == [(0, 1), (1, 0)]
         assert X.level(3) == [(0, "x"), ((1,), 2)]
-        assert X.index(1, ("b", ("c",))) == 1
-        assert X.index(3, ((1,), 2)) == 1
+        assert X.level(1).index(("b", ("c",))) == 1
+        assert X.level(3).index(((1,), 2)) == 1
+
+    def test_negative_level_bound_rejected(self):
+        with pytest.raises(InputError, match="N must be nonnegative"):
+            ps.presheaf_from_json({"kind": "gamma", "N": -1, "levels": [], "maps": {}})
 
     @pytest.mark.parametrize("N", ["3", 3.0, True])
     def test_level_bound_must_be_a_json_integer(self, N):

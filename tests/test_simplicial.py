@@ -32,7 +32,7 @@ class TestValidate:
 
     def test_corrupted_degeneracy_breaks_s_i_s_j(self):
         X = nerve_of_monoid(cyclic(2), 3)
-        X.degeneracies[1][0][X.index(1, (1,))] = X.index(2, (1, 1))
+        X.degeneracies[1][0][X.levels[1].index((1,))] = X.levels[2].index((1, 1))
         report = ss.validate(X)
         assert (report.violation, report.witness) == ("s_i s_j = s_{j+1} s_i", (1, 0, 0, (1,)))
 
@@ -40,7 +40,7 @@ class TestValidate:
         # s_0 of the nondegenerate (1, 1) is not an image of s_i s_j, so
         # only the mixed identity d_0 s_0 = id sees it
         X = nerve_of_monoid(cyclic(2), 3)
-        X.degeneracies[2][0][X.index(2, (1, 1))] = X.index(3, (0, 0, 0))
+        X.degeneracies[2][0][X.levels[2].index((1, 1))] = X.levels[3].index((0, 0, 0))
         report = ss.validate(X)
         assert (report.violation, report.witness) == ("d_i s_j = id", (2, 0, 0, (1, 1)))
 
@@ -164,7 +164,8 @@ class TestSkeleton:
         assert S.level_sizes()[0] == 1
         assert S.level_sizes()[1] == 3
         # level 2 keeps only degenerate images of level-1 simplices
-        assert set(S.levels[2]) == {X.degeneracy(1, i, x) for i in range(2) for x in S.levels[1]}
+        assert set(S.levels[2]) == {X.levels[2][table[X.levels[1].index(x)]]
+                                    for table in X.degeneracies[1] for x in S.levels[1]}
 
     def test_skeleton_inclusion_is_simplicial(self):
         X = nerve_of_monoid(cyclic(2), 3)
@@ -204,14 +205,14 @@ class TestSimplicialMap:
     def test_short_table_is_not_total(self):
         X = nerve_of_monoid(cyclic(2), 2)
         tables = identity_map(X).tables
-        del tables[2][X.index(2, (1, 0)):]
+        del tables[2][X.levels[2].index((1, 0)):]
         report = ss.SimplicialMap(X, X, tables).check()
         assert (report.violation, report.witness) == ("map not total", (2, (1, 0)))
 
     def test_entry_past_the_target_level_lands_outside(self):
         X = nerve_of_monoid(cyclic(2), 2)
         tables = identity_map(X).tables
-        tables[1][X.index(1, (1,))] = len(X.levels[1])
+        tables[1][X.levels[1].index((1,))] = len(X.levels[1])
         report = ss.SimplicialMap(X, X, tables).check()
         assert (report.violation, report.witness) == ("map lands outside level", (1, (1,)))
 
@@ -226,8 +227,8 @@ class TestSimplicialMap:
         # an entry out of range comes before the end of a short table
         X = nerve_of_monoid(cyclic(2), 2)
         tables = identity_map(X).tables
-        tables[2][X.index(2, (0, 1))] = -1
-        del tables[2][X.index(2, (1, 1)):]
+        tables[2][X.levels[2].index((0, 1))] = -1
+        del tables[2][X.levels[2].index((1, 1)):]
         report = ss.SimplicialMap(X, X, tables).check()
         assert (report.violation, report.witness) == ("map lands outside level", (2, (0, 1)))
 
@@ -235,7 +236,7 @@ class TestSimplicialMap:
         # faces of the loop are both the basepoint, so only s_0 sees it
         P = ss.point(1)
         Y = ss.suspension([0, 1], 0, 1)
-        report = ss.SimplicialMap(P, Y, [[0], [Y.index(1, (1, (0, 1)))]]).check()
+        report = ss.SimplicialMap(P, Y, [[0], [Y.levels[1].index((1, (0, 1)))]]).check()
         assert (report.violation, report.witness) == ("map commutes with degeneracies", (0, 0, "*"))
 
     def test_composition(self):
@@ -244,7 +245,8 @@ class TestSimplicialMap:
         g = constant_map_to_point(X)
         gf = compose_maps(g, f)
         assert gf.check().ok
-        assert all(gf.apply(p, x) == "*" for p in range(3) for x in X.levels[p])
+        assert gf.target.levels == [["*"]] * 3
+        assert gf.tables == [[0] * len(level) for level in X.levels]
 
 
 class TestBisimplicialDiagonal:
@@ -253,10 +255,11 @@ class TestBisimplicialDiagonal:
         """Bisimplicial set (p, q) |-> tuples of length p in one monoid
         direction and q in the other; used as a small structured example."""
         nerve = nerve_of_monoid(M, d)
-        faces = [[{x: nerve.face(p, i, x) for x in nerve.levels[p]} for i in range(p + 1)]
-                 if p else [] for p in range(d + 1)]
-        degens = [[{x: nerve.degeneracy(p, i, x) for x in nerve.levels[p]} for i in range(p + 1)]
-                  if p < d else [] for p in range(d + 1)]
+        L = nerve.levels
+        faces = [[dict(zip(L[p], map(L[p - 1].__getitem__, table))) for table in nerve.faces[p]]
+                 for p in range(d + 1)]
+        degens = [[dict(zip(L[p], map(L[p + 1].__getitem__, table)))
+                   for table in nerve.degeneracies[p]] for p in range(d + 1)]
         levels = [[[(x, y) for x in nerve.levels[p] for y in nerve.levels[q]]
                    for q in range(d + 1)] for p in range(d + 1)]
         h_faces = [[[{(x, y): (table[x], y) for (x, y) in levels[p][q]}
@@ -308,5 +311,5 @@ class TestBisimplicialDiagonal:
         f = map_from_label_maps(D, D, tables)
         assert f.check().ok
         for p in range(3):
-            for (x, y) in D.levels[p]:
-                assert f.apply(p, (x, y)) == (tuple(inv[i] for i in x), y)
+            assert [D.levels[p][k] for k in f.tables[p]] == \
+                [(tuple(inv[i] for i in x), y) for (x, y) in D.levels[p]]

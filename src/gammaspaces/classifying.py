@@ -335,20 +335,21 @@ class DeloopingReport:
         }
 
 
-def delooping_report(B: BarSpace, maxdeg: int) -> DeloopingReport:
+def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> DeloopingReport:
     """Homology of the bar B through degree maxdeg, with the induced
     action of every group element and, when the presheaf came from a
     group, a comparison against the expected pattern of its delooping.
     Degree maxdeg needs B.d > maxdeg.  A bar without a group takes its
     groups from the sparse boundaries.  A bar with a group builds a
     presentation per degree, whose representative cycles the induced maps
-    need, and reads each group off it."""
+    need, and reads each group off it; a presentation whose nonzeros pass
+    the budget raises BudgetError."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
     g_action: dict = {}
     if B.group is None:
         groups = homology_groups(chain, maxdeg)
     else:
-        presentations = [HomologyPresentation(chain, q) for q in range(maxdeg + 1)]
+        presentations = [HomologyPresentation(chain, q, budget) for q in range(maxdeg + 1)]
         groups = [pres.group() for pres in presentations]
         for g in range(B.group.size):
             label = str(B.group.elements[g])

@@ -289,7 +289,7 @@ def cmd_classify(args) -> int:
               f"evaluation at the zero object: point with levels {sizes}")
         return EXIT_PASS
 
-    deloop = cb.delooping_report(B, args.homology)
+    deloop = cb.delooping_report(B, args.homology, budget)
     report["delooping"] = deloop.as_dict()
     if args.iterate == 1 and args.dim >= 2:
         report["structure_map"] = cb.structure_map(B).as_dict()
@@ -335,7 +335,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--homology", type=int, default=1, help="largest homology degree")
     p_classify.add_argument("--at", type=int, default=1, help="evaluation object: 0 (point report) or 1")
     p_classify.add_argument("--budget", type=int, default=None,
-                            help=f"simplex budget (default from ${DEFAULT_BUDGET_ENV} or {cb.DEFAULT_BUDGET})")
+                            help=f"simplex and nonzero budget (default from ${DEFAULT_BUDGET_ENV} or {cb.DEFAULT_BUDGET})")
     return parser
 
 

@@ -128,19 +128,6 @@ class GammaMap:
         return self.images[i - 1]
 
 
-def gamma_identity(n: int) -> GammaMap:
-    return GammaMap(n, n, tuple(frozenset({i}) for i in range(1, n + 1)))
-
-
-def compose_gamma(psi: GammaMap, theta: GammaMap) -> GammaMap:
-    """psi after theta in the power-set presentation: unions of images."""
-    if theta.target != psi.source:
-        raise CompositionError(f"cannot compose {psi.source}->{psi.target} after {theta.source}->{theta.target}")
-    images = tuple(frozenset().union(*(psi.image(t) for t in theta.image(i))) if theta.image(i) else frozenset()
-                   for i in range(1, theta.source + 1))
-    return GammaMap(theta.source, psi.target, images)
-
-
 def from_power_set_form(theta: GammaMap) -> GammaOpMap:
     """The pointed map whose preimages are the images of theta; valid
     because images are disjoint.  Reverses the arrow."""
@@ -168,16 +155,6 @@ class DeltaMap:
         for a, b in zip(self.values, self.values[1:]):
             if a > b:
                 raise ValueError("values must be weakly increasing")
-
-
-def delta_identity(n: int) -> DeltaMap:
-    return DeltaMap(n, n, tuple(range(n + 1)))
-
-
-def compose_delta(g: DeltaMap, f: DeltaMap) -> DeltaMap:
-    if f.target != g.source:
-        raise CompositionError(f"cannot compose {g.source}->{g.target} after {f.source}->{f.target}")
-    return DeltaMap(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
 def coface(p: int, i: int) -> DeltaMap:

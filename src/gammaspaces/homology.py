@@ -1,39 +1,29 @@
 """Integer chain complexes of truncated simplicial sets, their homology
 groups, Smith normal form, and induced maps on homology.
 
-Boundaries are held as sparse columns.  Homology groups come from a
-transform-free elimination: +-1 pivots are cleared first, cheapest
-Markowitz cost first (Kaczynski-Mrozek-Slusarek, "Homology computation by
-reduction of chain complexes", 1998), and what is left goes to the dense
-Smith form below with no transforms kept (Dumas-Saunders-Villard, "On
-efficient sparse integer matrix Smith normal form computations", 2001),
-so one Smith routine gives every diagonal.  Induced maps need
-representative cycles, so `HomologyPresentation` runs two dense Smith
-forms per degree, each keeping only the transforms it reads: V and V^-1
-of the boundary give the cycle basis and coordinates in it, so the
-relations and every induced map are read off V^-1 with no solve, and U
-and U^-1 of the relations give the canonical coordinates and their
-representative cycles.  Invariant factors are unique, so a presentation's
-group is the one the elimination finds; a report with induced maps reads
-its groups off the presentations and runs no elimination.
-
-All arithmetic is exact (Python integers).  Smith reduction pivots on the
-minimal-absolute-value nonzero entry, ties broken by lowest row then
-lowest column, so output is deterministic for a fixed input.
+Boundaries are sparse columns, and every elimination runs on sparse rows
+of exact integers (Dumas-Saunders-Villard, "On efficient sparse integer
+matrix Smith normal form computations", 2001).  Homology groups clear +-1
+pivots in Markowitz order first (Kaczynski-Mrozek-Slusarek, "Homology
+computation by reduction of chain complexes", 1998) and hand the rest to
+`smith_rows`.  Induced maps need representative cycles, so a
+`HomologyPresentation` runs two Smith forms per degree, each keeping only
+the transforms it reads, and a report with induced maps reads its groups
+off the presentations.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
 
-from .errors import TruncationError
+from .errors import BudgetError, TruncationError
 from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 Matrix = list  # list of rows, each a list of ints
 Column = dict  # sparse column: row index -> nonzero coefficient
-
-_BLOCK = 1024  # sparse columns turned dense at a time
+Row = dict  # sparse row: column index -> nonzero coefficient
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -41,138 +31,106 @@ def zeros(rows: int, cols: int) -> Matrix:
 
 
 def eye(n: int) -> Matrix:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i][i] = 1
-    return m
+    return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = zeros(rows, cols)
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            aik = ai[k]
-            if aik:
-                bk = b[k]
-                for j in range(cols):
-                    oi[j] += aik * bk[j]
-    return out
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with x*a + y*b = g = gcd(a, b) >= 0."""
-    x, nx = 1, 0
-    y, ny = 0, 1
-    g, ng = a, b
-    while ng:
-        q = g // ng
-        x, nx = nx, x - q * nx
-        y, ny = ny, y - q * ny
-        g, ng = ng, g - q * ng
-    if g < 0:
-        x, y, g = -x, -y, -g
-    return g, x, y
+    vectors = dict(enumerate(b))
+    return [_combine(dict(enumerate(row)), vectors, len(b[0]) if b else 0) for row in a]
 
 
 def smith_normal_form(a: Matrix, track: tuple[str, ...] = ("u", "v")) -> tuple[Matrix, ...]:
     """Return D followed by the transforms named in `track`, in that order,
     out of "u", "u_inv", "v" and "v_inv": U @ a @ V = D with U and V
     unimodular, D diagonal with each entry dividing the next, and U^-1 and
-    V^-1 their exact inverses.  By default (D, U, V).
+    V^-1 their exact inverses.  By default (D, U, V).  `smith_rows` on
+    dense matrices."""
+    cols = len(a[0]) if a else 0
+    d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    kept = smith_rows(d, cols, track)
+    # U^-1 and V are kept transposed
+    return (_dense(d, cols), *(_dense(kept[name], len(kept[name]), name in ("u_inv", "v"))
+                               for name in track))
 
-    Pivot choice is the smallest nonzero |entry|, lowest row index first,
-    then lowest column index, so the factorization is deterministic and
-    does not depend on `track`.  Elimination uses Bezout 2x2 transforms,
-    which reach each gcd in one step and keep entry growth polynomial.
 
-    Every transform is kept as rows: a row operation M on D acts on the
-    rows of U and, as M^-T, on the rows of U^-1 transposed; a column
-    operation acts the same way on V transposed and on V^-1.
+def _dense(rows: list[Row], cols: int, transpose: bool = False) -> Matrix:
+    m = [[row.get(j, 0) for j in range(cols)] for row in rows]
+    return [list(col) for col in zip(*m)] if transpose else m
+
+
+def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
+               budget: int | None = None) -> dict[str, list[Row]]:
+    """Reduce the sparse rows `d` of `cols` columns in place to the Smith
+    form D = U @ d @ V, and return the transforms named in `track` as
+    sparse rows: U and V^-1 as they are, U^-1 and V transposed.
+
+    The pivot is the smallest nonzero |entry|, lowest row first, then lowest
+    column, so the output is deterministic and does not depend on `track`.
+    A row operation M on D acts on the rows of U and, as M^-T, on the rows
+    of U^-1 transposed; a column operation acts the same way on V
+    transposed and on V^-1.  Every operation sends zeros to zeros, so the
+    output is entry for entry that of the same elimination on dense rows.
+    With a `budget`, BudgetError is raised at a pivot where D and the
+    transforms hold more nonzeros than that.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d = [row[:] for row in a]
-    kept = {name: eye(rows if name.startswith("u") else cols) for name in track}
-    # [forward, inverse-transpose] for row operations, then for column operations
-    row_side = (kept.get("u"), kept.get("u_inv"))
-    col_side = (kept.get("v"), kept.get("v_inv"))
+    rows = len(d)
+    kept = {name: [{i: 1} for i in range(rows if name[0] == "u" else cols)] for name in track}
+    held = [d, *kept.values()]
+    if budget is not None and rows * cols + sum(len(m) ** 2 for m in kept.values()) <= budget:
+        budget = None  # not even dense rows could pass it
 
-    def clear_row_entry(s, i):
-        # zero d[i][s] against the pivot row by a unimodular row pair
-        aa, bb = d[s][s], d[i][s]
-        if bb % aa == 0:
-            q = bb // aa
-            _subtract((d, None), s, i, q)
-            _subtract(row_side, s, i, q)
-            return
-        g, x, y = _xgcd(aa, bb)
-        ca, cb = -(bb // g), aa // g
-        _bezout((d, None), s, i, x, y, ca, cb)
-        _bezout(row_side, s, i, x, y, ca, cb)
-
-    def clear_col_entry(s, j, live):
-        # zero d[s][j] against the pivot column by a unimodular column pair;
-        # `live` lists the rows of d that are nonzero in column s, and the
-        # rows that are afterwards are returned
-        aa, bb = d[s][s], d[s][j]
-        if bb % aa == 0:
-            q = bb // aa
-            for row in live:
-                row[j] -= q * row[s]
-            _subtract(col_side, s, j, q)
-            return live
-        g, x, y = _xgcd(aa, bb)
-        ca, cb = -(bb // g), aa // g
-        for row in d:
-            row[s], row[j] = x * row[s] + y * row[j], ca * row[s] + cb * row[j]
-        _bezout(col_side, s, j, x, y, ca, cb)
-        return [row for row in d if row[s]]
-
-    def find_pivot(s):
-        best = None
-        for i in range(s, rows):
-            di = d[i]
-            for j in range(s, cols):
-                val = abs(di[j])
-                if val and (best is None or val < best[0]):
-                    best = (val, i, j)
-                    if val == 1:
-                        return best
-        return best
-
+    side = {name: [kept[name]] if name in kept else [] for name in ("u", "u_inv", "v", "v_inv")}
+    # (forward, inverse-transpose) rows of the row and of the column operations
+    row_side, col_side = ([d, *side["u"]], side["u_inv"]), (side["v"], side["v_inv"])
+    # rows from s on are nonzero in columns from s on only, and every row
+    # above s in its diagonal entry only
     for s in range(min(rows, cols)):
-        pivot = find_pivot(s)
+        if budget is not None:
+            _check(held, budget)
+        pivot = None
+        for i in range(s, rows):
+            if d[i]:
+                val = min(map(abs, d[i].values()))
+                if pivot is None or val < pivot[0]:
+                    pivot = (val, i, min(compress(d[i], map(val.__eq__, map(abs, d[i].values())))))
+                    if val == 1:
+                        break
         if pivot is None:
             break
         _, pi, pj = pivot
         if pi != s:
-            d[s], d[pi] = d[pi], d[s]
             _swap(row_side, s, pi)
         if pj != s:
-            for row in d:
-                row[s], row[pj] = row[pj], row[s]
+            for row in d[s:]:
+                p, r = row.pop(s, 0), row.pop(pj, 0)
+                _put(row, pj, p)
+                _put(row, s, r)
             _swap(col_side, s, pj)
         # clearing one entry leaves the others in the pivot row and column
         # as they were, so only the nonzero ones are visited
         while True:
-            for i in [i for i in range(s + 1, rows) if d[i][s]]:
-                clear_row_entry(s, i)
-            if not any(d[s][s + 1:]):
+            for i in [i for i in range(s + 1, rows) if s in d[i]]:
+                _pair(row_side, s, i, *_coefficients(d[s][s], d[i][s]))
+            if len(d[s]) == 1:
                 break
-            live = [row for row in d if row[s]]
-            for j in [j for j in range(s + 1, cols) if d[s][j]]:
-                live = clear_col_entry(s, j, live)
-            if not any(d[i][s] for i in range(s + 1, rows)):
+            if not any(col_side) and not any(map(d[s][s].__rmod__, d[s].values())):
+                d[s] = {s: d[s][s]}  # each column operation would clear its entry only
+                break
+            live = [d[s]]  # the rows nonzero in column s
+            for j in sorted(d[s])[1:]:
+                x, y, ca, cb = _coefficients(d[s][s], d[s][j])
+                # a subtraction reads column s only, which only `live` holds
+                _columns(d[s:] if y else live, col_side, s, j, x, y, ca, cb)
+                if y:
+                    live = [row for row in d[s:] if s in row]
+            if len(live) == 1:
                 break
         if d[s][s] < 0:
-            _negate((d, None), s)
-            _negate(row_side, s)
+            for m in (*row_side[0], *row_side[1]):
+                m[s] = {j: -x for j, x in m[s].items()}
 
     # enforce the divisibility chain d1 | d2 | ...
-    rank = sum(1 for i in range(min(rows, cols)) if d[i][i])
+    rank = sum(1 for i in range(min(rows, cols)) if i in d[i])
     changed = True
     while changed:
         changed = False
@@ -180,72 +138,106 @@ def smith_normal_form(a: Matrix, track: tuple[str, ...] = ("u", "v")) -> tuple[M
             if d[i + 1][i + 1] % d[i][i]:
                 _fold_pair(d, row_side, col_side, i)
                 changed = True
-    for name in ("u_inv", "v"):  # kept transposed
-        if name in kept:
-            kept[name] = [list(col) for col in zip(*kept[name])]
-    return (d, *(kept[name] for name in track))
+    if budget is not None:
+        _check(held, budget)
+    return kept
 
 
-# Row operations on a (forward, inverse-transpose) pair of matrices, either
-# of which may be None; D itself is passed as (D, None).  Each operation M
-# on the forward rows is M^-T on the inverse-transpose rows, so the pair
-# stays mutually inverse.
+def _check(held, budget):
+    nonzeros = sum(len(row) for m in held for row in m)
+    if nonzeros > budget:
+        raise BudgetError(f"Smith form holds {nonzeros} nonzeros, past budget {budget}")
+
+
+def _coefficients(aa: int, bb: int) -> tuple[int, int, int, int]:
+    """[[x, y], [ca, cb]] of determinant 1 taking (aa, bb) to (gcd, 0): a
+    subtraction (y = 0) when aa divides bb, else the Bezout pair from the
+    extended Euclidean algorithm, which reaches the gcd in one step."""
+    if bb % aa == 0:
+        return 1, 0, -(bb // aa), 1
+    x, nx, y, ny, g, ng = 1, 0, 0, 1, aa, bb
+    while ng:
+        q = g // ng
+        x, nx, y, ny, g, ng = nx, x - q * nx, ny, y - q * ny, ng, g - q * ng
+    if g < 0:
+        x, y, g = -x, -y, -g
+    return x, y, -(bb // g), aa // g
+
+
+def _put(row: Row, j: int, x: int) -> None:
+    if x:
+        row[j] = x
+    else:
+        row.pop(j, None)
+
+
+def _add(target: Row, source: Row, q: int) -> None:
+    """target += q * source, in place."""
+    if q:
+        get = target.get
+        for j, x in source.items():
+            y = get(j, 0) + q * x
+            if y:
+                target[j] = y
+            else:
+                del target[j]
+
+
+def _mix(ra: Row, rb: Row, x, y, ca, cb) -> tuple[Row, Row]:
+    """The rows x*ra + y*rb and ca*ra + cb*rb."""
+    na, nb = {}, {}
+    for j in ra.keys() | rb.keys():
+        p, q = ra.get(j, 0), rb.get(j, 0)
+        u, w = x * p + y * q, ca * p + cb * q
+        if u:
+            na[j] = u
+        if w:
+            nb[j] = w
+    return na, nb
+
+
+# Row operations on a side: (forward, inverse-transpose) lists of sparse row
+# matrices.  Each operation M on the forward rows is M^-T on the
+# inverse-transpose rows, so the pairs stay mutually inverse.
 
 def _swap(side, a, b):
-    for m in side:
-        if m is not None:
-            m[a], m[b] = m[b], m[a]
+    for m in (*side[0], *side[1]):
+        m[a], m[b] = m[b], m[a]
 
 
-def _negate(side, a):
-    for m in side:
-        if m is not None:
-            m[a] = [-x for x in m[a]]
+def _pair(side, a, b, x, y, ca, cb):
+    # forward rows (a, b) by [[x, y], [ca, cb]], inverse transpose by
+    # [[cb, -ca], [-y, x]]; a subtraction (y = 0) rewrites one row in place
+    fwds, invs = side
+    for m in fwds:
+        if y:
+            m[a], m[b] = _mix(m[a], m[b], x, y, ca, cb)
+        else:
+            _add(m[b], m[a], ca)
+    for m in invs:
+        if y:
+            m[a], m[b] = _mix(m[a], m[b], cb, -ca, -y, x)
+        else:
+            _add(m[a], m[b], -ca)
 
 
-def _subtract(side, a, b, q):
-    # forward: row b -= q * row a; inverse transpose: row a += q * row b
-    fwd, inv = side
-    if fwd is not None:
-        fwd[b] = [x - q * y for x, y in zip(fwd[b], fwd[a])]
-    if inv is not None:
-        inv[a] = [x + q * y for x, y in zip(inv[a], inv[b])]
-
-
-def _bezout(side, a, b, x, y, ca, cb):
-    # forward: rows (a, b) by [[x, y], [ca, cb]] of determinant 1;
-    # inverse transpose: by [[cb, -ca], [-y, x]]
-    fwd, inv = side
-    if fwd is not None:
-        ra, rb = fwd[a], fwd[b]
-        fwd[a] = [x * p + y * q for p, q in zip(ra, rb)]
-        fwd[b] = [ca * p + cb * q for p, q in zip(ra, rb)]
-    if inv is not None:
-        ra, rb = inv[a], inv[b]
-        inv[a] = [cb * p - ca * q for p, q in zip(ra, rb)]
-        inv[b] = [x * q - y * p for p, q in zip(ra, rb)]
+def _columns(rows, col_side, a, b, x, y, ca, cb):
+    # columns (a, b) by [[x, ca], [y, cb]] of determinant 1 in the rows of D
+    # that can be nonzero there, and the same operation on the transforms
+    for row in rows:
+        p, r = row.get(a, 0), row.get(b, 0)
+        _put(row, a, x * p + y * r)
+        _put(row, b, ca * p + cb * r)
+    _pair(col_side, a, b, x, y, ca, cb)
 
 
 def _fold_pair(d, row_side, col_side, i):
     """Replace adjacent diagonal entries (a, b) by (gcd, a*b/gcd), keeping
     the factorization exact; assumes their rows and columns are otherwise
-    zero, which the main loop guarantees."""
-    aa, bb = d[i][i], d[i + 1][i + 1]
-    for row in d:
-        row[i] += row[i + 1]
-    _subtract(col_side, i + 1, i, -1)
-    g, x, y = _xgcd(aa, bb)
-    ca, cb = -(bb // g), aa // g
-    _bezout((d, None), i, i + 1, x, y, ca, cb)
-    _bezout(row_side, i, i + 1, x, y, ca, cb)
-    q = d[i][i + 1] // d[i][i]
-    for row in d:
-        row[i + 1] -= q * row[i]
-    _subtract(col_side, i, i + 1, q)
-    for k in (i, i + 1):
-        if d[k][k] < 0:
-            _negate((d, None), k)
-            _negate(row_side, k)
+    zero, which the main loop guarantees, and the entries positive."""
+    _columns(d[i:i + 2], col_side, i + 1, i, 1, 0, 1, 1)  # column i += column i + 1
+    _pair(row_side, i, i + 1, *_coefficients(d[i][i], d[i + 1][i]))  # rows (g, y*b), (0, a*b/g)
+    _columns(d[i:i + 2], col_side, i, i + 1, 1, 0, -(d[i].get(i + 1, 0) // d[i][i]), 1)
 
 
 @dataclass(frozen=True)
@@ -293,7 +285,7 @@ class ChainComplex:
         for p in range(2, self.top + 1):
             below = columns[p - 1]
             for col in columns[p]:
-                image: dict[int, int] = {}
+                image = {}
                 for r, x in col.items():
                     for s, y in below[r].items():
                         image[s] = image.get(s, 0) + x * y
@@ -304,11 +296,7 @@ class ChainComplex:
         """The differential out of degree p as a dense matrix."""
         if p < 1 or p > self.top:
             raise TruncationError(f"boundary {p} outside 1..{self.top}", required=p)
-        mat = zeros(self.ranks[p - 1], self.ranks[p])
-        for j, col in enumerate(self.columns[p]):
-            for r, x in col.items():
-                mat[r][j] = x
-        return mat
+        return [[col.get(r, 0) for col in self.columns[p]] for r in range(self.ranks[p - 1])]
 
 
 def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
@@ -403,9 +391,10 @@ def boundary_invariants(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
                     if y in (1, -1):
                         heapq.heappush(heap, (0, c, i))
     left = [col for col in cols if col]
-    residual = [[col.get(r, 0) for col in left] for r in sorted(r for r in rows if rows[r])]
-    d, = smith_normal_form(residual, ())
-    factors = [d[i][i] for i in range(min(len(d), len(left))) if d[i][i]]
+    residual = [{j: col[r] for j, col in enumerate(left) if r in col}
+                for r in sorted(r for r in rows if rows[r])]
+    smith_rows(residual, len(left))
+    factors = [row[i] for i, row in enumerate(residual) if i in row]
     return units + len(factors), tuple(x for x in factors if x > 1)
 
 
@@ -449,53 +438,70 @@ def invert_unimodular(a: Matrix) -> Matrix:
 class HomologyPresentation:
     """Canonical presentation of one homology group of a chain complex.
 
-    Generators are a basis of the cycle lattice: the columns of V past the
-    rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is kept
-    alongside.  A p-chain z is a cycle exactly when the first rank
+    Generators are a basis of the cycle lattice, `kernel`: the columns of V
+    past the rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is
+    kept alongside.  A p-chain z is a cycle exactly when the first rank
     coordinates of V^-1 z vanish, and the rest are its coordinates in the
     kernel basis, so the relations are the next boundary's columns written
-    that way, and they are diagonalized keeping U and U^-1 only.  The
-    canonical coordinates list torsion positions first (in divisibility
-    order), then free positions.
+    that way (`relation_rows`), and they are diagonalized in place keeping
+    U and U^-1 only.  The canonical coordinates list torsion positions
+    first (in divisibility order), then free positions.  Every matrix is
+    held as sparse rows; with a `budget`, BudgetError is raised as soon as
+    the nonzeros held pass it.
     """
 
-    def __init__(self, C: ChainComplex, p: int):
+    def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
         if p < 0 or p + 1 > C.top:
             raise TruncationError(
                 f"homology in degree {p} needs boundaries up to degree {p + 1}; "
                 f"complex stops at {C.top}", required=p + 1)
-        n_p = C.ranks[p]
-        if p >= 1 and C.ranks[p - 1]:
-            d, v, self._v_inv = smith_normal_form(C.boundary(p), ("v", "v_inv"))
-            self._rank = sum(1 for i in range(min(len(d), n_p)) if d[i][i])
-            # kernel basis: columns of V past the rank
-            self.kernel = [row[self._rank:] for row in v]
-        else:
-            self.kernel, self._v_inv, self._rank = eye(n_p), eye(n_p), 0
-        s = n_p - self._rank
-        # the next boundary in kernel coordinates, from its sparse columns,
-        # a block of columns at a time so that only one block is held twice
-        coords = [[row[r] for row in self._v_inv[self._rank:]] for r in range(n_p)]
-        self.relations: Matrix = [[] for _ in range(s)]
-        columns = C.columns[p + 1]
-        for start in range(0, len(columns), _BLOCK):
-            images = []
-            for col in columns[start:start + _BLOCK]:
-                image = [0] * s
-                for r, x in col.items():
-                    image = [a + x * b for a, b in zip(image, coords[r])]
-                images.append(image)
-            for row, part in zip(self.relations, zip(*images)):
-                row.extend(part)
-        rel_d, self.rel_u, self._rel_u_inv = smith_normal_form(self.relations, ("u", "u_inv"))
-        diag = [rel_d[i][i] for i in range(min(s, C.ranks[p + 1]))]
+        n_p, n_next = C.ranks[p], C.ranks[p + 1]
+        d = [{} for _ in range(C.ranks[p - 1] if p else 0)]
+        for j, col in enumerate(C.columns[p] if p else ()):
+            for r, x in col.items():
+                d[r][j] = x
+        try:
+            kept = smith_rows(d, n_p, ("v", "v_inv"), budget)
+            self._rank = sum(1 for i, row in enumerate(d) if i in row)
+            self.kernel, self._v_inv = kept["v"][self._rank:], kept["v_inv"]
+            left = None if budget is None else (budget - sum(map(len, self.kernel))
+                                                - sum(map(len, self._v_inv)))
+            relations = self.relation_rows(C.columns[p + 1], left)
+            kept = smith_rows(relations, n_next, ("u", "u_inv"), left)
+        except BudgetError as exc:
+            raise BudgetError(f"homology presentation in degree {p}: nonzeros held "
+                              f"exceed budget {budget}") from exc
+        self._rel_u, self._rel_u_inv = kept["u"], kept["u_inv"]
+        diag = [row.get(i, 0) for i, row in enumerate(relations[:n_next])]
         rel_rank = sum(1 for x in diag if x)
         # coordinate layout: torsion positions then free positions
         torsion_positions = [i for i in range(rel_rank) if diag[i] > 1]
         self.torsion = tuple(diag[i] for i in torsion_positions)
-        self.free_positions = list(range(rel_rank, s))
+        self.free_positions = list(range(rel_rank, n_p - self._rank))
         self.positions = torsion_positions + self.free_positions
         self._generators: Matrix | None = None
+
+    def relation_rows(self, columns: list[Column], budget: int | None = None) -> list[Row]:
+        """The next boundary, given by its sparse columns, in kernel
+        coordinates: row k is coordinate k of every column."""
+        coords = [[] for _ in self._v_inv]  # chain -> its (kernel coordinate, coefficient)s
+        for k, row in enumerate(self._v_inv[self._rank:]):
+            for r, x in row.items():
+                coords[r].append((k, x))
+        relations = [{} for _ in range(len(self._v_inv) - self._rank)]
+        nonzeros = 0
+        for j, col in enumerate(columns):
+            image = {}
+            for r, x in col.items():
+                for k, y in coords[r]:
+                    image[k] = image.get(k, 0) + x * y
+            for k, y in image.items():
+                if y:
+                    relations[k][j] = y
+                    nonzeros += 1
+            if budget is not None and nonzeros > budget:
+                raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {budget}")
+        return relations
 
     def group(self) -> HomologyGroup:
         return HomologyGroup(len(self.free_positions), self.torsion)
@@ -505,21 +511,35 @@ class HomologyPresentation:
         in the chain basis: row i holds coordinate i of every cycle, torsion
         coordinates reduced mod their order.  Raises ValueError if some
         column is not a cycle."""
-        z = mat_mul(self._v_inv, cycles)
+        width = len(cycles[0]) if cycles else 0
+        nonzero = {r: vec for r, vec in enumerate(cycles) if any(vec)}
+        z = [_combine(row, nonzero, width) for row in self._v_inv]
         if any(any(row) for row in z[:self._rank]):
             raise ValueError("not a cycle")
-        y = mat_mul(self.rel_u, z[self._rank:])
+        z = {k: vec for k, vec in enumerate(z[self._rank:]) if any(vec)}
         orders = self.torsion + (0,) * len(self.free_positions)
-        return tuple(tuple(x % t if t else x for x in y[pos])
+        return tuple(tuple(x % t if t else x for x in _combine(self._rel_u[pos], z, width))
                      for pos, t in zip(self.positions, orders))
 
     def generator_cycles(self) -> Matrix:
         """Representative cycles in the chain basis, one column per
         canonical coordinate; computed on first use and shared."""
         if self._generators is None:
-            self._generators = mat_mul(self.kernel, [[row[pos] for pos in self.positions]
-                                                     for row in self._rel_u_inv])
+            columns = [{} for _ in self.positions]
+            for cycle, pos in zip(columns, self.positions):  # column pos of U^-1, kept transposed
+                for k, x in self._rel_u_inv[pos].items():
+                    _add(cycle, self.kernel[k], x)
+            self._generators = [[col.get(r, 0) for col in columns] for r in range(len(self._v_inv))]
         return self._generators
+
+
+def _combine(row: Row, vectors: dict[int, list[int]], width: int) -> list[int]:
+    """The sum of row[r] * vectors[r] over the r that both hold."""
+    out = [0] * width
+    for r in row.keys() & vectors.keys():
+        if row[r]:
+            out = [a + row[r] * b for a, b in zip(out, vectors[r])]
+    return out
 
 
 @dataclass(frozen=True)

@@ -13,12 +13,13 @@ table by table, the check `validate` packs level by level.  The
 unnormalized chain complex, an exact determinant and a Smith-form
 certificate check the homology layer, and every presentation's group is
 checked against the sparse elimination.  The sparse elimination finishes
-with `smith_normal_form`, so it is also checked against invariant factors
+with `smith_rows`, so it is also checked against invariant factors
 read off determinantal divisors, which share no code with it; the Smith
 diagonal checks the invariant factors that the expected-homology oracle
 finds without it.  Wedge objects give the normalized pairs of the
 wedge-indexed category their concrete functions.  The category-axiom tests
-build the preimage form of a pointed map, the edges from vertex zero and
+build the preimage form of a pointed map, identities and composites of
+power-set and order-preserving maps, the edges from vertex zero and
 identity, composite and constant simplicial maps here.
 """
 
@@ -28,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
-from gammaspaces.errors import TruncationError
+from gammaspaces.errors import CompositionError, TruncationError
 from gammaspaces.gammacat import DeltaMap, GammaMap, GammaOpMap
 from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
                                   homology_groups, mat_mul, normalized_chain_complex,
@@ -447,6 +448,29 @@ def to_power_set_form(f: GammaOpMap) -> GammaMap:
     images = tuple(frozenset(j for j in range(1, f.source + 1) if f.values[j] == i)
                    for i in range(1, f.target + 1))
     return GammaMap(f.target, f.source, images)
+
+
+def gamma_identity(n: int) -> GammaMap:
+    return GammaMap(n, n, tuple(frozenset({i}) for i in range(1, n + 1)))
+
+
+def compose_gamma(psi: GammaMap, theta: GammaMap) -> GammaMap:
+    """psi after theta in the power-set presentation: unions of images."""
+    if theta.target != psi.source:
+        raise CompositionError(f"cannot compose {psi.source}->{psi.target} after {theta.source}->{theta.target}")
+    images = tuple(frozenset().union(*(psi.image(t) for t in theta.image(i))) if theta.image(i) else frozenset()
+                   for i in range(1, theta.source + 1))
+    return GammaMap(theta.source, psi.target, images)
+
+
+def delta_identity(n: int) -> DeltaMap:
+    return DeltaMap(n, n, tuple(range(n + 1)))
+
+
+def compose_delta(g: DeltaMap, f: DeltaMap) -> DeltaMap:
+    if f.target != g.source:
+        raise CompositionError(f"cannot compose {g.source}->{g.target} after {f.source}->{f.target}")
+    return DeltaMap(f.source, g.target, tuple(g.values[v] for v in f.values))
 
 
 def edge_from_zero(n: int, k: int) -> DeltaMap:

@@ -414,7 +414,8 @@ class TestDeloopingReports:
         # group action needs cycles, and its presentations give the groups
         presentations, eliminations = [], []
         monkeypatch.setattr(cb, "HomologyPresentation",
-                            lambda C, q: presentations.append(q) or HomologyPresentation(C, q))
+                            lambda C, q, budget: presentations.append(q) or
+                            HomologyPresentation(C, q, budget))
         eliminate = hm.boundary_invariants
         monkeypatch.setattr(hm, "boundary_invariants",
                             lambda columns: eliminations.append(len(columns)) or eliminate(columns))

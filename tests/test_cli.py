@@ -432,6 +432,17 @@ class TestClassify:
         # level 4 is past the budget, yet small enough to count exactly
         assert err == "resource error: predicted 341 simplices exceeds budget 10\n"
 
+    def test_budget_bounds_the_presentations(self, tmp_path, capsys):
+        # the bar's 1,365 simplices fit, but the degree 4 presentation that
+        # the swap's induced maps need holds more nonzeros
+        presheaf = build(tmp_path, "z2_swap_on_klein")
+        args = ["classify", "--input", str(presheaf), "--dim", "5", "--homology", "4"]
+        code, out, err = run([*args, "--budget", "1365"], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("resource error: homology presentation in degree 4: "
+                       "nonzeros held exceed budget 1365\n")
+        assert run([*args, "--budget", "2000"], capsys)[0] == 0
+
     @pytest.mark.parametrize("fixture, bounds, message", [
         ("z2", ["--dim", "100", "--iterate", "5"], "predicted bar level 5 alone"),
         ("z2", ["--dim", "3", "--iterate", "40"], "predicted bar level 2 alone"),

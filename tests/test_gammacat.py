@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 
 from gammaspaces.errors import CompositionError, DisjointnessError
 from gammaspaces import gammacat as gc
-from oracles import edge_from_zero, to_power_set_form
+from oracles import (compose_delta, compose_gamma, delta_identity, edge_from_zero,
+                     gamma_identity, to_power_set_form)
 
 
 def gamma_op_maps(max_size=4):
@@ -150,7 +151,7 @@ def _enumerate_disjoint_assignments(src, tgt):
 class TestDeltaToGamma:
     def test_identity_to_identity(self):
         for n in range(5):
-            assert gc.delta_to_gamma(gc.delta_identity(n)) == gc.gamma_identity(n)
+            assert gc.delta_to_gamma(delta_identity(n)) == gamma_identity(n)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_edges_map_to_projections(self, n):
@@ -169,8 +170,8 @@ class TestDeltaToGamma:
         f = data.draw(delta_maps())
         tail = data.draw(st.lists(st.integers(0, 4), min_size=f.target + 1, max_size=f.target + 1))
         g = gc.DeltaMap(f.target, 4, tuple(sorted(tail)))
-        lhs = gc.delta_to_gamma(gc.compose_delta(g, f))
-        rhs = gc.compose_gamma(gc.delta_to_gamma(g), gc.delta_to_gamma(f))
+        lhs = gc.delta_to_gamma(compose_delta(g, f))
+        rhs = compose_gamma(gc.delta_to_gamma(g), gc.delta_to_gamma(f))
         assert lhs == rhs
 
     def test_contravariant_against_pointed_form(self):
@@ -179,7 +180,7 @@ class TestDeltaToGamma:
             m, n, p = (rng.randint(0, 3) for _ in range(3))
             f = gc.DeltaMap(m, n, tuple(sorted(rng.randint(0, n) for _ in range(m + 1))))
             g = gc.DeltaMap(n, p, tuple(sorted(rng.randint(0, p) for _ in range(n + 1))))
-            lhs = gc.from_power_set_form(gc.delta_to_gamma(gc.compose_delta(g, f)))
+            lhs = gc.from_power_set_form(gc.delta_to_gamma(compose_delta(g, f)))
             rhs = gc.compose(gc.from_power_set_form(gc.delta_to_gamma(f)),
                              gc.from_power_set_form(gc.delta_to_gamma(g)))
             assert lhs == rhs
@@ -247,8 +248,8 @@ class TestSimplicialOperatorImages:
         for p in range(2, 5):
             for i in range(p):
                 for j in range(i, p):
-                    lhs = gc.compose_delta(gc.coface(p, i), gc.coface(p - 1, j))
-                    rhs = gc.compose_delta(gc.coface(p, j + 1), gc.coface(p - 1, i))
+                    lhs = compose_delta(gc.coface(p, i), gc.coface(p - 1, j))
+                    rhs = compose_delta(gc.coface(p, j + 1), gc.coface(p - 1, i))
                     assert lhs == rhs
                     assert (gc.compose(gc.from_power_set_form(gc.delta_to_gamma(gc.coface(p - 1, j))),
                                        gc.from_power_set_form(gc.delta_to_gamma(gc.coface(p, i))))

@@ -69,6 +69,10 @@ CLASSIFY_SHAPES = {
     ("z2_trivial_on_z2", "--iterate 2 --dim 3 --homology 1"):
         "85133da6b2838a9bd0a1879d9a307dcbc20bb0749fee31f36dfa230016efe32c",
 }
+# the largest equivariant rung: a top level of 262,144 simplices, recorded
+# from the dense Smith forms before the presentations moved to sparse rows
+FRONTIER = ("z2_swap_on_klein", "--iterate 2 --dim 3 --homology 2",
+            "dbdfcd309fbb5587cb244587096d054f4599cfad588f5993a1e889d03a98c16a")
 
 
 def report_digest(path: pathlib.Path) -> str:
@@ -115,3 +119,11 @@ def test_classify_shape_report(tmp_path, fixture, args):
     out = run_to_file(tmp_path, "classify",
                       ["classify", "--input", str(build(tmp_path, fixture)), *args.split()])
     assert report_digest(out) == CLASSIFY_SHAPES[fixture, args]
+
+
+@pytest.mark.slow
+def test_classify_frontier_report(tmp_path):
+    fixture, args, digest = FRONTIER
+    out = run_to_file(tmp_path, "classify",
+                      ["classify", "--input", str(build(tmp_path, fixture)), *args.split()])
+    assert report_digest(out) == digest

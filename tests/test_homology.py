@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
-from gammaspaces.errors import TruncationError
+from gammaspaces.errors import BudgetError, TruncationError
 from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_complex,
                      compose_maps, constant_map_to_point, determinantal_invariants,
                      em_two_cocycle_space, full_chain_complex, identity_map, map_from_label_maps,
@@ -81,6 +81,12 @@ class TestSmithNormalForm:
         outputs = [hm.smith_normal_form(a) for a in pinned_matrices()]
         digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
         assert digest == "994184263114c4c7e9e8685d34ae03bf708b5ae367317143255d30d6c44c54c3"
+
+    def test_inverse_outputs_pinned(self):
+        # (U^-1, V^-1) of the same matrices, recorded from the dense elimination
+        outputs = [hm.smith_normal_form(a, ("u_inv", "v_inv"))[1:] for a in pinned_matrices()]
+        digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+        assert digest == "3b21c6f14ee6abe6834a033d74daf826f1f799cc6da5c2bc52bf66a2a1861989"
 
 
 def pinned_matrices():
@@ -318,10 +324,15 @@ class TestPresentationContract:
             for p in range(C.top):
                 pres = hm.HomologyPresentation(C, p)
                 boundary = C.boundary(p + 1)
-                product = [[sum(k * r[j] for k, r in zip(row, pres.relations))
-                            for j in range(C.ranks[p + 1])] for row in pres.kernel]
+                # the kernel basis and the relations are sparse: kernel[k] is
+                # a chain, relations[k] the k-th coordinate of every column
+                relations = pres.relation_rows(C.columns[p + 1])
+                kernel = [[vec.get(r, 0) for vec in pres.kernel] for r in range(C.ranks[p])]
+                dense = [[row.get(j, 0) for j in range(C.ranks[p + 1])] for row in relations]
+                product = [[sum(k * r[j] for k, r in zip(row, dense))
+                            for j in range(C.ranks[p + 1])] for row in kernel]
                 assert product == boundary
-                assert pres.relations == hm.solve_exact(pres.kernel, boundary)
+                assert dense == hm.solve_exact(kernel, boundary)
 
     def test_generators_have_unit_coordinates(self):
         for C in contract_complexes():
@@ -340,6 +351,17 @@ class TestPresentationContract:
                         chain = [[int(i == j)] for i in range(C.ranks[p])]
                         with pytest.raises(ValueError, match="not a cycle"):
                             pres.coordinates(chain)
+
+
+class TestPresentationBudget:
+    def test_budget_bounds_the_nonzeros_held(self):
+        # where degree 3 of the Klein four nerve counts its nonzeros (relation
+        # rows plus kept transforms), they peak at 464
+        C = hm.normalized_chain_complex(nerve_of_monoid(klein_four(), 4))
+        assert hm.HomologyPresentation(C, 3, 464).group() == hm.HomologyGroup(0, (2, 2, 2))
+        with pytest.raises(BudgetError, match="^homology presentation in degree 3: "
+                                              "nonzeros held exceed budget 463$"):
+            hm.HomologyPresentation(C, 3, 463)
 
 
 class TestHomologyGroupType:

@@ -9,7 +9,8 @@ in every smash factor at once.  For k = 1 and a monoid-built presheaf this
 is literally the nerve of the monoid.  `iterate_bar` builds one
 `BarSpace`, its level objects computed by `_check_budget` alone, and
 `delooping_report` and `structure_map` both read it.  A report computes
-each homology group once, from the presentations when there is a group.
+each homology group once: from the cleared boundaries, or from the
+presentations when there is a group.
 """
 
 from __future__ import annotations
@@ -340,14 +341,15 @@ def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> 
     action of every group element and, when the presheaf came from a
     group, a comparison against the expected pattern of its delooping.
     Degree maxdeg needs B.d > maxdeg.  A bar without a group takes its
-    groups from the sparse boundaries.  A bar with a group builds a
-    presentation per degree, whose representative cycles the induced maps
-    need, and reads each group off it; a presentation whose nonzeros pass
-    the budget raises BudgetError."""
+    groups from the boundaries, each cleared by the unit pivots of the one
+    below.  A bar with a group builds a presentation per degree, whose
+    representative cycles the induced maps need, and reads each group off
+    it.  An elimination whose nonzeros pass the budget raises
+    BudgetError."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
     g_action: dict = {}
     if B.group is None:
-        groups = homology_groups(chain, maxdeg)
+        groups = homology_groups(chain, maxdeg, budget)
     else:
         presentations = [HomologyPresentation(chain, q, budget) for q in range(maxdeg + 1)]
         groups = [pres.group() for pres in presentations]

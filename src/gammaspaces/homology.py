@@ -3,18 +3,17 @@ groups, Smith normal form, and induced maps on homology.
 
 Boundaries are sparse columns, and every elimination runs on sparse rows
 of exact integers (Dumas-Saunders-Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001).  Homology groups clear +-1
-pivots in Markowitz order first (Kaczynski-Mrozek-Slusarek, "Homology
-computation by reduction of chain complexes", 1998) and hand the rest to
-`smith_rows`.  Induced maps need representative cycles, so a
-`HomologyPresentation` runs two Smith forms per degree, each keeping only
-the transforms it reads, and a report with induced maps reads its groups
-off the presentations.
+matrix Smith normal form computations", 2001).  Homology groups come from
+`smith_rows` without transforms, one boundary at a time, each boundary
+first cleared of the rows that the previous one's leading unit pivots
+mark (Chen-Kerber, "Persistent homology computation with a twist", 2011).
+Induced maps need representative cycles, so a `HomologyPresentation` runs
+two Smith forms per degree, each keeping only the transforms it reads, and
+a report with induced maps reads its groups off the presentations.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
 
@@ -59,10 +58,12 @@ def _dense(rows: list[Row], cols: int, transpose: bool = False) -> Matrix:
 
 
 def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
-               budget: int | None = None) -> dict[str, list[Row]]:
+               budget: int | None = None) -> dict[str, list]:
     """Reduce the sparse rows `d` of `cols` columns in place to the Smith
     form D = U @ d @ V, and return the transforms named in `track` as
-    sparse rows: U and V^-1 as they are, U^-1 and V transposed.
+    sparse rows: U and V^-1 as they are, U^-1 and V transposed.  Under
+    "unit_columns" it also returns the original columns of the leading
+    +-1 pivots, those taken before the first pivot of |entry| > 1.
 
     The pivot is the smallest nonzero |entry|, lowest row first, then lowest
     column, so the output is deterministic and does not depend on `track`.
@@ -82,6 +83,8 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
     side = {name: [kept[name]] if name in kept else [] for name in ("u", "u_inv", "v", "v_inv")}
     # (forward, inverse-transpose) rows of the row and of the column operations
     row_side, col_side = ([d, *side["u"]], side["u_inv"]), (side["v"], side["v_inv"])
+    # the original column at each position, and the leading +-1 pivots so far
+    perm, units = list(range(cols)), 0
     # rows from s on are nonzero in columns from s on only, and every row
     # above s in its diagonal entry only
     for s in range(min(rows, cols)):
@@ -97,7 +100,9 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
                         break
         if pivot is None:
             break
-        _, pi, pj = pivot
+        val, pi, pj = pivot
+        if val == 1 and units == s:
+            units += 1
         if pi != s:
             _swap(row_side, s, pi)
         if pj != s:
@@ -106,6 +111,7 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
                 _put(row, pj, p)
                 _put(row, s, r)
             _swap(col_side, s, pj)
+            perm[s], perm[pj] = perm[pj], perm[s]
         # clearing one entry leaves the others in the pivot row and column
         # as they were, so only the nonzero ones are visited
         while True:
@@ -140,7 +146,7 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
                 changed = True
     if budget is not None:
         _check(held, budget)
-    return kept
+    return {**kept, "unit_columns": perm[:units]}
 
 
 def _check(held, budget):
@@ -298,6 +304,14 @@ class ChainComplex:
             raise TruncationError(f"boundary {p} outside 1..{self.top}", required=p)
         return [[col.get(r, 0) for col in self.columns[p]] for r in range(self.ranks[p - 1])]
 
+    def rows(self, p: int) -> list[Row]:
+        """The differential out of degree p as sparse rows, none for p = 0."""
+        rows = [{} for _ in range(self.ranks[p - 1] if p else 0)]
+        for j, col in enumerate(self.columns[p] if p else ()):
+            for r, x in col.items():
+                rows[r][j] = x
+        return rows
+
 
 def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
     """Normalized chains: one generator per nondegenerate simplex, with
@@ -325,87 +339,28 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
     return ChainComplex(ranks, columns)
 
 
-def boundary_invariants(columns: list[Column]) -> tuple[int, tuple[int, ...]]:
-    """Rank and torsion coefficients (the invariant factors above 1) of a
-    matrix given by sparse columns, without transforms.
-
-    A +-1 pivot is cleared by column operations and leaves a unit factor.
-    Each row queues its unit entry in the shortest column, and the entry
-    of least Markowitz cost (row count - 1) * (column length - 1) goes
-    first; its cost is rechecked when it is taken.  A row whose entries
-    changed is queued again once the queue runs dry.  The residual, which
-    has no unit entry, goes to `smith_normal_form` without transforms, and
-    its diagonal is already in divisibility order.
-    """
-    cols: list[Column | None] = [dict(col) for col in columns if col]
-    rows: dict[int, set[int]] = {}
-    for j, col in enumerate(cols):
-        for r in col:
-            rows.setdefault(r, set()).add(j)
-
-    def cost(r, j):
-        return (len(rows[r]) - 1) * (len(cols[j]) - 1)
-
-    heap: list[tuple[int, int, int]] = []
-    dirty = set(rows)  # rows to scan for their unit entry in the shortest column
-    units = 0
-    while dirty:
-        for r in dirty:
-            shortest = min(((len(cols[j]), j) for j in rows.get(r, ()) if cols[j][r] in (1, -1)),
-                           default=None)
-            if shortest:
-                heapq.heappush(heap, (cost(r, shortest[1]), r, shortest[1]))
-        dirty = set()
-        while heap:
-            queued, r, j = heapq.heappop(heap)
-            pivot = cols[j]
-            if r not in rows or pivot is None or pivot.get(r) not in (1, -1):
-                dirty.add(r)  # cleared or changed since it was queued
-                continue
-            now = cost(r, j)
-            if now > queued:
-                heapq.heappush(heap, (now, r, j))
-                continue
-            cols[j] = None
-            units += 1
-            for c in pivot:
-                rows[c].discard(j)
-            sign = pivot[r]
-            others = [(c, x * sign) for c, x in pivot.items() if c != r]
-            dirty.update(c for c, _ in others)
-            for i in rows.pop(r):
-                col = cols[i]
-                factor = col.pop(r)
-                for c, x in others:
-                    old = col.get(c)
-                    if old is None:
-                        rows[c].add(i)
-                        col[c] = -factor * x
-                    elif old != factor * x:
-                        col[c] = old - factor * x
-                    else:
-                        del col[c]
-                        rows[c].discard(i)
-                if len(col) == 1:  # a column left with one unit entry costs nothing
-                    (c, y), = col.items()
-                    if y in (1, -1):
-                        heapq.heappush(heap, (0, c, i))
-    left = [col for col in cols if col]
-    residual = [{j: col[r] for j, col in enumerate(left) if r in col}
-                for r in sorted(r for r in rows if rows[r])]
-    smith_rows(residual, len(left))
-    factors = [row[i] for i, row in enumerate(residual) if i in row]
-    return units + len(factors), tuple(x for x in factors if x > 1)
-
-
-def homology_groups(C: ChainComplex, top: int) -> list[HomologyGroup]:
+def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> list[HomologyGroup]:
     """H_0 .. H_top of C: H_q is Z^(n_q - rank d_q - rank d_(q+1)) plus the
-    torsion of d_(q+1)."""
+    torsion of d_(q+1).  Each d_p goes to `smith_rows` without transforms,
+    cleared first by d_(p-1): the rows that name its leading unit pivot
+    columns are dropped.  Past a `budget`, BudgetError names the boundary."""
     if top + 1 > C.top:
         raise TruncationError(
             f"homology in degree {top} needs boundaries up to degree {top + 1}; "
             f"complex stops at {C.top}", required=top + 1)
-    invariants = [(0, ())] + [boundary_invariants(C.columns[p]) for p in range(1, top + 2)]
+    invariants, cleared = [(0, ())], set()
+    for p in range(1, top + 2):
+        # Exact over Z: the rows W of U @ d_(p-1) at the leading unit pivots
+        # are +-(unit triangular) on the pivot columns and W @ d_p = 0, so
+        # each dropped row is an integer combination of the kept ones, and
+        # the row lattice, the rank and the invariant factors stay the same.
+        d = [row for r, row in enumerate(C.rows(p)) if row and r not in cleared]
+        try:
+            cleared = set(smith_rows(d, C.ranks[p], (), budget)["unit_columns"])
+        except BudgetError as exc:
+            raise BudgetError(f"homology boundary {p}: {exc}") from exc
+        factors = [row[i] for i, row in enumerate(d) if i in row]
+        invariants.append((len(factors), tuple(x for x in factors if x > 1)))
     return [HomologyGroup(C.ranks[q] - invariants[q][0] - invariants[q + 1][0],
                           invariants[q + 1][1]) for q in range(top + 1)]
 
@@ -456,10 +411,7 @@ class HomologyPresentation:
                 f"homology in degree {p} needs boundaries up to degree {p + 1}; "
                 f"complex stops at {C.top}", required=p + 1)
         n_p, n_next = C.ranks[p], C.ranks[p + 1]
-        d = [{} for _ in range(C.ranks[p - 1] if p else 0)]
-        for j, col in enumerate(C.columns[p] if p else ()):
-            for r, x in col.items():
-                d[r][j] = x
+        d = C.rows(p)
         try:
             kept = smith_rows(d, n_p, ("v", "v_inv"), budget)
             self._rank = sum(1 for i, row in enumerate(d) if i in row)

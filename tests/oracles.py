@@ -12,11 +12,12 @@ as dicts between simplices are converted to index tables here.
 table by table, the check `validate` packs level by level.  The
 unnormalized chain complex, an exact determinant and a Smith-form
 certificate check the homology layer, and every presentation's group is
-checked against the sparse elimination.  The sparse elimination finishes
-with `smith_rows`, so it is also checked against invariant factors
-read off determinantal divisors, which share no code with it; the Smith
-diagonal checks the invariant factors that the expected-homology oracle
-finds without it.  Wedge objects give the normalized pairs of the
+checked against `homology_groups`, which eliminates each boundary with
+`smith_rows` after clearing the rows that the previous boundary's unit
+pivots mark.  Both are also checked against homology read off
+determinantal divisors and ranks, which share no code with `smith_rows`;
+the Smith diagonal checks the invariant factors that the
+expected-homology oracle finds without it.  Wedge objects give the normalized pairs of the
 wedge-indexed category their concrete functions.  The category-axiom tests
 build the preimage form of a pointed map, identities and composites of
 power-set and order-preserving maps, the edges from vertex zero and
@@ -140,8 +141,8 @@ def chain_complex(ranks: list[int], boundaries: list[Matrix]) -> ChainComplex:
 
 
 def presentation_group(C: ChainComplex, q: int) -> HomologyGroup:
-    """H_q of C read off its dense Smith presentation, checked against the
-    group the sparse elimination gives."""
+    """H_q of C read off its presentation, checked against the group that
+    `homology_groups` gives from the cleared boundaries."""
     group = HomologyPresentation(C, q).group()
     assert homology_groups(C, q)[q] == group, (q, group)
     return group
@@ -371,6 +372,15 @@ def determinantal_invariants(a: Matrix) -> list[int]:
         factors.append(divisor // previous)
         previous = divisor
     return factors
+
+
+def determinantal_homology(C: ChainComplex, top: int) -> list[HomologyGroup]:
+    """H_0 .. H_top of C from the dense boundaries' determinantal
+    invariants: Z^(n_q - rank d_q - rank d_(q+1)) plus the factors of
+    d_(q+1) above 1."""
+    factors = [[]] + [determinantal_invariants(C.boundary(p)) for p in range(1, top + 2)]
+    return [HomologyGroup(C.ranks[q] - len(factors[q]) - len(factors[q + 1]),
+                          tuple(x for x in factors[q + 1] if x > 1)) for q in range(top + 1)]
 
 
 def snf_diagonal(a: Matrix) -> list[int]:

@@ -443,6 +443,16 @@ class TestClassify:
                        "nonzeros held exceed budget 1365\n")
         assert run([*args, "--budget", "2000"], capsys)[0] == 0
 
+    def test_budget_bounds_the_group_free_elimination(self, tmp_path, capsys):
+        # the bar's 66,067 simplices fit, but the cleared boundary out of
+        # degree 4 holds more nonzeros
+        presheaf = build(tmp_path, "z2", levels=2)
+        code, out, err = run(["classify", "--input", str(presheaf), "--iterate", "2",
+                              "--dim", "4", "--homology", "3", "--budget", "100000"], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("resource error: homology boundary 4: Smith form holds 277758 "
+                       "nonzeros, past budget 100000\n")
+
     @pytest.mark.parametrize("fixture, bounds, message", [
         ("z2", ["--dim", "100", "--iterate", "5"], "predicted bar level 5 alone"),
         ("z2", ["--dim", "3", "--iterate", "40"], "predicted bar level 2 alone"),

@@ -10,9 +10,10 @@ from gammaspaces import simplicial as ss
 from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import BudgetError, TruncationError
 from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_complex,
-                     compose_maps, constant_map_to_point, determinantal_invariants,
-                     em_two_cocycle_space, full_chain_complex, identity_map, map_from_label_maps,
-                     nerve_of_monoid, presentation_group, snf_diagonal, sparse_columns, verify_snf)
+                     compose_maps, constant_map_to_point, determinantal_homology,
+                     determinantal_invariants, em_two_cocycle_space, full_chain_complex,
+                     identity_map, map_from_label_maps, nerve_of_monoid, presentation_group,
+                     snf_diagonal, verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -230,9 +231,48 @@ def shaped_matrices(values, most=6):
                                                  max_size=most)))
 
 
+@st.composite
+def split_complexes(draw):
+    """Up to five chain groups of rank at most 4.  Each boundary sends
+    distinct basis vectors to multiples of distinct ones, from
+    {+-1, 2, 3, 4, 6}, and the complex is then seen in random integer
+    bases: a change of basis E on degree p is E @ d_(p+1) and d_p @ E^-1."""
+    ranks = draw(st.lists(st.integers(0, 4), min_size=3, max_size=5))
+    boundaries = [None] + [[[0] * ranks[p] for _ in range(ranks[p - 1])]
+                           for p in range(1, len(ranks))]
+    sources = 0  # basis vectors of degree p - 1 that d_(p-1) does not kill
+    for p in range(1, len(ranks)):
+        sources = draw(st.integers(0, min(ranks[p], ranks[p - 1] - sources)))
+        for i in range(sources):
+            boundaries[p][ranks[p - 1] - 1 - i][i] = draw(st.sampled_from([1, -1, 2, 3, 4, 6]))
+    for p, n in enumerate(ranks):
+        if n < 2:
+            continue
+        ops = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.integers(-2, 2))
+        for i, step, q in draw(st.lists(ops, max_size=6)):
+            j = (i + step) % n  # basis vector i += q * basis vector j
+            if p + 1 < len(ranks):
+                d = boundaries[p + 1]
+                d[i] = [x + q * y for x, y in zip(d[i], d[j])]
+            for row in boundaries[p] if p else ():
+                row[j] -= q * row[i]
+    return chain_complex(ranks, boundaries)
+
+
 def dense_invariants(a):
     diag = snf_diagonal(a)
     return sum(1 for x in diag if x), tuple(x for x in diag if x > 1)
+
+
+def cokernel(a, invariants):
+    """Z^(rows - rank) plus the torsion, from (rank, torsion)."""
+    rank, torsion = invariants
+    return hm.HomologyGroup(len(a) - rank, torsion)
+
+
+def h0(cols, a):
+    """H_0 of the complex whose one boundary is a, with cols columns."""
+    return hm.homology_groups(chain_complex([len(a), cols], [None, a]), 0)[0]
 
 
 class TestSparseElimination:
@@ -240,13 +280,13 @@ class TestSparseElimination:
     @given(shaped_matrices(entries))
     def test_agrees_with_smith_diagonal(self, shaped):
         cols, a = shaped
-        assert hm.boundary_invariants(sparse_columns(a, cols)) == dense_invariants(a)
+        assert h0(cols, a) == cokernel(a, dense_invariants(a))
 
     @settings(max_examples=100)
     @given(shaped_matrices(unitless))
     def test_agrees_without_unit_entries(self, shaped):
         cols, a = shaped
-        assert hm.boundary_invariants(sparse_columns(a, cols)) == dense_invariants(a)
+        assert h0(cols, a) == cokernel(a, dense_invariants(a))
 
     @pytest.mark.parametrize("values", [entries, unitless], ids=["entries", "unitless"])
     @settings(max_examples=150)
@@ -254,8 +294,7 @@ class TestSparseElimination:
     def test_agrees_with_determinantal_divisors(self, values, data):
         cols, a = data.draw(shaped_matrices(values, most=4))
         factors = determinantal_invariants(a)
-        assert hm.boundary_invariants(sparse_columns(a, cols)) == \
-            (len(factors), tuple(x for x in factors if x > 1))
+        assert h0(cols, a) == cokernel(a, (len(factors), tuple(x for x in factors if x > 1)))
 
     @settings(max_examples=100)
     @given(shaped_matrices(entries, most=4), st.integers(0, 4), st.integers(0, 4))
@@ -265,16 +304,17 @@ class TestSparseElimination:
         padded.insert(min(i, len(padded)), [0] * (cols + 1))
         expected = dense_invariants(a)
         assert dense_invariants(padded) == expected
-        assert hm.boundary_invariants(sparse_columns(padded, cols + 1)) == expected
+        assert h0(cols + 1, padded) == cokernel(padded, expected)
 
     def test_empty_shapes(self):
-        assert hm.boundary_invariants([]) == (0, ())
-        assert hm.boundary_invariants([{}, {}, {}]) == (0, ())
+        assert h0(0, []) == hm.HomologyGroup(0)
+        assert h0(3, []) == hm.HomologyGroup(0)
+        assert h0(0, [[], [], []]) == hm.HomologyGroup(3)
 
     def test_residual_needs_the_divisibility_chain(self):
-        # no unit entry: the residual's Smith form turns diag(2, 3) into diag(1, 6)
-        assert hm.boundary_invariants(sparse_columns([[2, 0], [0, 3]], 2)) == (2, (6,))
-        assert hm.boundary_invariants(sparse_columns([[4, 6], [6, 4]], 2)) == (2, (2, 10))
+        # no unit entry: the Smith form turns diag(2, 3) into diag(1, 6)
+        assert h0(2, [[2, 0], [0, 3]]) == hm.HomologyGroup(0, (6,))
+        assert h0(2, [[4, 6], [6, 4]]) == hm.HomologyGroup(0, (2, 10))
 
     def test_groups_agree_with_presentations(self):
         spaces = [ss.point(3), ss.suspension([0, 1, 2], 0, 3), em_two_cocycle_space(cyclic(2), 3)]
@@ -283,6 +323,33 @@ class TestSparseElimination:
             for C in (hm.normalized_chain_complex(X), full_chain_complex(X)):
                 assert hm.homology_groups(C, C.top - 1) == \
                     [hm.HomologyPresentation(C, q).group() for q in range(C.top)]
+
+    def test_unit_columns_are_the_leading_unit_pivots(self):
+        # the pivot 1 lies in column 1; the next pivot, 2, is not a unit
+        assert hm.smith_rows([{1: 1, 2: 3}, {0: 2}], 3)["unit_columns"] == [1]
+        # the first pivot is 2, and Bezout then turns it into 1, which is no
+        # leading unit pivot; nor is a unit pivot that comes after it
+        assert hm.smith_rows([{0: 2, 1: 3}], 2)["unit_columns"] == []
+        assert hm.smith_rows([{0: 2, 1: 2}, {0: 2, 1: 3}], 2)["unit_columns"] == []
+
+    def test_a_unit_after_a_nonunit_pivot_clears_nothing(self):
+        # clearing d_2's row 0 by the unit that Bezout makes from d_1's
+        # first pivot would leave [[-2]] and report H_1 = Z/2
+        C = chain_complex([1, 2, 1], [None, [[2, 3]], [[3], [-2]]])
+        assert hm.homology_groups(C, 1) == [hm.HomologyGroup(0), hm.HomologyGroup(0)]
+        assert determinantal_homology(C, 1) == [hm.HomologyGroup(0), hm.HomologyGroup(0)]
+        # d_1's pivots are 2, then 1; clearing d_2's row 0 by that unit
+        # would leave [[-4], [2]]
+        C = chain_complex([2, 3, 1], [None, [[2, 2, 3], [2, 3, 5]], [[1], [-4], [2]]])
+        assert hm.homology_groups(C, 1) == [hm.HomologyGroup(0), hm.HomologyGroup(0)]
+        assert determinantal_homology(C, 1) == [hm.HomologyGroup(0), hm.HomologyGroup(0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(split_complexes())
+    def test_clearing_agrees_with_presentations_and_determinantal_divisors(self, C):
+        groups = hm.homology_groups(C, C.top - 1)
+        assert groups == [hm.HomologyPresentation(C, q).group() for q in range(C.top)]
+        assert groups == determinantal_homology(C, C.top - 1)
 
     def test_tampered_boundary_fails_the_composite_check(self):
         C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(3), 3))

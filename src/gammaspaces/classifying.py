@@ -32,25 +32,43 @@ DEFAULT_BUDGET = 10 ** 7
 _EXACT_BITS = 4096
 
 
+def _identity_checks(p: int, d: int) -> int:
+    """Identity comparisons that validate makes per simplex of level p of a
+    space truncated at d: d_i d_j (i < j), s_i s_j (i <= j) and the d_i s_j."""
+    return ((p * (p + 1) // 2 if p >= 2 else 0) + ((p + 1) * (p + 2) // 2 if p < d - 1 else 0)
+            + ((p + 1) * (p + 2) if p < d else 0))
+
+
+def _refuse_identity_checks(checks: int, budget: int) -> None:
+    if checks > budget:
+        raise BudgetError(f"predicted {checks} identity checks on one-element bar levels "
+                          f"exceeds budget {budget}")
+
+
 def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
     """The presheaf objects p**k * n behind bar levels p = 0..d, walked in
     order.  A monoid-built level m holds size**m simplices; one past the
     budget and over _EXACT_BITS bits is refused without being computed,
     and so is p**k once k alone puts it there.  The labels of one-element
     levels may hold at most budget entries in all, all levels at most
-    budget simplices.  At n = 0 every level is object 0, so the total is
-    known without the walk."""
+    budget simplices, and last the identity checks on one-element levels,
+    which the simplex count does not bound, at most budget.  At n = 0 every
+    level is object 0, so both totals are known without the walk."""
     algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
     sized = isinstance(algebra, FinAbMonoid)
     if not n:
-        total = (d + 1) * (1 if sized else X.level_size(0))
+        size = 1 if sized else X.level_size(0)
+        total = (d + 1) * size
         if total > budget:
             raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+        if size == 1:  # the sum of _identity_checks(p, d) over p <= d
+            _refuse_identity_checks(d and 3 * math.comb(d + 2, 3) + math.comb(d + 1, 3) - 1,
+                                    budget)
         return [0] * (d + 1)
     # for p >= 2, p**k * n >= 2**k: past both bounds once k reaches their bit lengths
     huge = sized and n and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
     objects: list[int] = []
-    total = entries = 0
+    total = entries = checks = 0
     for p in range(d + 1):
         if huge and p >= 2:
             raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
@@ -64,10 +82,13 @@ def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
             if entries > budget:
                 raise BudgetError(f"predicted {entries} label entries in one-element "
                                   f"bar levels exceeds budget {budget}")
+        if base == 1 or not exponent:
+            checks += _identity_checks(p, d)
         total += base ** exponent
         objects.append(m)
     if total > budget:
         raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+    _refuse_identity_checks(checks, budget)
     return objects
 
 

@@ -113,6 +113,8 @@ TruncatedGGammaSet = TruncatedGammaSet
 # a block takes the most source positions that keep it within this many tuples;
 # on the benchmark's tables 64 timed faster than 128, 256 or one walk per table
 _BLOCK_TUPLES = 64
+# ints up to this one are shared objects in CPython (its small-int cache)
+_SHARED_INTS = 256
 
 
 def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
@@ -128,18 +130,28 @@ def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
     the table is laid out block by block, the last block fastest: one
     `map` over the table so far for each image of an earlier block.  Blocks
     write disjoint target digits, so their changes to the all-unit image
-    add without carries.
+    add without carries.  A target of more than _SHARED_INTS positions and
+    no more than the source has its block images read out of one list of
+    its positions, shifted by the change, so the table holds one int object
+    per position, not one per entry; a change below 0 (the unit is not
+    element 0) is added.
     """
     s, t = M.size, f.target
     weights = [s ** (t - j) for j in range(t + 1)]
     unit = M.unit * sum(weights[1:])  # the all-unit tuple
     *blocks, last = _fibre_closed_blocks(f.values, s)
     out = _digit_walk(M, row, last, weights, unit)
+    positions = list(range(s ** t)) if _SHARED_INTS < s ** t <= s ** f.source else None
     for block in reversed(blocks):
         tail, out = out, []
         for image in _digit_walk(M, row, block, weights, unit):
             step = image - unit
-            out += map(operator.add, tail, itertools.repeat(step)) if step else tail
+            if not step:
+                out += tail
+            elif step > 0 and positions:
+                out += map(positions[step:].__getitem__, tail)
+            else:
+                out += map(operator.add, tail, itertools.repeat(step))
     return out
 
 

@@ -137,8 +137,9 @@ def _first_violation(X: TruncatedSimplicialSet, identities) -> ValidationReport 
 
 def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
     """Whether every d_i d_j = d_{j-1} d_i holds on level p, read off one
-    pass over the level.  The faces out of levels p and p - 1 must be in
-    range.
+    pass over the level.  The faces out of level p - 1 must be in range,
+    and those out of level p total and not negative: an entry past level
+    p - 1 raises IndexError in its lookup of diff_j.
 
     With R = |X_{p-2}|, the pair (i, j) gets the weight R**idx(i, j), idx
     numbering the pairs.  Grouped by the face applied first, the weighted
@@ -163,17 +164,53 @@ def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
     return not any(sums)
 
 
+def _packed(X: TruncatedSimplicialSet, p: int) -> bool:
+    """Whether the face identities of level p are checked by _faces_commute:
+    level p is at least p(p+1) times the level below."""
+    return p >= 2 and len(X.levels[p]) >= p * (p + 1) * len(X.levels[p - 1])
+
+
+def _holds(X: TruncatedSimplicialSet) -> bool:
+    """Whether every identity holds, without naming a violation.  The face
+    tables of a packed level are checked only for arity, length and sign:
+    _faces_commute looks every entry up in a table over the level below,
+    so one past it raises IndexError, and that is a failure too."""
+    try:
+        for p in range(1, X.d + 1):
+            tables, size = X.faces[p], len(X.levels[p])
+            if not _packed(X, p):
+                if _check_tables(X, "face", tables, p, p - 1):
+                    return False
+            elif len(tables) != p + 1 or any(len(t) != size or min(t, default=0) < 0
+                                             for t in tables):
+                return False
+        for p in range(X.d):
+            if _check_tables(X, "degeneracy", X.degeneracies[p], p, p + 1):
+                return False
+        for p in range(2, X.d + 1):
+            if not (_faces_commute(X, p) if _packed(X, p)
+                    else _first_violation(X, _face_identities(X, p)) is None):
+                return False
+        return _first_violation(X, _degeneracy_identities(X)) is None
+    except IndexError:
+        return False
+
+
 def validate(X: TruncatedSimplicialSet) -> ValidationReport:
     """Check every simplicial identity expressible within the truncation.
 
     Exhaustive: each identity compares two composite index tables over a
     whole level, except that the face identities of a level at least
-    p(p+1) times the size of the level below are first checked together
-    by _faces_commute, whose tables then cost at most one pass over the
-    level; only a level that fails it is compared table by table.
-    Returns the first violation found, named with the offending identity,
-    level, indices, and simplex.
+    p(p+1) times the size of the level below are checked together by
+    _faces_commute, whose tables then cost at most one pass over the
+    level.  _holds answers first whether everything holds; only when it
+    does not are the ranges and identities checked again in order, table
+    by table wherever a packed check fails, so that the report is the
+    first violation, named with the offending identity, level, indices,
+    and simplex.
     """
+    if _holds(X):
+        return ValidationReport(True)
     for p in range(1, X.d + 1):
         report = _check_tables(X, "face", X.faces[p], p, p - 1)
         if report:
@@ -183,8 +220,7 @@ def validate(X: TruncatedSimplicialSet) -> ValidationReport:
         if report:
             return report
     for p in range(2, X.d + 1):
-        packed = len(X.levels[p]) >= p * (p + 1) * len(X.levels[p - 1])
-        if not (packed and _faces_commute(X, p)):
+        if not (_packed(X, p) and _faces_commute(X, p)):
             report = _first_violation(X, _face_identities(X, p))
             if report:
                 return report

@@ -81,7 +81,11 @@ class TestBar:
         with pytest.raises(BudgetError, match="^predicted 1000000000001 simplices "
                                               "exceeds budget 10000000$"):
             cb.bar(X, 0, 10 ** 12)
-        assert cb._check_budget(X, 3, 4, 0, 5) == [0] * 5
+        # 5 simplices, on which validate makes 69 identity checks
+        assert cb._check_budget(X, 3, 4, 0, 69) == [0] * 5
+        with pytest.raises(BudgetError, match="^predicted 69 identity checks on one-element "
+                                              "bar levels exceeds budget 68$"):
+            cb._check_budget(X, 3, 4, 0, 68)
 
     def test_bar_stores_its_level_objects(self):
         B = cb.iterate_bar(ps.build_gamma_set(Z2, 9), 2, 3)
@@ -291,6 +295,17 @@ class TestIterateBar:
             tracemalloc.stop()
         assert level_peak < 4096
         assert bar_peak < 12 * 2 ** 20
+
+    def test_tables_share_their_position_objects(self):
+        tracemalloc.start()
+        try:
+            B = cb.iterate_bar(ps.build_gamma_set(Z2, 16), 2, 4)
+            live = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert live < 3.5 * 2 ** 20  # 6.87 MB with an int object of its own per entry
+        # level 3 holds 512 simplices
+        assert all(len(set(map(id, table))) <= 512 for table in B.space.faces[4])
 
     def test_twice_at_zero_is_point(self):
         X = ps.build_gamma_set(Z2, 4)

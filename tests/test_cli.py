@@ -470,9 +470,14 @@ class TestClassify:
         # every level is the point at the zero object: d + 1 simplices, not walked
         ("z2", ["--at", "0", "--dim", "20000000"], "predicted 20000001 simplices"),
         ("z2", ["--at", "0", "--dim", "2000000000"], "predicted 2000000001 simplices"),
+        # 401 simplices, but validate would compare identities on them for minutes
+        ("trivial", ["--dim", "400"],
+         "predicted 42906999 identity checks on one-element bar levels"),
+        ("trivial", ["--at", "0", "--dim", "400"],
+         "predicted 42906999 identity checks on one-element bar levels"),
     ], ids=["dim100_iterate5", "dim3_iterate40", "dim3_iterate20000", "dim3_iterate1e7",
             "dim1e8", "trivial_dim100_iterate5", "trivial_dim40_iterate4",
-            "at0_dim2e7", "at0_dim2e9"])
+            "at0_dim2e7", "at0_dim2e9", "trivial_dim400", "trivial_at0_dim400"])
     def test_budget_refuses_astronomical_levels_at_once(self, tmp_path, fixture, bounds, message):
         presheaf = build(tmp_path, fixture, levels=2)
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -487,6 +492,29 @@ class TestClassify:
         assert "Traceback" not in proc.stderr
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"resource error: {message} exceeds budget 10000000\n"
+
+    @pytest.mark.parametrize("at", [[], ["--at", "0"]], ids=["at1", "at0"])
+    def test_budget_bounds_identity_checks_on_one_element_levels(self, tmp_path, capsys, at):
+        # 21 simplices and at most 210 label entries fit; the 5,949 identity
+        # checks are counted after them
+        presheaf = build(tmp_path, "trivial", levels=2)
+        args = ["classify", "--input", str(presheaf), *at, "--dim", "20"]
+        code, out, err = run([*args, "--budget", "5948"], capsys)
+        assert (code, out) == (4, "")
+        assert err == ("resource error: predicted 5949 identity checks on one-element bar "
+                       "levels exceeds budget 5948\n")
+        assert run([*args, "--budget", "5949"], capsys)[0] == 0
+
+    def test_one_element_levels_inside_the_budget_still_run(self, tmp_path):
+        # 681,749 identity checks at --dim 100, a few seconds of work
+        presheaf = build(tmp_path, "trivial", levels=2)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", "classify",
+                               "--input", str(presheaf), "--dim", "100"], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert json.loads(proc.stdout)["delooping"]["dimension"] == 100
 
     @pytest.mark.slow
     def test_second_delooping_of_z2_through_degree_three(self, tmp_path):

@@ -17,6 +17,7 @@ Z3 = alg.cyclic(3)
 Z4 = alg.cyclic(4)
 KLEIN = alg.klein_four()
 MAX2 = alg.max_monoid(2)
+UNIT_LAST = alg.FinAbGroup((0, 1), 1, ((1, 0), (0, 1)))  # Z/2 whose unit is element 1
 MONOIDS = [M for order in range(1, 5) for M in alg.enumerate_abelian_monoids(order)]
 ACTIONS = [alg.trivial_action(Z2, alg.cyclic_group(2)), alg.inversion_action(Z3),
            alg.swap_action()]
@@ -145,8 +146,7 @@ class TestBlockTables:
     @pytest.mark.parametrize("m", range(9, 17))
     def test_random_z2_maps(self, m):
         rng = random.Random(m)
-        unit_last = alg.FinAbGroup((0, 1), 1, ((1, 0), (0, 1)))  # the all-unit tuple is not 0
-        for M in (Z2, unit_last):
+        for M in (Z2, UNIT_LAST):  # the all-unit tuple of UNIT_LAST is not position 0
             for f in (random_map(rng, m), random_map(rng, m)):
                 assert ps.build_gamma_set(M, m).action_table(f) == \
                     summed_preimage_table(M, range(2), f)
@@ -160,6 +160,22 @@ class TestBlockTables:
             for g in range(A.group.size):
                 assert ps.build_ggamma_set(A, m).action_table(gg.GGammaMap(f, g, A.group)) == \
                     summed_preimage_table(KLEIN, A.action[g], f)
+
+    @pytest.mark.parametrize("M, m, n", [(Z2, 14, 8), (Z2, 14, 9), (UNIT_LAST, 14, 9),
+                                         (KLEIN, 7, 4), (KLEIN, 7, 5)],
+                             ids=["z2_256", "z2_512", "unit_last_512", "klein_256", "klein_1024"])
+    def test_monotone_maps_around_the_shared_positions(self, M, m, n):
+        # a monotone map's fibres are intervals, so its table is laid out in
+        # blocks; past 256 target positions the block images are read out of
+        # one list of positions, except that steps below 0 (UNIT_LAST) add
+        rng = random.Random(m * n)
+        for _ in range(3):
+            f = gc.GammaOpMap(m, n, (0, *sorted(rng.randint(0, n) for _ in range(m))))
+            assert len(ps._fibre_closed_blocks(f.values, M.size)) > 1
+            table = ps.build_gamma_set(M, m).action_table(f)
+            assert table == summed_preimage_table(M, range(M.size), f)
+            if M.unit == 0:
+                assert len(set(map(id, table))) <= M.size ** n
 
     def test_bar_faces_out_of_level_four(self):
         X = ps.build_gamma_set(Z2, 16)

@@ -24,8 +24,9 @@ def test_second_delooping():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "second_delooping.py")],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert re.search(r"levels: \[1, 2, 16, 512, 65536\]  \(bar \d+\.\d+s, homology \d+\.\d+s, "
-                     r"peak RSS \d+\.\d MB\)", proc.stdout)
+    assert re.match(r"imported: peak RSS \d+\.\d MB\n"
+                    r"levels: \[1, 2, 16, 512, 65536\]  \(bar \d+\.\d+s, homology \d+\.\d+s, "
+                    r"peak RSS \d+\.\d MB\)\n", proc.stdout)
     assert "MISMATCH" not in proc.stdout
 
 

@@ -120,6 +120,43 @@ class TestPackedFaceCheck:
             assert not report.ok
             assert report == pairwise_validate(Y)
 
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    @pytest.mark.parametrize("i", [0, 1])
+    @pytest.mark.parametrize("corruption", ["negative", "past_the_level", "short", "long"])
+    def test_misshapen_table_reports_as_the_ordered_checks(self, z2_twice, p, i, corruption):
+        # a packed level's ranges are read only through its lookups; the
+        # reports here are those of the range checks run before any identity
+        X = z2_twice
+        Y, k = with_fresh_faces(X, p), len(X.levels[p]) // 3 + i
+        table = Y.faces[p][i]
+        if corruption == "negative":  # names the same simplex if read as a list index
+            table[k] -= len(X.levels[p - 1])
+        elif corruption == "past_the_level":
+            table[k] = len(X.levels[p - 1])
+        elif corruption == "short":
+            del table[k:]
+        else:
+            table.append(0)
+        expected = {"negative": ("face lands outside level", (p, i, X.levels[p][k])),
+                    "past_the_level": ("face lands outside level", (p, i, X.levels[p][k])),
+                    "short": ("face not total", (p, i, X.levels[p][k])),
+                    "long": ("face not total", (p, i))}[corruption]
+        assert ss.validate(Y) == ss.ValidationReport(False, *expected)
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_extra_table_reports_the_arity(self, z2_twice, p):
+        Y = with_fresh_faces(z2_twice, p)
+        Y.faces[p].append(list(Y.faces[p][0]))
+        assert ss.validate(Y) == ss.ValidationReport(False, "face table arity", (p,))
+
+    def test_misshapen_table_is_named_with_its_label(self, z2_twice):
+        Y = with_fresh_faces(z2_twice, 2)
+        Y.faces[2][1][5] = 2
+        assert ss.validate(Y) == ss.ValidationReport(
+            False, "face lands outside level", (2, 1, (0, 1, 0, 1)))
+        del Y.faces[2][0][7:]
+        assert ss.validate(Y) == ss.ValidationReport(False, "face not total", (2, 0, (0, 1, 1, 1)))
+
     def test_one_element_levels_pack_with_radix_one(self):
         X = cb.iterate_bar(ps.build_gamma_set(trivial_monoid(), 16), 2, 4).space
         assert X.level_sizes() == [1] * 5

@@ -45,9 +45,12 @@ DEFAULT_BUDGET_ENV = "GAMMASPACES_BUDGET"
 def _default_budget() -> int:
     value = os.environ.get(DEFAULT_BUDGET_ENV, str(cb.DEFAULT_BUDGET))
     try:
-        return int(value)
+        budget = int(value)
     except ValueError:
         raise InputError(f"${DEFAULT_BUDGET_ENV} must be an integer, got {value!r}") from None
+    if budget < 1:
+        raise InputError(f"${DEFAULT_BUDGET_ENV} must be positive, got {budget}")
+    return budget
 
 
 def _load_json(path: str) -> tuple[dict, str]:

@@ -90,12 +90,6 @@ class TruncatedGammaSet:
         the same map on every wedge summand when there is a group."""
         return f if self.group is None else gg.diag_inclusion(f, self.group)
 
-    def segal_component(self, n: int, k: int):
-        return self.lift(gc.segal_family(n)[k - 1])
-
-    def bousfield_component(self, n: int, k: int):
-        return self.lift(gc.bousfield_family(n)[k - 1])
-
     def fold(self, n: int):
         return self.lift(gc.fold_map(n))
 
@@ -281,10 +275,14 @@ class CheckReport:
                 "failed_at": self.failed_at, "witness": self.witness}
 
 
-def _assembled_map(X, n: int, kind: str):
-    components = [X.segal_component(n, k) if kind == "segal" else X.bousfield_component(n, k)
-                  for k in range(1, n + 1)]
-    return list(zip(*[X.action_table(c) for c in components]))
+def _assembled_codes(X, n: int, kind: str) -> list[int]:
+    """The assembled Segal or Bousfield map at level n, one code per
+    level-n element: the base-|X_1| numeral of its n level-1 images, the
+    first component most significant.  The family is read once."""
+    s, codes = X.level_size(1), [0] * X.level_size(n)
+    for f in gc.segal_family(n) if kind == "segal" else gc.bousfield_family(n):
+        codes = list(map(operator.add, map(s.__mul__, codes), X.action_table(X.lift(f))))
+    return codes
 
 
 def _check_strict(X, upto: int, kind: str) -> CheckReport:
@@ -293,22 +291,23 @@ def _check_strict(X, upto: int, kind: str) -> CheckReport:
     if not X.is_pointed():
         return CheckReport(kind, False, upto, 0,
                            f"level 0 has {X.level_size(0)} elements, expected a single point")
+    s = X.level_size(1)
     for n in range(2, upto + 1):
-        images = _assembled_map(X, n, kind)
-        size_target = X.level_size(1) ** n
-        if len(set(images)) != len(images):  # walk to the first repeated image
-            seen: dict = {}
-            for i, img in enumerate(images):
-                if img in seen:
-                    x1 = X.level(n)[seen[img]]
+        codes = _assembled_codes(X, n, kind)
+        if len(set(codes)) != len(codes):  # walk to the first repeated code
+            seen: dict[int, int] = {}
+            for i, code in enumerate(codes):
+                if code in seen:
+                    x1 = X.level(n)[seen[code]]
                     x2 = X.level(n)[i]
                     return CheckReport(kind, False, upto, n,
-                                       f"not injective at n={n}: {x1} and {x2} share image {img}")
-                seen[img] = i
-        if len(images) != size_target:
+                                       f"not injective at n={n}: {x1} and {x2} share image "
+                                       f"{TupleLevel(s, n)[code]}")
+                seen[code] = i
+        if len(codes) != s ** n:
             return CheckReport(kind, False, upto, n,
-                               f"not surjective at n={n}: {len(images)} elements cover "
-                               f"{size_target} tuples")
+                               f"not surjective at n={n}: {len(codes)} elements cover "
+                               f"{s ** n} tuples")
     return CheckReport(kind, True, upto)
 
 
@@ -323,10 +322,12 @@ def check_strict_bousfield(X, upto: int) -> CheckReport:
     return _check_strict(X, upto, "bousfield")
 
 
-def _assembled_inverse(X, n: int, kind: str) -> dict:
-    """Inverse of the assembled Segal or Bousfield bijection at level n, as
-    a dict from tuples of level-1 indices to level-n positions."""
-    return {img: i for i, img in enumerate(_assembled_map(X, n, kind))}
+def _through_inverse(X, kind: str, table: list[int]) -> list[int]:
+    """table read through the inverse of the assembled bijection at level 2
+    (checked to hold): entry i*|X_1| + j is the entry of the level-2
+    element whose components are i and j."""
+    codes = _assembled_codes(X, 2, kind)
+    return [table[p] for p in sorted(range(len(codes)), key=codes.__getitem__)]
 
 
 def extract_monoid(X) -> FinAbMonoid:
@@ -339,12 +340,10 @@ def extract_monoid(X) -> FinAbMonoid:
     if not report.passed:
         raise StrictnessError("presheaf is not strict up to level 2", report=report)
     carrier = list(X.level(1))
-    inverse = _assembled_inverse(X, 2, "segal")
-    fold_table = X.action_table(X.fold(2))
+    products = _through_inverse(X, "segal", X.action_table(X.fold(2)))
     unit_idx = X.action_table(X.unit_inclusion())[0]
     size = len(carrier)
-    table = tuple(tuple(fold_table[inverse[(i, j)]] for j in range(size))
-                  for i in range(size))
+    table = tuple(tuple(products[i * size:(i + 1) * size]) for i in range(size))
     monoid = FinAbMonoid(tuple(carrier), unit_idx, table)
     monoid.check()
     return monoid
@@ -366,16 +365,12 @@ def extract_g_monoid(X) -> GMonoid:
 
 
 def _difference_operation(X):
-    """The binary map sending (a, b) to b*a^{-1} built from the second
-    projection through the inverted Bousfield bijection at level 2."""
-    inverse = _assembled_inverse(X, 2, "bousfield")
-    proj2 = X.action_table(X.segal_component(2, 2))
+    """The binary map sending (a, b) to b*a^{-1}: the second projection read
+    through the inverted Bousfield bijection at level 2."""
     size = X.level_size(1)
-
-    def d(i, j):
-        return proj2[inverse[(i, j)]]
-
-    return d, size
+    second = X.action_table(X.lift(gc.segal_family(2)[1]))
+    differences = _through_inverse(X, "bousfield", second)
+    return (lambda i, j: differences[i * size + j]), size
 
 
 def extract_group_bousfield(X) -> FinAbGroup:
@@ -416,9 +411,8 @@ def extract_g_group_bousfield(X) -> GMonoid:
 def _canonical_family(X) -> list:
     family = []
     for n in range(2, X.N + 1):
-        for k in range(1, n + 1):
-            family.append(X.segal_component(n, k))
-            family.append(X.bousfield_component(n, k))
+        for projection, segment in zip(gc.segal_family(n), gc.bousfield_family(n)):
+            family += (X.lift(projection), X.lift(segment))
     family.append(X.fold(2) if X.N >= 2 else X.fold(1))
     family.append(X.unit_inclusion())
     if X.group is not None:

@@ -21,7 +21,9 @@ expected-homology oracle finds without it.  Wedge objects give the normalized pa
 wedge-indexed category their concrete functions.  The category-axiom tests
 build the preimage form of a pointed map, identities and composites of
 power-set and order-preserving maps, the edges from vertex zero and
-identity, composite and constant simplicial maps here.
+identity, composite and constant simplicial maps here.  The strict Segal
+and Bousfield checks are redone on tuples of component images, not on the
+integer codes the presheaf layer compares.
 """
 
 import functools
@@ -245,6 +247,36 @@ def summed_preimage_table(M: FinAbMonoid, row, f) -> list[int]:
                 out[j - 1] = M.table[out[j - 1]][row[x[i - 1]]]
         table.append(position(tuple(out)))
     return table
+
+
+def strict_check(X, upto: int, kind: str) -> dict:
+    """The strict Segal or Bousfield check of a plain presheaf on tuples,
+    as the fields of its report.  For 2 <= n <= upto the k-th component
+    n -> 1 sends k (Segal) or 1..k (Bousfield) to 1; level n is assembled
+    by zipping the component tables, the first element whose tuple an
+    earlier one already has witnesses non-injectivity, and otherwise the
+    level must have as many elements as there are n-tuples of level 1."""
+    report = {"kind": kind, "passed": False, "upto": upto}
+    if X.level_size(0) != 1:
+        return {**report, "failed_at": 0, "witness":
+                f"level 0 has {X.level_size(0)} elements, expected a single point"}
+    for n in range(2, upto + 1):
+        components = [GammaOpMap(n, 1, tuple(int(i == k if kind == "segal" else 1 <= i <= k)
+                                             for i in range(n + 1)))
+                      for k in range(1, n + 1)]
+        images = list(zip(*[X.action_table(f) for f in components]))
+        first: dict[tuple, int] = {}
+        for i, image in enumerate(images):
+            if image in first:
+                x1, x2 = X.level(n)[first[image]], X.level(n)[i]
+                return {**report, "failed_at": n, "witness":
+                        f"not injective at n={n}: {x1} and {x2} share image {image}"}
+            first[image] = i
+        if len(images) != X.level_size(1) ** n:
+            return {**report, "failed_at": n, "witness":
+                    f"not surjective at n={n}: {len(images)} elements cover "
+                    f"{X.level_size(1) ** n} tuples"}
+    return {**report, "passed": True, "failed_at": None, "witness": None}
 
 
 class TruncatedBisimplicialSet:

@@ -119,6 +119,10 @@ class TestBuild:
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "ten")
         assert run(args, capsys) == \
             (2, "", "input error: $GAMMASPACES_BUDGET must be an integer, got 'ten'\n")
+        for value in ("0", "-5"):
+            monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, value)
+            assert run(args, capsys) == \
+                (2, "", f"input error: $GAMMASPACES_BUDGET must be positive, got {value}\n")
 
     def test_line_break_in_a_label_stays_on_one_line(self, tmp_path, capsys):
         bad = tmp_path / "unit.json"
@@ -608,6 +612,9 @@ class TestClassify:
         code, _, _ = run(["classify", "--input", str(presheaf), "--dim", "4",
                           "--homology", "2", "--budget", str(10 ** 7)], capsys)
         assert code == 0
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "0")
+        assert run(["classify", "--input", str(presheaf)], capsys) == \
+            (2, "", "input error: $GAMMASPACES_BUDGET must be positive, got 0\n")
 
     def test_bar_validation_failure_exits_three(self, tmp_path, capsys, monkeypatch):
         presheaf = build(tmp_path, "z2", levels=1)  # stores no table out of level 2

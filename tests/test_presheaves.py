@@ -1,4 +1,6 @@
+import collections
 import itertools
+import json
 import random
 
 import pytest
@@ -10,7 +12,7 @@ from gammaspaces import ggamma as gg
 from gammaspaces import presheaves as ps
 from gammaspaces.errors import InputError, StrictnessError, TruncationError
 from gammaspaces.simplicial import composite
-from oracles import summed_preimage_table
+from oracles import strict_check, summed_preimage_table
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
@@ -284,9 +286,9 @@ class TestStrictBousfield:
 
     def test_partial_sums_bijective_for_groups(self):
         X = ps.build_gamma_set(Z3, 2)
-        images = ps._assembled_map(X, 2, "bousfield")
-        assert images == [(a, (a + b) % 3) for (a, b) in X.level(2)]
-        assert len(set(images)) == 9
+        codes = ps._assembled_codes(X, 2, "bousfield")
+        assert codes == [3 * a + (a + b) % 3 for (a, b) in X.level(2)]
+        assert sorted(codes) == list(range(9))
 
     def test_non_group_monoid_fails(self):
         X = ps.build_gamma_set(MAX2, 2)
@@ -302,6 +304,72 @@ class TestStrictBousfield:
                 X = ps.build_gamma_set(M, 2)
                 assert ps.check_strict_segal(X, 2).passed
                 assert ps.check_strict_bousfield(X, 2).passed == M.is_group()
+
+
+def corrupted_file(rng: random.Random):
+    """The presheaf file of a random monoid of order 1 to 4 at 2 to 4
+    levels, with one to three defects at random levels n >= 2: a table
+    entry moved to a random level-1 element, an element dropped, or an
+    element added that copies the entries of another."""
+    M = rng.choice(MONOIDS)
+    N = rng.randint(2, 4)
+    data = json.loads(json.dumps(ps.presheaf_to_json(ps.build_gamma_set(M, N))))
+    for extra in range(rng.randint(1, 3)):
+        n = rng.randint(2, N)
+        level = data["levels"][n]
+        tables = [table for key, table in data["maps"].items()
+                  if gc.GammaOpMap.from_key(key).source == n]
+        defect = rng.choice(["entry", "drop", "add"])
+        if defect == "entry" and level:
+            table = rng.choice(tables)
+            table[rng.randrange(len(table))] = rng.randrange(M.size)
+        elif defect == "drop" and level:
+            p = rng.randrange(len(level))
+            del level[p]
+            for table in tables:
+                del table[p]
+        else:
+            p = rng.randrange(len(level)) if level else None
+            level.append([M.size + extra] * n)  # a label that no tuple over M is
+            for table in tables:
+                table.append(rng.randrange(M.size) if p is None else table[p])
+    return M, data
+
+
+class TestStrictOracle:
+    def test_checks_agree_with_the_tuple_oracle_on_corrupted_files(self):
+        witnessed = collections.defaultdict(set)
+        for seed in range(400):
+            M, data = corrupted_file(random.Random(seed))
+            X = ps.presheaf_from_json(data)
+            for upto in range(X.N + 1):
+                for kind, check in (("segal", ps.check_strict_segal),
+                                    ("bousfield", ps.check_strict_bousfield)):
+                    report = check(X, upto).as_dict()
+                    assert report == strict_check(X, upto, kind), (seed, upto, kind)
+                    witnessed[M.size].add((report["witness"] or "passed").split(" at ")[0])
+        for size in range(1, 5):
+            assert {"not injective", "not surjective"} <= witnessed[size], size
+
+
+class TestFamilyReads:
+    def test_each_family_is_read_once_per_level(self, monkeypatch):
+        N = 40
+        X = ps.build_gamma_set(alg.trivial_monoid(), N)
+        reads = collections.Counter()
+        for name in ("segal_family", "bousfield_family"):
+            def counted(n, family=getattr(gc, name), name=name):
+                reads[name, n] += 1
+                return family(n)
+            monkeypatch.setattr(gc, name, counted)
+        runs = [(lambda: ps.presheaf_to_json(X)["N"] == N,
+                 ("segal_family", "bousfield_family")),
+                (lambda: ps.check_strict_segal(X, N).passed, ("segal_family",)),
+                (lambda: ps.check_strict_bousfield(X, N).passed, ("bousfield_family",))]
+        for run, names in runs:
+            reads.clear()
+            assert run()
+            assert reads == {(name, n): 1 for name in names for n in range(2, N + 1)}
 
 
 class TestExtractMonoid:

@@ -248,9 +248,12 @@ def cmd_roundtrip(args) -> int:
     return EXIT_PASS if identical else EXIT_CHECK_FAILED
 
 
-def _verify_stored_tables(data: dict, X) -> None:
-    """Stored tables, already validated by presheaf_from_json, must agree
-    with the rebuilt presheaf."""
+def _verify_stored(stored, data: dict, X) -> None:
+    """Stored levels and tables, already validated by presheaf_from_json,
+    must agree position by position with the rebuilt presheaf."""
+    for n in range(stored.N + 1):
+        if list(stored.level(n)) != list(X.level(n)):
+            raise StrictnessError(f"stored level {n} disagrees with rebuild")
     for key, table in data["maps"].items():
         if X.action_table(ps._morphism_from_key(key, X.group)) != table:
             raise StrictnessError(f"stored table for {key} disagrees with rebuild")
@@ -277,7 +280,7 @@ def cmd_classify(args) -> int:
     objects = cb._check_budget(stored, k, args.dim, args.at, budget)
     # a built presheaf has level 1 at least; the point report reads level 0 only
     X = _build_presheaf(stored.algebra, max(objects[-1], stored.N, 1))
-    _verify_stored_tables(data, X)
+    _verify_stored(stored, data, X)
     B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
 
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,

@@ -1,15 +1,17 @@
 """Integer chain complexes of truncated simplicial sets, their homology
 groups, Smith normal form, and induced maps on homology.
 
-Boundaries are sparse columns, and every elimination runs on sparse rows
-of exact integers (Dumas-Saunders-Villard, "On efficient sparse integer
-matrix Smith normal form computations", 2001).  Homology groups come from
-`smith_rows` without transforms, one boundary at a time, each boundary
-first cleared of the rows that the previous one's leading unit pivots
-mark (Chen-Kerber, "Persistent homology computation with a twist", 2011).
-Induced maps need representative cycles, so a `HomologyPresentation` runs
-two Smith forms per degree, each keeping only the transforms it reads, and
-a report with induced maps reads its groups off the presentations.
+Boundaries, relations, transforms and cycles are all sparse rows of exact
+integers {index: nonzero}, and every elimination runs on them
+(Dumas-Saunders-Villard, "On efficient sparse integer matrix Smith normal
+form computations", 2001).  Homology groups come from `smith_rows`
+without transforms, one boundary at a time, each boundary first cleared
+of the rows that the previous one's leading unit pivots mark (Chen-Kerber,
+"Persistent homology computation with a twist", 2011).  Induced maps need
+representative cycles, so a `HomologyPresentation` runs two Smith forms
+per degree, each keeping only the transforms it reads, and a report with
+induced maps reads its groups off the presentations.  Dense matrices are
+left to the helpers at the end, which this path never calls.
 """
 
 from __future__ import annotations
@@ -20,41 +22,8 @@ from itertools import compress
 from .errors import BudgetError, TruncationError
 from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
-Matrix = list  # list of rows, each a list of ints
-Column = dict  # sparse column: row index -> nonzero coefficient
-Row = dict  # sparse row: column index -> nonzero coefficient
-
-
-def zeros(rows: int, cols: int) -> Matrix:
-    return [[0] * cols for _ in range(rows)]
-
-
-def eye(n: int) -> Matrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    vectors = dict(enumerate(b))
-    return [_combine(dict(enumerate(row)), vectors, len(b[0]) if b else 0) for row in a]
-
-
-def smith_normal_form(a: Matrix, track: tuple[str, ...] = ("u", "v")) -> tuple[Matrix, ...]:
-    """Return D followed by the transforms named in `track`, in that order,
-    out of "u", "u_inv", "v" and "v_inv": U @ a @ V = D with U and V
-    unimodular, D diagonal with each entry dividing the next, and U^-1 and
-    V^-1 their exact inverses.  By default (D, U, V).  `smith_rows` on
-    dense matrices."""
-    cols = len(a[0]) if a else 0
-    d = [{j: x for j, x in enumerate(row) if x} for row in a]
-    kept = smith_rows(d, cols, track)
-    # U^-1 and V are kept transposed
-    return (_dense(d, cols), *(_dense(kept[name], len(kept[name]), name in ("u_inv", "v"))
-                               for name in track))
-
-
-def _dense(rows: list[Row], cols: int, transpose: bool = False) -> Matrix:
-    m = [[row.get(j, 0) for j in range(cols)] for row in rows]
-    return [list(col) for col in zip(*m)] if transpose else m
+Matrix = list  # dense: list of rows, each a list of ints
+Row = dict  # sparse row or chain: index -> nonzero coefficient
 
 
 def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
@@ -273,28 +242,31 @@ class HomologyGroup:
 class ChainComplex:
     """Nonnegatively graded integer chain complex up to a top degree.
 
-    ranks[p] for 0 <= p <= top; columns[p] is the differential from degree
-    p to degree p-1 for 1 <= p <= top, stored as ranks[p] sparse columns
-    with rows below ranks[p-1].  The composite of consecutive boundaries is
-    checked to vanish at construction time.
+    ranks[p] for 0 <= p <= top; boundaries[p] is the differential from
+    degree p to degree p-1 for 1 <= p <= top, stored as ranks[p-1] sparse
+    rows with columns below ranks[p], and boundaries[0] is empty.  The
+    composite of consecutive boundaries is checked to vanish at
+    construction time.
     """
 
-    def __init__(self, ranks: list[int], columns: list[list[Column]]):
+    def __init__(self, ranks: list[int], boundaries: list[list[Row]]):
         self.ranks = ranks
         self.top = len(ranks) - 1
-        self.columns = columns
+        self.boundaries = boundaries
         for p in range(1, self.top + 1):
-            rows = ranks[p - 1]
-            if len(columns[p]) != ranks[p] or any(not 0 <= r < rows
-                                                  for col in columns[p] for r in col):
-                raise ValueError(f"boundary {p} does not fit shape {(rows, ranks[p])}")
+            cols = ranks[p]
+            if len(boundaries[p]) != ranks[p - 1] or any(not 0 <= j < cols
+                                                        for row in boundaries[p] for j in row):
+                raise ValueError(f"boundary {p} does not fit shape {(ranks[p - 1], cols)}")
         for p in range(2, self.top + 1):
-            below = columns[p - 1]
-            for col in columns[p]:
+            above = boundaries[p]
+            for row in boundaries[p - 1]:
+                # row of d_(p-1) @ d_p; entries are summed, never deleted, so
+                # a row holding an explicit 0 is read as it stands
                 image = {}
-                for r, x in col.items():
-                    for s, y in below[r].items():
-                        image[s] = image.get(s, 0) + x * y
+                for s, x in row.items():
+                    for j, y in above[s].items():
+                        image[j] = image.get(j, 0) + x * y
                 if any(image.values()):
                     raise ValueError(f"boundary composite in degree {p} is nonzero")
 
@@ -302,15 +274,7 @@ class ChainComplex:
         """The differential out of degree p as a dense matrix."""
         if p < 1 or p > self.top:
             raise TruncationError(f"boundary {p} outside 1..{self.top}", required=p)
-        return [[col.get(r, 0) for col in self.columns[p]] for r in range(self.ranks[p - 1])]
-
-    def rows(self, p: int) -> list[Row]:
-        """The differential out of degree p as sparse rows, none for p = 0."""
-        rows = [{} for _ in range(self.ranks[p - 1] if p else 0)]
-        for j, col in enumerate(self.columns[p] if p else ()):
-            for r, x in col.items():
-                rows[r][j] = x
-        return rows
+        return [[row.get(j, 0) for j in range(self.ranks[p])] for row in self.boundaries[p]]
 
 
 def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> ChainComplex:
@@ -321,22 +285,24 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
         raise TruncationError(f"requested top degree {top} beyond truncation {X.d}", required=top)
     basis = [X.nondegenerate_indices(p) for p in range(top + 1)]
     ranks = [len(b) for b in basis]
-    columns: list[list[Column]] = [[]]
+    boundaries: list[list[Row]] = [[]]
     for p in range(1, top + 1):
         row_of = [-1] * len(X.levels[p - 1])
         for r, k in enumerate(basis[p - 1]):
             row_of[k] = r
         signed = [(table, -1 if i % 2 else 1) for i, table in enumerate(X.faces[p])]
-        level: list[Column] = []
-        for k in basis[p]:
-            col: Column = {}
+        rows: list[Row] = [{} for _ in basis[p - 1]]
+        for j, k in enumerate(basis[p]):
+            faces = {}  # the simplex's faces summed first, so that cancelling ones leave nothing
             for table, sign in signed:
-                row = row_of[table[k]]
-                if row >= 0:
-                    col[row] = col.get(row, 0) + sign
-            level.append({r: x for r, x in col.items() if x})
-        columns.append(level)
-    return ChainComplex(ranks, columns)
+                r = row_of[table[k]]
+                if r >= 0:
+                    faces[r] = faces.get(r, 0) + sign
+            for r, x in faces.items():
+                if x:
+                    rows[r][j] = x
+        boundaries.append(rows)
+    return ChainComplex(ranks, boundaries)
 
 
 def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> list[HomologyGroup]:
@@ -354,7 +320,7 @@ def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> lis
         # are +-(unit triangular) on the pivot columns and W @ d_p = 0, so
         # each dropped row is an integer combination of the kept ones, and
         # the row lattice, the rank and the invariant factors stay the same.
-        d = [row for r, row in enumerate(C.rows(p)) if row and r not in cleared]
+        d = [dict(row) for r, row in enumerate(C.boundaries[p]) if row and r not in cleared]
         try:
             cleared = set(smith_rows(d, C.ranks[p], (), budget)["unit_columns"])
         except BudgetError as exc:
@@ -365,9 +331,169 @@ def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> lis
                           invariants[q + 1][1]) for q in range(top + 1)]
 
 
-# `solve_exact` and `invert_unimodular` are reached only by the tests and
-# by the benchmark tracer, which looks them up by name; the presentations
-# read unique solutions off kept inverse transforms instead.
+class HomologyPresentation:
+    """Canonical presentation of one homology group of a chain complex.
+
+    Generators are a basis of the cycle lattice, `kernel`: the columns of V
+    past the rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is
+    kept alongside.  A p-chain z is a cycle exactly when the first rank
+    coordinates of V^-1 z vanish, and the rest are its coordinates in the
+    kernel basis, so the relations are V^-1's rows past the rank times the
+    next boundary's rows (`relation_rows`), and they are diagonalized in
+    place keeping U and U^-1 only.  The canonical coordinates list torsion
+    positions first (in divisibility order), then free positions.  Every
+    matrix is held as sparse rows, and cycles as sparse chains; with a
+    `budget`, BudgetError is raised as soon as the nonzeros held pass it.
+    """
+
+    def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
+        if p < 0 or p + 1 > C.top:
+            raise TruncationError(
+                f"homology in degree {p} needs boundaries up to degree {p + 1}; "
+                f"complex stops at {C.top}", required=p + 1)
+        n_p, n_next = C.ranks[p], C.ranks[p + 1]
+        d = [dict(row) for row in C.boundaries[p]]  # reduced in place
+        try:
+            kept = smith_rows(d, n_p, ("v", "v_inv"), budget)
+            self._rank = sum(1 for i, row in enumerate(d) if i in row)
+            self.kernel, self._v_inv = kept["v"][self._rank:], kept["v_inv"]
+            left = None if budget is None else (budget - sum(map(len, self.kernel))
+                                                - sum(map(len, self._v_inv)))
+            relations = self.relation_rows(C.boundaries[p + 1], left)
+            kept = smith_rows(relations, n_next, ("u", "u_inv"), left)
+        except BudgetError as exc:
+            raise BudgetError(f"homology presentation in degree {p}: nonzeros held "
+                              f"exceed budget {budget}") from exc
+        self._rel_u, self._rel_u_inv = kept["u"], kept["u_inv"]
+        diag = [row.get(i, 0) for i, row in enumerate(relations[:n_next])]
+        rel_rank = sum(1 for x in diag if x)
+        # coordinate layout: torsion positions then free positions
+        torsion_positions = [i for i in range(rel_rank) if diag[i] > 1]
+        self.torsion = tuple(diag[i] for i in torsion_positions)
+        self.free_positions = list(range(rel_rank, n_p - self._rank))
+        self.positions = torsion_positions + self.free_positions
+        self._generators: list[Row] | None = None
+
+    def relation_rows(self, boundary_rows: list[Row], budget: int | None = None) -> list[Row]:
+        """The next boundary, given by its sparse rows, in kernel
+        coordinates: relation k is the sum of V^-1[rank + k][r] times
+        boundary row r."""
+        relations, nonzeros = [], 0
+        for row in self._v_inv[self._rank:]:
+            relation = {}
+            for r, x in row.items():
+                _add(relation, boundary_rows[r], x)
+            relations.append(relation)
+            nonzeros += len(relation)
+            if budget is not None and nonzeros > budget:
+                raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {budget}")
+        return relations
+
+    def group(self) -> HomologyGroup:
+        return HomologyGroup(len(self.free_positions), self.torsion)
+
+    def coordinates(self, cycles: list[Row]) -> tuple[tuple[int, ...], ...]:
+        """Canonical coordinates of sparse cycles in the chain basis: row i
+        holds coordinate i of every cycle, torsion coordinates reduced mod
+        their order.  Raises ValueError if some chain is not a cycle."""
+        if any(_apply(self._v_inv[:self._rank], cycle) for cycle in cycles):
+            raise ValueError("not a cycle")
+        u = [self._rel_u[pos] for pos in self.positions]
+        coords = [_apply(u, _apply(self._v_inv[self._rank:], cycle)) for cycle in cycles]
+        orders = self.torsion + (0,) * len(self.free_positions)
+        return tuple(tuple(c.get(i, 0) % t if t else c.get(i, 0) for c in coords)
+                     for i, t in enumerate(orders))
+
+    def generator_cycles(self) -> list[Row]:
+        """Representative cycles as sparse chains, one per canonical
+        coordinate; computed on first use and shared."""
+        if self._generators is None:
+            self._generators = [{} for _ in self.positions]
+            for cycle, pos in zip(self._generators, self.positions):
+                for k, x in self._rel_u_inv[pos].items():  # column pos of U^-1, kept transposed
+                    _add(cycle, self.kernel[k], x)
+        return self._generators
+
+
+def _apply(rows: list[Row], chain: Row) -> Row:
+    """The matrix of sparse `rows` times a sparse chain."""
+    return {i: x for i, row in enumerate(rows)
+            if (x := sum(row[r] * chain[r] for r in row.keys() & chain.keys()))}
+
+
+@dataclass(frozen=True)
+class InducedMap:
+    """Matrix description of a map on homology presentations: column j is
+    the image of the j-th source generator in target coordinates (torsion
+    coordinates reduced mod their order)."""
+
+    source: HomologyGroup
+    target: HomologyGroup
+    matrix: tuple[tuple[int, ...], ...]  # rows indexed by target coordinates
+
+    def as_dict(self) -> dict:
+        return {"source": self.source.as_dict(), "target": self.target.as_dict(),
+                "matrix": [list(r) for r in self.matrix]}
+
+
+def induced_map_on_homology(f: SimplicialMap, p: int,
+                            source_pres: HomologyPresentation | None = None,
+                            target_pres: HomologyPresentation | None = None) -> InducedMap:
+    """Push each source generator, a sparse cycle, through the chain map
+    and express it in the target presentation.  A generator's entry on a
+    source simplex is added onto the entry of that simplex's image; an
+    image that is degenerate drops out."""
+    source_pres = source_pres or HomologyPresentation(normalized_chain_complex(f.source, p + 1), p)
+    target_pres = target_pres or HomologyPresentation(normalized_chain_complex(f.target, p + 1), p)
+    row_of = {k: i for i, k in enumerate(f.target.nondegenerate_indices(p))}
+    table = f.tables[p]
+    to = [row_of.get(table[k]) for k in f.source.nondegenerate_indices(p)]
+    images = []
+    for cycle in source_pres.generator_cycles():
+        image = {}
+        for r, x in cycle.items():
+            if to[r] is not None:
+                image[to[r]] = image.get(to[r], 0) + x
+        images.append({i: x for i, x in image.items() if x})
+    return InducedMap(source_pres.group(), target_pres.group(), target_pres.coordinates(images))
+
+
+# ---------------------------------------------------------------------------
+# Dense helpers on Matrix (lists of int rows).  The homology path above never
+# calls them; the tests and the benchmark tracer, which looks them up by
+# name, do.
+
+def zeros(rows: int, cols: int) -> Matrix:
+    return [[0] * cols for _ in range(rows)]
+
+
+def eye(n: int) -> Matrix:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if x) for col in cols] for row in a]
+
+
+def smith_normal_form(a: Matrix, track: tuple[str, ...] = ("u", "v")) -> tuple[Matrix, ...]:
+    """Return D followed by the transforms named in `track`, in that order,
+    out of "u", "u_inv", "v" and "v_inv": U @ a @ V = D with U and V
+    unimodular, D diagonal with each entry dividing the next, and U^-1 and
+    V^-1 their exact inverses.  By default (D, U, V).  `smith_rows` on
+    dense matrices."""
+    cols = len(a[0]) if a else 0
+    d = [{j: x for j, x in enumerate(row) if x} for row in a]
+    kept = smith_rows(d, cols, track)
+    # U^-1 and V are kept transposed
+    return (_dense(d, cols), *(_dense(kept[name], len(kept[name]), name in ("u_inv", "v"))
+                               for name in track))
+
+
+def _dense(rows: list[Row], cols: int, transpose: bool = False) -> Matrix:
+    m = [[row.get(j, 0) for j in range(cols)] for row in rows]
+    return [list(col) for col in zip(*m)] if transpose else m
+
 
 def solve_exact(a: Matrix, rhs: Matrix) -> Matrix:
     """One integer solution X of a @ X = rhs, column by column, from a
@@ -390,141 +516,3 @@ def invert_unimodular(a: Matrix) -> Matrix:
     return solve_exact(a, eye(len(a)))
 
 
-class HomologyPresentation:
-    """Canonical presentation of one homology group of a chain complex.
-
-    Generators are a basis of the cycle lattice, `kernel`: the columns of V
-    past the rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is
-    kept alongside.  A p-chain z is a cycle exactly when the first rank
-    coordinates of V^-1 z vanish, and the rest are its coordinates in the
-    kernel basis, so the relations are the next boundary's columns written
-    that way (`relation_rows`), and they are diagonalized in place keeping
-    U and U^-1 only.  The canonical coordinates list torsion positions
-    first (in divisibility order), then free positions.  Every matrix is
-    held as sparse rows; with a `budget`, BudgetError is raised as soon as
-    the nonzeros held pass it.
-    """
-
-    def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
-        if p < 0 or p + 1 > C.top:
-            raise TruncationError(
-                f"homology in degree {p} needs boundaries up to degree {p + 1}; "
-                f"complex stops at {C.top}", required=p + 1)
-        n_p, n_next = C.ranks[p], C.ranks[p + 1]
-        d = C.rows(p)
-        try:
-            kept = smith_rows(d, n_p, ("v", "v_inv"), budget)
-            self._rank = sum(1 for i, row in enumerate(d) if i in row)
-            self.kernel, self._v_inv = kept["v"][self._rank:], kept["v_inv"]
-            left = None if budget is None else (budget - sum(map(len, self.kernel))
-                                                - sum(map(len, self._v_inv)))
-            relations = self.relation_rows(C.columns[p + 1], left)
-            kept = smith_rows(relations, n_next, ("u", "u_inv"), left)
-        except BudgetError as exc:
-            raise BudgetError(f"homology presentation in degree {p}: nonzeros held "
-                              f"exceed budget {budget}") from exc
-        self._rel_u, self._rel_u_inv = kept["u"], kept["u_inv"]
-        diag = [row.get(i, 0) for i, row in enumerate(relations[:n_next])]
-        rel_rank = sum(1 for x in diag if x)
-        # coordinate layout: torsion positions then free positions
-        torsion_positions = [i for i in range(rel_rank) if diag[i] > 1]
-        self.torsion = tuple(diag[i] for i in torsion_positions)
-        self.free_positions = list(range(rel_rank, n_p - self._rank))
-        self.positions = torsion_positions + self.free_positions
-        self._generators: Matrix | None = None
-
-    def relation_rows(self, columns: list[Column], budget: int | None = None) -> list[Row]:
-        """The next boundary, given by its sparse columns, in kernel
-        coordinates: row k is coordinate k of every column."""
-        coords = [[] for _ in self._v_inv]  # chain -> its (kernel coordinate, coefficient)s
-        for k, row in enumerate(self._v_inv[self._rank:]):
-            for r, x in row.items():
-                coords[r].append((k, x))
-        relations = [{} for _ in range(len(self._v_inv) - self._rank)]
-        nonzeros = 0
-        for j, col in enumerate(columns):
-            image = {}
-            for r, x in col.items():
-                for k, y in coords[r]:
-                    image[k] = image.get(k, 0) + x * y
-            for k, y in image.items():
-                if y:
-                    relations[k][j] = y
-                    nonzeros += 1
-            if budget is not None and nonzeros > budget:
-                raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {budget}")
-        return relations
-
-    def group(self) -> HomologyGroup:
-        return HomologyGroup(len(self.free_positions), self.torsion)
-
-    def coordinates(self, cycles: Matrix) -> tuple[tuple[int, ...], ...]:
-        """Canonical coordinates of cycles given as the columns of a matrix
-        in the chain basis: row i holds coordinate i of every cycle, torsion
-        coordinates reduced mod their order.  Raises ValueError if some
-        column is not a cycle."""
-        width = len(cycles[0]) if cycles else 0
-        nonzero = {r: vec for r, vec in enumerate(cycles) if any(vec)}
-        z = [_combine(row, nonzero, width) for row in self._v_inv]
-        if any(any(row) for row in z[:self._rank]):
-            raise ValueError("not a cycle")
-        z = {k: vec for k, vec in enumerate(z[self._rank:]) if any(vec)}
-        orders = self.torsion + (0,) * len(self.free_positions)
-        return tuple(tuple(x % t if t else x for x in _combine(self._rel_u[pos], z, width))
-                     for pos, t in zip(self.positions, orders))
-
-    def generator_cycles(self) -> Matrix:
-        """Representative cycles in the chain basis, one column per
-        canonical coordinate; computed on first use and shared."""
-        if self._generators is None:
-            columns = [{} for _ in self.positions]
-            for cycle, pos in zip(columns, self.positions):  # column pos of U^-1, kept transposed
-                for k, x in self._rel_u_inv[pos].items():
-                    _add(cycle, self.kernel[k], x)
-            self._generators = [[col.get(r, 0) for col in columns] for r in range(len(self._v_inv))]
-        return self._generators
-
-
-def _combine(row: Row, vectors: dict[int, list[int]], width: int) -> list[int]:
-    """The sum of row[r] * vectors[r] over the r that both hold."""
-    out = [0] * width
-    for r in row.keys() & vectors.keys():
-        if row[r]:
-            out = [a + row[r] * b for a, b in zip(out, vectors[r])]
-    return out
-
-
-@dataclass(frozen=True)
-class InducedMap:
-    """Matrix description of a map on homology presentations: column j is
-    the image of the j-th source generator in target coordinates (torsion
-    coordinates reduced mod their order)."""
-
-    source: HomologyGroup
-    target: HomologyGroup
-    matrix: tuple[tuple[int, ...], ...]  # rows indexed by target coordinates
-
-    def as_dict(self) -> dict:
-        return {"source": self.source.as_dict(), "target": self.target.as_dict(),
-                "matrix": [list(r) for r in self.matrix]}
-
-
-def induced_map_on_homology(f: SimplicialMap, p: int,
-                            source_pres: HomologyPresentation | None = None,
-                            target_pres: HomologyPresentation | None = None) -> InducedMap:
-    """Push each source generator through the chain map and express it in
-    the target presentation.  A generator's entry on a source simplex is
-    added onto the row of that simplex's image; an image that is degenerate
-    drops out."""
-    source_pres = source_pres or HomologyPresentation(normalized_chain_complex(f.source, p + 1), p)
-    target_pres = target_pres or HomologyPresentation(normalized_chain_complex(f.target, p + 1), p)
-    generators = source_pres.generator_cycles()
-    tgt = f.target.nondegenerate_indices(p)
-    row_of = {k: i for i, k in enumerate(tgt)}
-    images = zeros(len(tgt), len(generators[0]) if generators else 0)
-    table = f.tables[p]
-    for k, gen in zip(f.source.nondegenerate_indices(p), generators):
-        row = row_of.get(table[k])
-        if row is not None:
-            images[row] = [x + y for x, y in zip(images[row], gen)]
-    return InducedMap(source_pres.group(), target_pres.group(), target_pres.coordinates(images))

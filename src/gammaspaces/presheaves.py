@@ -408,7 +408,8 @@ def extract_g_group_bousfield(X) -> GMonoid:
 # presheaf files: explicit level lists plus action tables for the canonical
 # generating family, with digests for golden comparisons
 
-def _canonical_family(X) -> list:
+def _canonical_family(X) -> dict:
+    """{key: morphism} of the family a presheaf file stores, in family order."""
     family = []
     for n in range(2, X.N + 1):
         for projection, segment in zip(gc.segal_family(n), gc.bousfield_family(n)):
@@ -421,7 +422,7 @@ def _canonical_family(X) -> list:
     seen = {}
     for f in family:
         seen.setdefault(f.key(), f)
-    return list(seen.values())
+    return seen
 
 
 def _digest(table: list[int]) -> str:
@@ -431,7 +432,7 @@ def _digest(table: list[int]) -> str:
 def presheaf_to_json(X) -> dict:
     """Serializable form: level element lists, action tables for the
     canonical morphism family, and per-table digests."""
-    maps = {f.key(): X.action_table(f) for f in _canonical_family(X)}
+    maps = {key: X.action_table(f) for key, f in _canonical_family(X).items()}
     data = {
         "kind": "gamma" if X.group is None else "ggamma",
         "N": X.N,

@@ -130,16 +130,11 @@ def bar_resolution_boundaries(M: FinAbMonoid, top: int):
     return [len(b) for b in basis], boundaries
 
 
-def sparse_columns(a: Matrix, cols: int) -> list[dict]:
-    """The columns of a dense matrix with cols columns, as row -> entry dicts."""
-    return [{i: row[j] for i, row in enumerate(a) if row[j]} for j in range(cols)]
-
-
 def chain_complex(ranks: list[int], boundaries: list[Matrix]) -> ChainComplex:
     """The chain complex of dense boundary matrices, boundaries[p] of shape
     ranks[p-1] x ranks[p] for p >= 1."""
-    return ChainComplex(ranks, [[]] + [sparse_columns(boundaries[p], ranks[p])
-                                       for p in range(1, len(ranks))])
+    return ChainComplex(ranks, [[]] + [[{j: x for j, x in enumerate(row) if x}
+                                        for row in boundaries[p]] for p in range(1, len(ranks))])
 
 
 def presentation_group(C: ChainComplex, q: int) -> HomologyGroup:

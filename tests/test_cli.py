@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from gammaspaces import algebra as alg
 from gammaspaces import classifying as cb
 from gammaspaces import cli
+from gammaspaces import homology as hm
 from gammaspaces import presheaves as ps
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -595,6 +596,18 @@ class TestClassify:
         assert code == 3
         assert "disagrees" in err
 
+    @pytest.mark.parametrize("level_one", [[[0], [1], [2]], [[1], [0]]],
+                             ids=["extended", "relabelled"])
+    def test_stored_level_disagreement_exits_three(self, tmp_path, capsys, level_one):
+        # the stored tables still match: no canonical map leaves level 1
+        presheaf = build(tmp_path, "z2")
+        data = json.loads(presheaf.read_text())
+        data["levels"][1] = level_one
+        presheaf.write_text(json.dumps(data))
+        assert run(["classify", "--input", str(presheaf), "--dim", "3", "--homology", "2"],
+                   capsys) == (3, "", "algebra/extraction error: stored level 1 disagrees "
+                                      "with rebuild\n")
+
     def test_nonpositive_bounds_exit_two(self, tmp_path, capsys):
         code, _, err = run(["build", "--input", str(FIXTURES / "z2.json"),
                             "--levels", "0"], capsys)
@@ -812,3 +825,23 @@ class TestFuzzedInputs:
             code = cli.main([command, "--input", str(source), *bounds])  # raising is a traceback
         assert code in range(5)
         assert len(err.getvalue().splitlines()) <= 1
+
+
+class TestDenseHelpersUnreached:
+    @pytest.mark.parametrize("fixture, bounds", [
+        ("z2_swap_on_klein", ["--dim", "5", "--homology", "4"]),
+        ("klein", ["--dim", "5", "--homology", "4"]),
+        ("z2", ["--iterate", "2", "--dim", "4", "--homology", "2"]),
+    ])
+    def test_classify_holds_homology_as_sparse_rows_only(self, tmp_path, capsys, monkeypatch,
+                                                         fixture, bounds):
+        def dense(*args, **kwargs):
+            raise AssertionError("the homology path reached a dense matrix helper")
+
+        for name in ("zeros", "eye", "mat_mul", "smith_normal_form", "_dense", "solve_exact",
+                     "invert_unimodular"):
+            monkeypatch.setattr(hm, name, dense)
+        monkeypatch.setattr(hm.ChainComplex, "boundary", dense)
+        presheaf = build(tmp_path, fixture)
+        code, out, err = run(["classify", "--input", str(presheaf), *bounds], capsys)
+        assert (code, err) == (0, "")

@@ -353,12 +353,12 @@ class TestSparseElimination:
 
     def test_tampered_boundary_fails_the_composite_check(self):
         C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(3), 3))
-        columns = [[dict(col) for col in level] for level in C.columns]
-        col = next(col for col in columns[3] if col)
-        row = next(iter(col))
-        col[row] += 1
+        boundaries = [[dict(row) for row in level] for level in C.boundaries]
+        row = next(row for row in boundaries[3] if row)
+        col = next(iter(row))
+        row[col] += 1  # -1 becomes an explicit 0, which the check reads as it stands
         with pytest.raises(ValueError, match="^boundary composite in degree 3 is nonzero$"):
-            hm.ChainComplex(C.ranks, columns)
+            hm.ChainComplex(C.ranks, boundaries)
 
     def test_misshapen_boundary_rejected(self):
         with pytest.raises(ValueError, match="does not fit shape"):
@@ -368,7 +368,7 @@ class TestSparseElimination:
 
     def test_dense_boundary_on_demand(self):
         C = chain_complex([2, 3], [[], [[1, 0, -1], [0, 2, 0]]])
-        assert C.columns[1] == [{0: 1}, {1: 2}, {0: -1}]
+        assert C.boundaries[1] == [{0: 1, 2: -1}, {1: 2}]
         assert C.boundary(1) == [[1, 0, -1], [0, 2, 0]]
 
 
@@ -393,7 +393,7 @@ class TestPresentationContract:
                 boundary = C.boundary(p + 1)
                 # the kernel basis and the relations are sparse: kernel[k] is
                 # a chain, relations[k] the k-th coordinate of every column
-                relations = pres.relation_rows(C.columns[p + 1])
+                relations = pres.relation_rows(C.boundaries[p + 1])
                 kernel = [[vec.get(r, 0) for vec in pres.kernel] for r in range(C.ranks[p])]
                 dense = [[row.get(j, 0) for j in range(C.ranks[p + 1])] for row in relations]
                 product = [[sum(k * r[j] for k, r in zip(row, dense))
@@ -409,15 +409,33 @@ class TestPresentationContract:
                 assert pres.coordinates(pres.generator_cycles()) == \
                     tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
+    def test_coordinates_ignore_boundaries(self):
+        # a seeded combination of the generators plus the boundary of a
+        # random chain has the combination's coordinates, mod torsion
+        rng = random.Random(19)
+        for C in contract_complexes():
+            for p in range(C.top):
+                pres = hm.HomologyPresentation(C, p)
+                orders = pres.torsion + (0,) * len(pres.free_positions)
+                for _ in range(5):
+                    combination = [rng.randint(-5, 5) for _ in orders]
+                    below = [rng.randint(-3, 3) for _ in range(C.ranks[p + 1])]
+                    chain = {r: sum(x * below[j] for j, x in row.items())
+                             for r, row in enumerate(C.boundaries[p + 1])}
+                    for a, cycle in zip(combination, pres.generator_cycles()):
+                        for r, x in cycle.items():
+                            chain[r] = chain.get(r, 0) + a * x
+                    assert pres.coordinates([{r: x for r, x in chain.items() if x}]) == \
+                        tuple((a % t if t else a,) for a, t in zip(combination, orders))
+
     def test_non_cycle_raises(self):
         for C in contract_complexes():
             for p in range(1, C.top):
                 pres = hm.HomologyPresentation(C, p)
-                for j, col in enumerate(C.columns[p]):
-                    if col:  # the j-th basis chain has a nonzero boundary
-                        chain = [[int(i == j)] for i in range(C.ranks[p])]
-                        with pytest.raises(ValueError, match="not a cycle"):
-                            pres.coordinates(chain)
+                # the basis chains with a nonzero boundary
+                for j in sorted(set().union(*C.boundaries[p])):
+                    with pytest.raises(ValueError, match="not a cycle"):
+                        pres.coordinates([{j: 1}])
 
 
 class TestPresentationBudget:

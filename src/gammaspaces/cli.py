@@ -249,8 +249,15 @@ def cmd_roundtrip(args) -> int:
 
 
 def _verify_stored(stored, data: dict, X) -> None:
-    """Stored levels and tables, already validated by presheaf_from_json,
-    must agree position by position with the rebuilt presheaf."""
+    """The stored group, levels and tables, already validated by
+    presheaf_from_json, must agree position by position with the rebuilt
+    presheaf, and every canonical table within the stored levels must be
+    stored."""
+    if stored.group != X.group:
+        raise StrictnessError("stored group disagrees with rebuild")
+    for f in ps._canonical_family(stored).values():
+        if f.source <= stored.N and f.target <= stored.N:
+            stored.action_table(f)  # a missing table raises check's input error
     for n in range(stored.N + 1):
         if list(stored.level(n)) != list(X.level(n)):
             raise StrictnessError(f"stored level {n} disagrees with rebuild")

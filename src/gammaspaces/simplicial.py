@@ -90,13 +90,13 @@ def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int):
 
 
 def _face_identities(X: TruncatedSimplicialSet, p: int):
-    """The identities d_i d_j = d_{j-1} d_i on level p as (name, p, i, j,
+    """The identities d_i d_j = d_{j-1} d_i on level p as (name, (p, i, j),
     lhs, rhs): both sides are index tables over level p, produced one
     identity at a time in checking order."""
     F = X.faces
     for j in range(1, p + 1):
         for i in range(j):
-            yield ("d_i d_j = d_{j-1} d_i", p, i, j,
+            yield ("d_i d_j = d_{j-1} d_i", (p, i, j),
                    composite(F[p - 1][i], F[p][j]), composite(F[p - 1][j - 1], F[p][i]))
 
 
@@ -107,7 +107,7 @@ def _degeneracy_identities(X: TruncatedSimplicialSet):
     for p in range(X.d - 1):
         for j in range(p + 1):
             for i in range(j + 1):
-                yield ("s_i s_j = s_{j+1} s_i", p, i, j,
+                yield ("s_i s_j = s_{j+1} s_i", (p, i, j),
                        composite(S[p + 1][i], S[p][j]), composite(S[p + 1][j + 1], S[p][i]))
     # mixed identities on level p, 0 <= p < d; at p = 0 only d_i s_j = id occurs
     for p in range(X.d):
@@ -116,22 +116,23 @@ def _degeneracy_identities(X: TruncatedSimplicialSet):
             for i in range(p + 2):
                 lhs = composite(F[p + 1][i], S[p][j])
                 if i == j or i == j + 1:
-                    yield "d_i s_j = id", p, i, j, lhs, identity
+                    yield "d_i s_j = id", (p, i, j), lhs, identity
                 elif i < j:
-                    yield ("d_i s_j = s_{j-1} d_i", p, i, j,
+                    yield ("d_i s_j = s_{j-1} d_i", (p, i, j),
                            lhs, composite(S[p - 1][j - 1], F[p][i]))
                 else:
-                    yield ("d_i s_j = s_j d_{i-1}", p, i, j,
+                    yield ("d_i s_j = s_j d_{i-1}", (p, i, j),
                            lhs, composite(S[p - 1][j], F[p][i - 1]))
 
 
 def _first_violation(X: TruncatedSimplicialSet, identities) -> ValidationReport | None:
-    """The first identity whose sides differ, named with its first
-    differing simplex, or None."""
-    for name, p, i, j, lhs, rhs in identities:
+    """The first identity whose sides differ, or None.  Each identity is
+    (name, where, lhs, rhs) with lhs and rhs index tables over level
+    where[0] of X; a violation is named (*where, first differing simplex)."""
+    for name, where, lhs, rhs in identities:
         k = _first_difference(lhs, rhs)
         if k is not None:
-            return ValidationReport(False, name, (p, i, j, X.levels[p][k]))
+            return ValidationReport(False, name, (*where, X.levels[where[0]][k]))
     return None
 
 
@@ -170,51 +171,21 @@ def _packed(X: TruncatedSimplicialSet, p: int) -> bool:
     return p >= 2 and len(X.levels[p]) >= p * (p + 1) * len(X.levels[p - 1])
 
 
-def _holds(X: TruncatedSimplicialSet) -> bool:
-    """Whether every identity holds, without naming a violation.  The face
-    tables of a packed level are checked only for arity, length and sign:
-    _faces_commute looks every entry up in a table over the level below,
-    so one past it raises IndexError, and that is a failure too."""
-    try:
-        for p in range(1, X.d + 1):
-            tables, size = X.faces[p], len(X.levels[p])
-            if not _packed(X, p):
-                if _check_tables(X, "face", tables, p, p - 1):
-                    return False
-            elif len(tables) != p + 1 or any(len(t) != size or min(t, default=0) < 0
-                                             for t in tables):
-                return False
-        for p in range(X.d):
-            if _check_tables(X, "degeneracy", X.degeneracies[p], p, p + 1):
-                return False
-        for p in range(2, X.d + 1):
-            if not (_faces_commute(X, p) if _packed(X, p)
-                    else _first_violation(X, _face_identities(X, p)) is None):
-                return False
-        return _first_violation(X, _degeneracy_identities(X)) is None
-    except IndexError:
-        return False
-
-
-def validate(X: TruncatedSimplicialSet) -> ValidationReport:
-    """Check every simplicial identity expressible within the truncation.
-
-    Exhaustive: each identity compares two composite index tables over a
-    whole level, except that the face identities of a level at least
-    p(p+1) times the size of the level below are checked together by
-    _faces_commute, whose tables then cost at most one pass over the
-    level.  _holds answers first whether everything holds; only when it
-    does not are the ranges and identities checked again in order, table
-    by table wherever a packed check fails, so that the report is the
-    first violation, named with the offending identity, level, indices,
-    and simplex.
-    """
-    if _holds(X):
-        return ValidationReport(True)
+def _first_violation_in_order(X: TruncatedSimplicialSet, quick: bool) -> ValidationReport | None:
+    """The first violation in checking order, or None: face table ranges,
+    degeneracy table ranges, the face identities level by level, then the
+    degeneracy identities.  With quick set, the face tables of a packed
+    level are checked only for arity, length and sign, so a report says
+    only that something fails, and an entry past the level below raises
+    IndexError in _faces_commute."""
     for p in range(1, X.d + 1):
-        report = _check_tables(X, "face", X.faces[p], p, p - 1)
-        if report:
-            return report
+        tables, size = X.faces[p], len(X.levels[p])
+        if not (quick and _packed(X, p)):
+            report = _check_tables(X, "face", tables, p, p - 1)
+            if report:
+                return report
+        elif len(tables) != p + 1 or any(len(t) != size or min(t, default=0) < 0 for t in tables):
+            return ValidationReport(False, "face table")
     for p in range(X.d):
         report = _check_tables(X, "degeneracy", X.degeneracies[p], p, p + 1)
         if report:
@@ -224,7 +195,27 @@ def validate(X: TruncatedSimplicialSet) -> ValidationReport:
             report = _first_violation(X, _face_identities(X, p))
             if report:
                 return report
-    return _first_violation(X, _degeneracy_identities(X)) or ValidationReport(True)
+    return _first_violation(X, _degeneracy_identities(X))
+
+
+def validate(X: TruncatedSimplicialSet) -> ValidationReport:
+    """Check every simplicial identity expressible within the truncation.
+
+    Exhaustive: each identity compares two composite index tables over a
+    whole level, except that the face identities of a level at least
+    p(p+1) times the size of the level below are checked together by
+    _faces_commute, whose tables then cost at most one pass over the
+    level.  The checking order runs quickly first; only when that run
+    fails does it run again with every range checked first, so that the
+    report is the first violation, named with the offending identity,
+    level, indices, and simplex.
+    """
+    try:
+        if _first_violation_in_order(X, quick=True) is None:
+            return ValidationReport(True)
+    except IndexError:
+        pass
+    return _first_violation_in_order(X, quick=False) or ValidationReport(True)
 
 
 class SimplicialMap:
@@ -256,20 +247,12 @@ class SimplicialMap:
             if len(table) != size:
                 witness = (p, X.levels[p][len(table)]) if len(table) < size else (p,)
                 return ValidationReport(False, "map not total", witness)
-        for p in range(1, X.d + 1):
-            for i in range(p + 1):
-                k = _first_difference(composite(T[p - 1], X.faces[p][i]),
-                                      composite(Y.faces[p][i], T[p]))
-                if k is not None:
-                    return ValidationReport(False, "map commutes with faces", (p, i, X.levels[p][k]))
-        for p in range(X.d):
-            for i in range(p + 1):
-                k = _first_difference(composite(T[p + 1], X.degeneracies[p][i]),
-                                      composite(Y.degeneracies[p][i], T[p]))
-                if k is not None:
-                    return ValidationReport(False, "map commutes with degeneracies",
-                                            (p, i, X.levels[p][k]))
-        return ValidationReport(True)
+        faces = (("map commutes with faces", (p, i), composite(T[p - 1], X.faces[p][i]),
+                  composite(Y.faces[p][i], T[p])) for p in range(1, X.d + 1) for i in range(p + 1))
+        degeneracies = (("map commutes with degeneracies", (p, i),
+                         composite(T[p + 1], X.degeneracies[p][i]),
+                         composite(Y.degeneracies[p][i], T[p])) for p in range(X.d) for i in range(p + 1))
+        return _first_violation(X, itertools.chain(faces, degeneracies)) or ValidationReport(True)
 
     def is_levelwise_bijection(self) -> bool:
         return all(len(set(table)) == len(self.source.levels[p]) == len(self.target.levels[p])

@@ -608,6 +608,31 @@ class TestClassify:
                    capsys) == (3, "", "algebra/extraction error: stored level 1 disagrees "
                                       "with rebuild\n")
 
+    @pytest.mark.parametrize("maps", ["emptied", "one_key_removed"])
+    def test_missing_canonical_table_exits_two(self, tmp_path, capsys, maps):
+        # classify refuses the file with the line check gives on it
+        presheaf = build(tmp_path, "z2")
+        data = json.loads(presheaf.read_text())
+        if maps == "emptied":
+            data["maps"] = {}
+        else:
+            del data["maps"]["2>1:0,1,0"]
+        presheaf.write_text(json.dumps(data))
+        line = "input error: morphism 2>1:0,1,0 not stored in presheaf file\n"
+        assert run(["check", "--input", str(presheaf), "--segal"], capsys) == (2, "", line)
+        assert run(["classify", "--input", str(presheaf), "--dim", "3", "--homology", "2"],
+                   capsys) == (2, "", line)
+
+    def test_stored_group_disagreement_exits_three(self, tmp_path, capsys):
+        # the relabelled group keeps the tables, whose keys name elements by position
+        presheaf = build(tmp_path, "z2_swap_on_klein")
+        data = json.loads(presheaf.read_text())
+        data["group"] = {"elements": ["a", "b"], "table": [["a", "b"], ["b", "a"]]}
+        presheaf.write_text(json.dumps(data))
+        assert run(["classify", "--input", str(presheaf), "--dim", "3", "--homology", "2"],
+                   capsys) == (3, "", "algebra/extraction error: stored group disagrees "
+                                      "with rebuild\n")
+
     def test_nonpositive_bounds_exit_two(self, tmp_path, capsys):
         code, _, err = run(["build", "--input", str(FIXTURES / "z2.json"),
                             "--levels", "0"], capsys)

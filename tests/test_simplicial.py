@@ -157,6 +157,25 @@ class TestPackedFaceCheck:
         del Y.faces[2][0][7:]
         assert ss.validate(Y) == ss.ValidationReport(False, "face not total", (2, 0, (0, 1, 1, 1)))
 
+    @pytest.mark.parametrize("second", ["degeneracy_range", "face_swap"])
+    def test_range_report_wins_over_a_later_defect(self, z2_twice, second):
+        # level 4's faces are read for sign alone before any lookup, so a
+        # quick pass meets the second defect first; the report is still the
+        # range check's, which comes first in checking order
+        X, i = z2_twice, 0 if second == "degeneracy_range" else 1
+        Y, k = with_fresh_faces(X, 4), len(X.levels[4]) // 3
+        Y.faces[4][i][k] = len(X.levels[3])
+        if second == "degeneracy_range":
+            Y.degeneracies = [[list(t) for t in X.degeneracies[0]]] + X.degeneracies[1:]
+            Y.degeneracies[0][0][0] = len(X.levels[1])
+        else:
+            Y.faces[2] = [list(t) for t in X.faces[2]]
+            table = Y.faces[2][0]
+            m = next(m for m, y in enumerate(table) if y != table[0])
+            table[0], table[m] = table[m], table[0]
+        assert ss.validate(Y) == ss.ValidationReport(
+            False, "face lands outside level", (4, i, X.levels[4][k]))
+
     def test_one_element_levels_pack_with_radix_one(self):
         X = cb.iterate_bar(ps.build_gamma_set(trivial_monoid(), 16), 2, 4).space
         assert X.level_sizes() == [1] * 5

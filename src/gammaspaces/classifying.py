@@ -39,12 +39,6 @@ def _identity_checks(p: int, d: int) -> int:
             + ((p + 1) * (p + 2) if p < d else 0))
 
 
-def _refuse_identity_checks(checks: int, budget: int) -> None:
-    if checks > budget:
-        raise BudgetError(f"predicted {checks} identity checks on one-element bar levels "
-                          f"exceeds budget {budget}")
-
-
 def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
     """The presheaf objects p**k * n behind bar levels p = 0..d, walked in
     order.  A monoid-built level m holds size**m simplices; one past the
@@ -53,23 +47,19 @@ def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
     levels may hold at most budget entries in all, all levels at most
     budget simplices, and last the identity checks on one-element levels,
     which the simplex count does not bound, at most budget.  At n = 0 every
-    level is object 0, so both totals are known without the walk."""
+    level is object 0: both totals are closed forms, refused as in the walk."""
     algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
     sized = isinstance(algebra, FinAbMonoid)
+    objects: list[int] = []
+    total = entries = checks = 0
     if not n:
         size = 1 if sized else X.level_size(0)
         total = (d + 1) * size
-        if total > budget:
-            raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
         if size == 1:  # the sum of _identity_checks(p, d) over p <= d
-            _refuse_identity_checks(d and 3 * math.comb(d + 2, 3) + math.comb(d + 1, 3) - 1,
-                                    budget)
-        return [0] * (d + 1)
+            checks = d and 3 * math.comb(d + 2, 3) + math.comb(d + 1, 3) - 1
     # for p >= 2, p**k * n >= 2**k: past both bounds once k reaches their bit lengths
-    huge = sized and n and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
-    objects: list[int] = []
-    total = entries = checks = 0
-    for p in range(d + 1):
+    huge = sized and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
+    for p in range(d + 1 if n else 0):
         if huge and p >= 2:
             raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
         m = p ** k * n
@@ -88,8 +78,10 @@ def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
         objects.append(m)
     if total > budget:
         raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
-    _refuse_identity_checks(checks, budget)
-    return objects
+    if checks > budget:
+        raise BudgetError(f"predicted {checks} identity checks on one-element bar levels "
+                          f"exceeds budget {budget}")
+    return objects if n else [0] * (d + 1)
 
 
 @dataclass
@@ -313,6 +305,8 @@ def _canonical_group(orders: list[int]) -> HomologyGroup:
 def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None:
     """Expected homology of the k-fold delooping of a finite abelian group
     in degree q; None when outside the range tabulated here."""
+    if not A.is_group():
+        raise ValueError("expected homology needs a group, not a monoid without inverses")
     return _expected_from_invariants(_cyclic_decomposition(A), k, q)
 
 

@@ -284,11 +284,10 @@ def cmd_classify(args) -> int:
                               f"{args.homology + 1}, given {args.dim}", required=args.homology + 1)
     # at the zero object every level is the point, whatever the iteration count
     k = args.iterate if args.at else 1
-    objects = cb._check_budget(stored, k, args.dim, args.at, budget)
-    # a built presheaf has level 1 at least; the point report reads level 0 only
-    X = _build_presheaf(stored.algebra, max(objects[-1], stored.N, 1))
-    _verify_stored(stored, data, X)
+    # lazy; a walked bar reads no level m >= 1 past budget: 2**m simplices or m label entries
+    X = _build_presheaf(stored.algebra, max(stored.N, budget))
     B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
+    _verify_stored(stored, data, X)
 
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,
               "dim": args.dim, "homology": args.homology, "at": args.at,

@@ -23,7 +23,9 @@ build the preimage form of a pointed map, identities and composites of
 power-set and order-preserving maps, the edges from vertex zero and
 identity, composite and constant simplicial maps here.  The strict Segal
 and Bousfield checks are redone on tuples of component images, not on the
-integer codes the presheaf layer compares.
+integer codes the presheaf layer compares.  The bar budget is redone
+level by level, its identity checks counted pair by pair, not in closed
+form.
 """
 
 import functools
@@ -32,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
-from gammaspaces.errors import CompositionError, TruncationError
+from gammaspaces.errors import BudgetError, CompositionError, TruncationError
 from gammaspaces.gammacat import DeltaMap, GammaMap, GammaOpMap
 from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
                                   homology_groups, mat_mul, normalized_chain_complex,
@@ -570,3 +572,43 @@ def pairwise_validate(X: TruncatedSimplicialSet) -> ValidationReport:
             k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             return ValidationReport(False, name, (p, i, j, X.levels[p][k]))
     return ValidationReport(True)
+
+
+def identities_on_level(p: int, d: int) -> int:
+    """The identities validate compares on each simplex of level p of a
+    space truncated at d, listed pair by pair: d_i d_j (i < j <= p) from
+    level 2 on, s_i s_j (i <= j <= p) below level d - 1, and d_i s_j
+    (i <= p + 1, j <= p) below level d."""
+    faces = [(i, j) for j in range(1, p + 1) for i in range(j)] if p >= 2 else []
+    degeneracies = [(i, j) for j in range(p + 1) for i in range(j + 1)] if p < d - 1 else []
+    mixed = [(i, j) for j in range(p + 1) for i in range(p + 2)] if p < d else []
+    return len(faces) + len(degeneracies) + len(mixed)
+
+
+def bar_budget_counts(level_size, k: int, d: int, n: int):
+    """What the budget bounds on the k-fold bar at the n-wedge truncated
+    at d, whose level p is object p**k * n of level_size(p**k * n)
+    simplices: the objects, the running label entries of one-element
+    levels, the simplices, and the identity checks on one-element levels."""
+    objects = [p ** k * n for p in range(d + 1)]
+    sizes = [level_size(m) for m in objects]
+    entries = list(itertools.accumulate(m if size == 1 else 0
+                                        for m, size in zip(objects, sizes)))
+    checks = sum(identities_on_level(p, d) for p, size in enumerate(sizes) if size == 1)
+    return objects, entries, sum(sizes), checks
+
+
+def bar_budget(level_size, k: int, d: int, n: int, budget: int) -> list[int]:
+    """The bar's objects, or the first refusal: label entries level by
+    level, then simplices, then identity checks."""
+    objects, entries, total, checks = bar_budget_counts(level_size, k, d, n)
+    for running in entries:
+        if running > budget:
+            raise BudgetError(f"predicted {running} label entries in one-element bar levels "
+                              f"exceeds budget {budget}")
+    if total > budget:
+        raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
+    if checks > budget:
+        raise BudgetError(f"predicted {checks} identity checks on one-element bar levels "
+                          f"exceeds budget {budget}")
+    return objects

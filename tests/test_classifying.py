@@ -1,6 +1,11 @@
 import dataclasses
+import functools
+import itertools
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -12,14 +17,16 @@ from gammaspaces import presheaves as ps
 from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup, HomologyPresentation
-from oracles import (TruncatedBisimplicialSet, bar_resolution_homology, compose_maps, diagonal,
-                     em_two_homology, map_from_label_maps, nerve_of_monoid, snf_diagonal)
+from oracles import (TruncatedBisimplicialSet, bar_budget, bar_budget_counts,
+                     bar_resolution_homology, compose_maps, diagonal, em_two_homology,
+                     map_from_label_maps, nerve_of_monoid, snf_diagonal)
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
 Z4 = alg.cyclic(4)
 KLEIN = alg.klein_four()
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 ACTION_FIXTURES = ["z2_inversion_on_z3", "z2_swap_on_klein", "z2_trivial_on_z2"]
 
 
@@ -91,6 +98,37 @@ class TestBar:
         B = cb.iterate_bar(ps.build_gamma_set(Z2, 9), 2, 3)
         assert B.objects == [0, 1, 4, 9]
         assert B.space.level_sizes() == [2 ** m for m in B.objects]
+
+
+# the level sizes of a presheaf with no algebra, up to the largest object
+# that k <= 3, d <= 6 and n <= 2 reach
+UNSIZED_LEVELS = [(1, 2, 1, 3)[m % 4] for m in range(6 ** 3 * 2 + 1)]
+
+
+class TestBudgetWalk:
+    @pytest.mark.parametrize("name", ["trivial", "Z2", "Z3", "unsized"])
+    def test_check_budget_agrees_with_the_level_by_level_oracle(self, name):
+        if name == "unsized":
+            X = ps.TruncatedGammaSet(len(UNSIZED_LEVELS) - 1, lambda m: range(UNSIZED_LEVELS[m]),
+                                     lambda f: [])
+            level_size = UNSIZED_LEVELS.__getitem__
+        else:
+            M = {"trivial": alg.trivial_monoid(), "Z2": Z2, "Z3": Z3}[name]
+            X = ps.build_gamma_set(M, 1)
+            level_size = functools.partial(pow, M.size)
+        for k, d, n in itertools.product(range(1, 4), range(7), range(3)):
+            _, entries, total, checks = bar_budget_counts(level_size, k, d, n)
+            thresholds = {max(1, t + step) for t in (*entries, total, checks)
+                          for step in (-1, 0, 1)}
+            for budget in sorted(thresholds):
+                try:
+                    expected = bar_budget(level_size, k, d, n, budget)
+                except BudgetError as exc:
+                    with pytest.raises(BudgetError) as err:
+                        cb._check_budget(X, k, d, n, budget)
+                    assert str(err.value) == str(exc), (k, d, n, budget)
+                else:
+                    assert cb._check_budget(X, k, d, n, budget) == expected, (k, d, n, budget)
 
 
 class TestGActionOnBar:
@@ -467,6 +505,36 @@ class TestExpectedPattern:
         assert cb.expected_em_homology(Z2, 2, 2) == HomologyGroup(0, (2,))
         assert cb.expected_em_homology(Z2, 2, 3) == HomologyGroup(0)
         assert cb.expected_em_homology(Z2, 2, 4) is None
+
+    def test_a_monoid_that_is_not_a_group_is_refused(self):
+        # the powers of a non-invertible element never meet the unit, so a
+        # walk of element orders would not return: a child process bounds it
+        monoids = [alg.max_monoid(2), *alg.enumerate_abelian_monoids(4)]
+        script = ("import json\n"
+                  "from gammaspaces import algebra as alg, classifying as cb\n"
+                  "def values(M):\n"
+                  "    try:\n"
+                  "        return [[(h.rank, h.torsion) for h in (cb.expected_em_homology(M, k, q)\n"
+                  "                 for q in range(5 - k))] for k in (1, 2)]\n"
+                  "    except ValueError as exc:\n"
+                  "        return str(exc)\n"
+                  "print(json.dumps([values(M) for M in [alg.max_monoid(2),\n"
+                  "                                      *alg.enumerate_abelian_monoids(4)]]))\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=env, timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        groups = 0
+        for M, values in zip(monoids, json.loads(proc.stdout), strict=True):
+            if M.is_group():
+                groups += 1
+                assert values == [[[h.rank, list(h.torsion)] for h in group]
+                                  for group in ([bar_resolution_homology(M, q) for q in range(4)],
+                                                [em_two_homology(M, q) for q in range(3)])]
+            else:
+                assert values == ("expected homology needs a group, "
+                                  "not a monoid without inverses")
+        assert groups == 2
 
     def test_cyclic_decomposition(self):
         assert cb._cyclic_decomposition(Z4) == [4]

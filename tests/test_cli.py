@@ -580,6 +580,41 @@ class TestClassify:
         assert code == 0 and "structure_map" in json.loads(out)
         assert len(validated) == 1
 
+    @pytest.mark.parametrize("bounds", [["--iterate", "2", "--dim", "4", "--homology", "2"],
+                                        ["--at", "0", "--dim", "3"]], ids=["iterate2", "at0"])
+    def test_classify_walks_the_budget_once(self, tmp_path, capsys, monkeypatch, bounds):
+        presheaf = build(tmp_path, "z2")
+        walks = []
+        check_budget = cb._check_budget
+        monkeypatch.setattr(cb, "_check_budget",
+                            lambda *args: walks.append(args) or check_budget(*args))
+        assert run(["classify", "--input", str(presheaf), *bounds], capsys)[0] == 0
+        assert len(walks) == 1
+
+    @pytest.mark.parametrize("tamper", ["relabelled", "one_key_removed"])
+    def test_budget_refuses_before_the_stored_file_is_compared(self, tmp_path, capsys,
+                                                               monkeypatch, tamper):
+        presheaf = build(tmp_path, "z2")
+        data = json.loads(presheaf.read_text())
+        if tamper == "relabelled":
+            data["levels"][1] = [[1], [0]]
+        else:
+            del data["maps"]["2>1:0,1,0"]
+        presheaf.write_text(json.dumps(data))
+        monkeypatch.delenv(cli.DEFAULT_BUDGET_ENV, raising=False)
+        args = ["classify", "--input", str(presheaf)]
+        refusal = "resource error: predicted {} simplices exceeds budget 10000000\n"
+        assert run([*args, "--iterate", "2", "--dim", "10"], capsys) == \
+            (4, "", refusal.format(1267653018098315937847468687891))
+        assert run([*args, "--at", "0", "--dim", "10000000"], capsys) == \
+            (4, "", refusal.format(10000001))
+        # inside the budget, the comparison with the rebuild refuses the file
+        assert run([*args, "--dim", "3", "--homology", "2"], capsys) == {
+            "relabelled": (3, "", "algebra/extraction error: stored level 1 disagrees "
+                                  "with rebuild\n"),
+            "one_key_removed": (2, "", "input error: morphism 2>1:0,1,0 not stored in "
+                                       "presheaf file\n")}[tamper]
+
     def test_classify_requires_presheaf_file(self, capsys):
         code, _, err = run(["classify", "--input", str(FIXTURES / "z3.json")], capsys)
         assert code == 2

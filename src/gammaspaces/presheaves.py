@@ -121,29 +121,34 @@ def _sum_preimages_table(M: FinAbMonoid, row, f: gc.GammaOpMap) -> list[int]:
     consecutive blocks that no fibre of f crosses (see _fibre_closed_blocks;
     one block when the table has at most _BLOCK_TUPLES entries).  Each
     block is one digit walk from the all-unit image (see _digit_walk), and
-    the table is laid out block by block, the last block fastest: one
-    `map` over the table so far for each image of an earlier block.  Blocks
+    the table is laid out block by block, the last block fastest: one pass
+    over the table so far for each image of an earlier block.  Blocks
     write disjoint target digits, so their changes to the all-unit image
     add without carries.  A target of more than _SHARED_INTS positions and
-    no more than the source has its block images read out of one list of
-    its positions, shifted by the change, so the table holds one int object
-    per position, not one per entry; a change below 0 (the unit is not
-    element 0) is added.
+    no more than the source has every image read out of one list of its
+    positions (an earlier block's through one itemgetter of the table so
+    far, over the positions shifted by the change), so the table holds one
+    int object per position, not one per entry; a change below 0 (the unit
+    is not element 0) is added.
     """
     s, t = M.size, f.target
+    if s == 1:  # one tuple on every level
+        return [0]
     weights = [s ** (t - j) for j in range(t + 1)]
     unit = M.unit * sum(weights[1:])  # the all-unit tuple
     *blocks, last = _fibre_closed_blocks(f.values, s)
     out = _digit_walk(M, row, last, weights, unit)
     positions = list(range(s ** t)) if _SHARED_INTS < s ** t <= s ** f.source else None
+    out = list(map(positions.__getitem__, out)) if positions else out
     for block in reversed(blocks):
         tail, out = out, []
+        pick = operator.itemgetter(*tail) if positions else None
         for image in _digit_walk(M, row, block, weights, unit):
             step = image - unit
             if not step:
                 out += tail
             elif step > 0 and positions:
-                out += map(positions[step:].__getitem__, tail)
+                out += pick(positions[step:])
             else:
                 out += map(operator.add, tail, itertools.repeat(step))
     return out

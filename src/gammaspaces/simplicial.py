@@ -136,51 +136,46 @@ def _first_violation(X: TruncatedSimplicialSet, identities) -> ValidationReport 
     return None
 
 
-def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
-    """Whether every d_i d_j = d_{j-1} d_i holds on level p, read off one
-    pass over the level.  The faces out of level p - 1 must be in range,
-    and those out of level p total and not negative: an entry past level
-    p - 1 raises IndexError in its lookup of diff_j.
+_CHUNK = 1024  # simplices per gather in _faces_commute, to keep its byte strings small
 
-    With R = |X_{p-2}|, the pair (i, j) gets the weight R**idx(i, j), idx
-    numbering the pairs.  Grouped by the face applied first, the weighted
-    differences of the two sides become one table diff_j over level p - 1
-    per face j, and the weighted sum at a p-simplex x is the sum over j of
-    diff_j[d_j x].  Each difference lies strictly between -R and R, and a
-    base-R numeral whose digits do is 0 only when every digit is.
+
+def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
+    """Whether every d_i d_j = d_{j-1} d_i holds on level p, compared byte
+    for byte.  The faces out of level p - 1 must be in range, and those
+    out of level p total and not negative: an entry past level p - 1
+    raises IndexError in the gather.
+
+    The face vector of a (p-1)-simplex y is the bytes of d_0 y ... d_{p-1} y,
+    each face w bytes wide, where w is the bytes that |X_{p-2}| - 1 needs.
+    Gathered along d_j over a chunk of p-simplices, the vectors give one
+    string whose record for x holds d_i d_j x at offset i*w, so an identity
+    is w strided slice comparisons of two such strings.
     """
     F, G = X.faces[p], X.faces[p - 1]
-    radix, size = len(X.levels[p - 2]), len(X.levels[p - 1])
-    pairs = [(i, j) for j in range(1, p + 1) for i in range(j)]
-    weight = {pair: radix ** idx for idx, pair in enumerate(pairs)}
-    sums = None
-    for j in range(p + 1):
-        terms = ([(weight[i, j], G[i]) for i in range(j)]
-                 + [(-weight[j, k], G[k - 1]) for k in range(j + 1, p + 1)])
-        diff = [0] * size
-        for c, table in terms:
-            diff = list(map(operator.add, diff, map(operator.mul, table, itertools.repeat(c))))
-        column = map(diff.__getitem__, F[j])
-        sums = column if sums is None else map(operator.add, sums, column)
-    return not any(sums)
-
-
-def _packed(X: TruncatedSimplicialSet, p: int) -> bool:
-    """Whether the face identities of level p are checked by _faces_commute:
-    level p is at least p(p+1) times the level below."""
-    return p >= 2 and len(X.levels[p]) >= p * (p + 1) * len(X.levels[p - 1])
+    w = max(1, (len(X.levels[p - 2]) - 1).bit_length() + 7 >> 3)
+    stride, vectors = p * w, [b"".join(map(int.to_bytes, faces, itertools.repeat(w))) for faces in zip(*G)]
+    sides = [(j, i * w + b, i, (j - 1) * w + b)
+             for j in range(1, p + 1) for i in range(j) for b in range(w)]
+    for a in range(0, len(X.levels[p]), _CHUNK):
+        # an itemgetter of one row returns that row's vector bare
+        M = [b"".join(operator.itemgetter(*rows)(vectors)) if rows[1:] else vectors[rows[0]]
+             for rows in (table[a:a + _CHUNK] for table in F)]
+        if any(M[j][s::stride] != M[i][t::stride] for j, s, i, t in sides):
+            return False
+    return True
 
 
 def _first_violation_in_order(X: TruncatedSimplicialSet, quick: bool) -> ValidationReport | None:
     """The first violation in checking order, or None: face table ranges,
     degeneracy table ranges, the face identities level by level, then the
-    degeneracy identities.  With quick set, the face tables of a packed
-    level are checked only for arity, length and sign, so a report says
-    only that something fails, and an entry past the level below raises
-    IndexError in _faces_commute."""
+    degeneracy identities.  The face identities of a level are checked
+    together by _faces_commute, and table by table only where that fails.
+    With quick set, the face tables out of levels 2 and up are checked only
+    for arity, length and sign, so a report says only that something fails,
+    and an entry past the level below raises IndexError in the gather."""
     for p in range(1, X.d + 1):
         tables, size = X.faces[p], len(X.levels[p])
-        if not (quick and _packed(X, p)):
+        if not quick or p == 1:
             report = _check_tables(X, "face", tables, p, p - 1)
             if report:
                 return report
@@ -191,7 +186,7 @@ def _first_violation_in_order(X: TruncatedSimplicialSet, quick: bool) -> Validat
         if report:
             return report
     for p in range(2, X.d + 1):
-        if not (_packed(X, p) and _faces_commute(X, p)):
+        if not _faces_commute(X, p):
             report = _first_violation(X, _face_identities(X, p))
             if report:
                 return report
@@ -201,13 +196,13 @@ def _first_violation_in_order(X: TruncatedSimplicialSet, quick: bool) -> Validat
 def validate(X: TruncatedSimplicialSet) -> ValidationReport:
     """Check every simplicial identity expressible within the truncation.
 
-    Exhaustive: each identity compares two composite index tables over a
-    whole level, except that the face identities of a level at least
-    p(p+1) times the size of the level below are checked together by
-    _faces_commute, whose tables then cost at most one pass over the
-    level.  The checking order runs quickly first; only when that run
-    fails does it run again with every range checked first, so that the
-    report is the first violation, named with the offending identity,
+    Exhaustive: the face identities of each level are compared together
+    through face vectors by _faces_commute, in chunks of _CHUNK simplices,
+    and every other identity compares two composite index tables over a
+    whole level.  The checking order runs quickly first; only when that
+    run fails does it run again with every range checked first and the
+    face identities of a failing level compared table by table, so that
+    the report is the first violation, named with the offending identity,
     level, indices, and simplex.
     """
     try:

@@ -8,8 +8,6 @@ import itertools
 import pathlib
 import random
 
-import pytest
-
 from gammaspaces import algebra as alg
 from gammaspaces import classifying as cb
 from gammaspaces import cli
@@ -122,7 +120,6 @@ def test_criterion_6_first_delooping_homology():
                      "the four groups; inversion acts on H_1 as -1")
 
 
-@pytest.mark.slow
 def test_criterion_7_second_delooping():
     X = ps.build_gamma_set(alg.cyclic(2), 16)
     B = cb.iterate_bar(X, 2, 4, budget=10 ** 7)

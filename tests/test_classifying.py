@@ -571,7 +571,6 @@ class TestExpectedPattern:
                     diag.count(0), tuple(x for x in diag if x > 1))
 
 
-@pytest.mark.slow
 class TestSecondDelooping:
     def test_z2_second_delooping_homology(self):
         X = ps.build_gamma_set(Z2, 16)

@@ -521,7 +521,6 @@ class TestClassify:
         assert (proc.returncode, proc.stderr) == (0, "")
         assert json.loads(proc.stdout)["delooping"]["dimension"] == 100
 
-    @pytest.mark.slow
     def test_second_delooping_of_z2_through_degree_three(self, tmp_path):
         # the 63,577-column boundary out of degree 4 under a 3 GB address space
         presheaf = build(tmp_path, "z2", levels=2)
@@ -541,7 +540,6 @@ class TestClassify:
         assert deloop["homology"][3] == {"degree": 3, "rank": 0, "torsion": []}
         assert [c["match"] for c in deloop["oracle_comparisons"]] == [True] * 4
 
-    @pytest.mark.slow
     def test_equivariant_second_delooping_of_z3(self, tmp_path):
         # nondegenerate ranks 1, 2, 76, 19448: the degree-2 relations are 74 x 19,448,
         # diagonalized without their 19,448^2 V, under a 1.5 GB address space
@@ -704,7 +702,6 @@ class TestClassify:
                               "d_i s_j = id at ")
         assert len(err.splitlines()) == 1
 
-    @pytest.mark.slow
     def test_second_delooping_z2(self, tmp_path, capsys):
         presheaf = build(tmp_path, "z2", levels=2)
         code, out, _ = run(["classify", "--input", str(presheaf), "--iterate", "2",

@@ -179,6 +179,25 @@ class TestBlockTables:
             if M.unit == 0:
                 assert len(set(map(id, table))) <= M.size ** n
 
+    def test_one_block_tables_share_their_positions(self):
+        # the last block's walk is read through the list of positions too,
+        # so a table holds one int object per position, one block or many
+        rng = random.Random(14)
+        X = ps.build_gamma_set(Z2, 14)
+        for _ in range(20):
+            f = gc.GammaOpMap(14, 9, (0, *(rng.randint(0, 9) for _ in range(14))))
+            table = X.action_table(f)
+            assert table == summed_preimage_table(Z2, range(2), f)
+            assert len(set(map(id, table))) <= 512
+
+    def test_one_element_monoid_needs_no_walk(self, monkeypatch):
+        walks = []
+        monkeypatch.setattr(ps, "_digit_walk", lambda *args: walks.append(args) or [])
+        X, rng = ps.build_gamma_set(alg.trivial_monoid(), 20), random.Random(1)
+        for f in [random_map(rng, 20) for _ in range(5)] + bar_smash_maps(gc.face_gamma_op, 4):
+            assert X.action_table(f) == [0] == summed_preimage_table(alg.trivial_monoid(), [0], f)
+        assert walks == []
+
     def test_bar_faces_out_of_level_four(self):
         X = ps.build_gamma_set(Z2, 16)
         for f in bar_smash_maps(gc.face_gamma_op, 4):

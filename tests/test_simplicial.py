@@ -63,16 +63,24 @@ class TestValidate:
 
 @pytest.fixture(scope="module")
 def z2_twice():
-    """The Z/2 k=2 d=4 bar, sizes 1, 2, 16, 512, 65536: every level of
-    at least 2 is p(p+1) times the level below, so each is packed."""
+    """The Z/2 k=2 d=4 bar, sizes 1, 2, 16, 512, 65536: the face vectors of
+    level 4 are gathered in 64 chunks."""
     return cb.iterate_bar(ps.build_gamma_set(cyclic(2), 16), 2, 4).space
 
 
 @pytest.fixture(scope="module")
 def klein_once():
-    """The Klein four k=1 d=5 bar, sizes 4**p: no level is p(p+1) times
-    the level below, so each is compared table by table."""
+    """The Klein four k=1 d=5 bar, sizes 4**p: each level is four times the
+    level below, and every face is one byte wide."""
     return cb.iterate_bar(ps.build_gamma_set(klein_four(), 5), 1, 5).space
+
+
+@pytest.fixture(scope="module")
+def klein_wide():
+    """The Klein four k=1 d=7 bar, sizes 4**p: level 5 has 1024 simplices,
+    so the face vectors of level 6, gathered for level 7, are two bytes a
+    face."""
+    return cb.iterate_bar(ps.build_gamma_set(klein_four(), 7), 1, 7).space
 
 
 def with_fresh_faces(X, p):
@@ -81,18 +89,18 @@ def with_fresh_faces(X, p):
     return ss.TruncatedSimplicialSet(X.d, X.levels, faces, X.degeneracies)
 
 
-class TestPackedFaceCheck:
-    """validate packs the face identities of a large level into one pass;
-    its reports must be those of the table-by-table oracle."""
+class TestFaceVectorCheck:
+    """validate compares the face identities of every level through face
+    vectors; its reports must be those of the table-by-table oracle."""
 
-    @pytest.mark.parametrize("name, packed", [("z2_twice", [2, 3, 4]), ("klein_once", [])])
-    def test_size_rule_picks_the_packed_levels(self, request, monkeypatch, name, packed):
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once", "klein_wide"])
+    def test_quick_check_runs_on_every_level_from_two(self, request, monkeypatch, name):
         X, seen, faces_commute = request.getfixturevalue(name), [], ss._faces_commute
         monkeypatch.setattr(ss, "_faces_commute", lambda X, p: seen.append(p) or faces_commute(X, p))
         assert ss.validate(X) == pairwise_validate(X) == ss.ValidationReport(True)
-        assert seen == packed
+        assert seen == list(range(2, X.d + 1))
 
-    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once", "klein_wide"])
     @pytest.mark.parametrize("seed", range(3))
     def test_moved_entry_reports_as_the_oracle(self, request, name, seed):
         X, rng = request.getfixturevalue(name), random.Random(seed)
@@ -105,7 +113,7 @@ class TestPackedFaceCheck:
             assert not report.ok
             assert report == pairwise_validate(Y)
 
-    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once", "klein_wide"])
     @pytest.mark.parametrize("seed", range(3))
     def test_swapped_entries_report_as_the_oracle(self, request, name, seed):
         # a swap keeps the entries of the table, only their positions change
@@ -120,13 +128,14 @@ class TestPackedFaceCheck:
             assert not report.ok
             assert report == pairwise_validate(Y)
 
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("i", [0, 1])
     @pytest.mark.parametrize("corruption", ["negative", "past_the_level", "short", "long"])
-    def test_misshapen_table_reports_as_the_ordered_checks(self, z2_twice, p, i, corruption):
-        # a packed level's ranges are read only through its lookups; the
+    def test_misshapen_table_reports_as_the_ordered_checks(self, request, name, p, i, corruption):
+        # the quick pass reads these ranges only through the gathers; the
         # reports here are those of the range checks run before any identity
-        X = z2_twice
+        X = request.getfixturevalue(name)
         Y, k = with_fresh_faces(X, p), len(X.levels[p]) // 3 + i
         table = Y.faces[p][i]
         if corruption == "negative":  # names the same simplex if read as a list index
@@ -143,9 +152,35 @@ class TestPackedFaceCheck:
                     "long": ("face not total", (p, i))}[corruption]
         assert ss.validate(Y) == ss.ValidationReport(False, *expected)
 
+    @pytest.mark.parametrize("p, entry", [(5, 256), (6, 256 ** 2), (7, 256 ** 2)])
+    def test_entry_wider_than_its_face_reports_as_the_ordered_checks(self, klein_wide, p, entry):
+        # entry needs one byte more than the faces of level p + 1 hold; the
+        # gather of level p fails on it first, so it is never encoded
+        X = klein_wide
+        Y, k = with_fresh_faces(X, p), len(X.levels[p]) // 3
+        Y.faces[p][1][k] = entry
+        assert ss.validate(Y) == ss.ValidationReport(
+            False, "face lands outside level", (p, 1, X.levels[p][k]))
+
+    def test_faces_differing_in_their_high_bytes_alone_fail(self, klein_wide):
+        # d_0 of a 7-simplex moved to a 6-simplex whose faces share its low
+        # bytes: only the high bytes of the two-byte face vectors differ
+        X = klein_wide
+        Y, G = with_fresh_faces(X, 7), X.faces[6]
+        table, k = Y.faces[7][0], len(X.levels[7]) // 3
+        low = [G[i][table[k]] % 256 for i in range(7)]
+        table[k] = next(y for y in range(len(X.levels[6])) if y != table[k]
+                        and [G[i][y] % 256 for i in range(7)] == low
+                        and any(G[i][y] != G[i][table[k]] for i in range(7)))
+        assert not ss._faces_commute(Y, 7)
+        report = ss.validate(Y)
+        assert not report.ok
+        assert report == pairwise_validate(Y)
+
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
     @pytest.mark.parametrize("p", [2, 3, 4])
-    def test_extra_table_reports_the_arity(self, z2_twice, p):
-        Y = with_fresh_faces(z2_twice, p)
+    def test_extra_table_reports_the_arity(self, request, name, p):
+        Y = with_fresh_faces(request.getfixturevalue(name), p)
         Y.faces[p].append(list(Y.faces[p][0]))
         assert ss.validate(Y) == ss.ValidationReport(False, "face table arity", (p,))
 
@@ -176,7 +211,7 @@ class TestPackedFaceCheck:
         assert ss.validate(Y) == ss.ValidationReport(
             False, "face lands outside level", (4, i, X.levels[4][k]))
 
-    def test_one_element_levels_pack_with_radix_one(self):
+    def test_one_element_levels_gather_one_byte_faces(self):
         X = cb.iterate_bar(ps.build_gamma_set(trivial_monoid(), 16), 2, 4).space
         assert X.level_sizes() == [1] * 5
         assert all(ss._faces_commute(X, p) for p in range(2, 5))

@@ -153,14 +153,14 @@ def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
     """
     F, G = X.faces[p], X.faces[p - 1]
     w = max(1, (len(X.levels[p - 2]) - 1).bit_length() + 7 >> 3)
-    stride, vectors = p * w, [b"".join(map(int.to_bytes, faces, itertools.repeat(w))) for faces in zip(*G)]
+    vectors = [b"".join(map(int.to_bytes, faces, itertools.repeat(w), itertools.repeat("big")))
+               for faces in zip(*G)]
     sides = [(j, i * w + b, i, (j - 1) * w + b)
              for j in range(1, p + 1) for i in range(j) for b in range(w)]
     for a in range(0, len(X.levels[p]), _CHUNK):
-        # an itemgetter of one row returns that row's vector bare
-        M = [b"".join(operator.itemgetter(*rows)(vectors)) if rows[1:] else vectors[rows[0]]
-             for rows in (table[a:a + _CHUNK] for table in F)]
-        if any(M[j][s::stride] != M[i][t::stride] for j, s, i, t in sides):
+        # a leading vector 0 keeps the itemgetter's result a tuple on a one-row chunk
+        M = [b"".join(operator.itemgetter(0, *table[a:a + _CHUNK])(vectors)[1:]) for table in F]
+        if any(M[j][s::p * w] != M[i][t::p * w] for j, s, i, t in sides):
             return False
     return True
 

@@ -211,6 +211,16 @@ class TestFaceVectorCheck:
         assert ss.validate(Y) == ss.ValidationReport(
             False, "face lands outside level", (4, i, X.levels[4][k]))
 
+    def test_face_vectors_name_their_byte_order(self, z2_twice, monkeypatch):
+        # int.to_bytes takes no default byte order before Python 3.11
+        class StrictInt(int):
+            @staticmethod
+            def to_bytes(n, length, byteorder):
+                return int.to_bytes(n, length, byteorder)
+
+        monkeypatch.setattr(ss, "int", StrictInt, raising=False)
+        assert all(ss._faces_commute(z2_twice, p) for p in range(2, 5))
+
     def test_one_element_levels_gather_one_byte_faces(self):
         X = cb.iterate_bar(ps.build_gamma_set(trivial_monoid(), 16), 2, 4).space
         assert X.level_sizes() == [1] * 5

@@ -121,10 +121,16 @@ def _emit(report: dict, fmt: str, out: str | None, text_summary: str) -> None:
     else:
         payload = text_summary if text_summary.endswith("\n") else text_summary + "\n"
     if out:
-        tmp = out + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(payload)
-        os.replace(tmp, out)
+        tmp, opened = out + ".tmp", False
+        try:
+            with open(tmp, "w") as fh:
+                opened = True
+                fh.write(payload)
+            os.replace(tmp, out)
+        except OSError as exc:
+            if opened:
+                os.remove(tmp)
+            raise InputError(f"cannot write {out}: {exc}") from exc
     else:
         sys.stdout.write(payload)
 

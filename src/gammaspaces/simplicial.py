@@ -66,16 +66,9 @@ def composite(a: list[int], b: list[int]) -> list[int]:
     return [a[k] for k in b]
 
 
-def _first_difference(a: list[int], b: list[int]) -> int | None:
-    """First position where two tables of one length differ, or None."""
-    if a == b:
-        return None
-    return next(k for k, (x, y) in enumerate(zip(a, b)) if x != y)
-
-
-def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int):
-    """Arity, totality and range of the structure maps out of level p into
-    level q; the first violation, or None."""
+def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int, ranges=True):
+    """Arity, totality and, with ranges set, range of the structure maps out
+    of level p into level q; the first violation, or None."""
     if len(tables) != p + 1:
         return ValidationReport(False, f"{what} table arity", (p,))
     size, target = len(X.levels[p]), len(X.levels[q])
@@ -83,7 +76,7 @@ def _check_tables(X: TruncatedSimplicialSet, what: str, tables, p: int, q: int):
         if len(table) != size:
             witness = (p, i, X.levels[p][len(table)]) if len(table) < size else (p, i)
             return ValidationReport(False, f"{what} not total", witness)
-        if table and not (0 <= min(table) and max(table) < target):
+        if ranges and table and not (0 <= min(table) and max(table) < target):
             k = next(k for k, y in enumerate(table) if not 0 <= y < target)
             return ValidationReport(False, f"{what} lands outside level", (p, i, X.levels[p][k]))
     return None
@@ -130,8 +123,8 @@ def _first_violation(X: TruncatedSimplicialSet, identities) -> ValidationReport 
     (name, where, lhs, rhs) with lhs and rhs index tables over level
     where[0] of X; a violation is named (*where, first differing simplex)."""
     for name, where, lhs, rhs in identities:
-        k = _first_difference(lhs, rhs)
-        if k is not None:
+        if lhs != rhs:
+            k = next(k for k, (x, y) in enumerate(zip(lhs, rhs)) if x != y)
             return ValidationReport(False, name, (*where, X.levels[where[0]][k]))
     return None
 
@@ -141,9 +134,9 @@ _CHUNK = 1024  # simplices per gather in _faces_commute, to keep its byte string
 
 def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
     """Whether every d_i d_j = d_{j-1} d_i holds on level p, compared byte
-    for byte.  The faces out of level p - 1 must be in range, and those
-    out of level p total and not negative: an entry past level p - 1
-    raises IndexError in the gather.
+    for byte.  The faces out of level p - 1 must be in range, and those out
+    of level p total: the face vectors are keyed by position, so an entry
+    outside level p - 1, negative or past it, raises KeyError in the gather.
 
     The face vector of a (p-1)-simplex y is the bytes of d_0 y ... d_{p-1} y,
     each face w bytes wide, where w is the bytes that |X_{p-2}| - 1 needs.
@@ -153,8 +146,8 @@ def _faces_commute(X: TruncatedSimplicialSet, p: int) -> bool:
     """
     F, G = X.faces[p], X.faces[p - 1]
     w = max(1, (len(X.levels[p - 2]) - 1).bit_length() + 7 >> 3)
-    vectors = [b"".join(map(int.to_bytes, faces, itertools.repeat(w), itertools.repeat("big")))
-               for faces in zip(*G)]
+    vectors = dict(enumerate(b"".join(map(int.to_bytes, faces, itertools.repeat(w),
+                                          itertools.repeat("big"))) for faces in zip(*G)))
     sides = [(j, i * w + b, i, (j - 1) * w + b)
              for j in range(1, p + 1) for i in range(j) for b in range(w)]
     for a in range(0, len(X.levels[p]), _CHUNK):
@@ -171,16 +164,12 @@ def _first_violation_in_order(X: TruncatedSimplicialSet, quick: bool) -> Validat
     degeneracy identities.  The face identities of a level are checked
     together by _faces_commute, and table by table only where that fails.
     With quick set, the face tables out of levels 2 and up are checked only
-    for arity, length and sign, so a report says only that something fails,
-    and an entry past the level below raises IndexError in the gather."""
+    for arity and length, so a report may pass over an earlier range defect,
+    and an entry outside the level below fails its key lookup in the gather."""
     for p in range(1, X.d + 1):
-        tables, size = X.faces[p], len(X.levels[p])
-        if not quick or p == 1:
-            report = _check_tables(X, "face", tables, p, p - 1)
-            if report:
-                return report
-        elif len(tables) != p + 1 or any(len(t) != size or min(t, default=0) < 0 for t in tables):
-            return ValidationReport(False, "face table")
+        report = _check_tables(X, "face", X.faces[p], p, p - 1, ranges=not quick or p == 1)
+        if report:
+            return report
     for p in range(X.d):
         report = _check_tables(X, "degeneracy", X.degeneracies[p], p, p + 1)
         if report:
@@ -199,16 +188,16 @@ def validate(X: TruncatedSimplicialSet) -> ValidationReport:
     Exhaustive: the face identities of each level are compared together
     through face vectors by _faces_commute, in chunks of _CHUNK simplices,
     and every other identity compares two composite index tables over a
-    whole level.  The checking order runs quickly first; only when that
-    run fails does it run again with every range checked first and the
-    face identities of a failing level compared table by table, so that
-    the report is the first violation, named with the offending identity,
-    level, indices, and simplex.
+    whole level.  A quick run reads the face tables out of levels 2 and up
+    for arity and length only; an entry outside the level below fails its
+    key lookup in the gather.  Only a failed quick run is run again in full,
+    ranges first and failing levels table by table, so that the report
+    names the first violation's identity, level, indices, and simplex.
     """
     try:
         if _first_violation_in_order(X, quick=True) is None:
             return ValidationReport(True)
-    except IndexError:
+    except LookupError:  # KeyError in a gather, IndexError in a table-by-table composite
         pass
     return _first_violation_in_order(X, quick=False) or ValidationReport(True)
 

@@ -7,7 +7,9 @@ import json
 import operator
 import os
 import pathlib
+import re
 import resource
+import shutil
 import subprocess
 import sys
 
@@ -732,6 +734,36 @@ class TestDeterminism:
         assert a.read_bytes() == b_path.read_bytes()
 
 
+class TestUnwritableOut:
+    COMMANDS = {"build": ["build", "--input", str(FIXTURES / "z2.json")],
+                "check": ["check", "--input", "z2.p.json"],
+                "roundtrip": ["roundtrip", "--input", str(FIXTURES / "z2.json")],
+                "classify": ["classify", "--input", "z2.p.json", "--dim", "2"]}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_missing_directory_exits_two(self, tmp_path, capsys, monkeypatch, command, fmt):
+        monkeypatch.chdir(tmp_path)
+        build(tmp_path, "z2").rename("z2.p.json")
+        out = str(tmp_path / "missing" / "report.json")
+        code, stdout, err = run([*self.COMMANDS[command], "--format", fmt, "--out", out], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"input error: cannot write {out}: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["z2.p.json"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_directory_exits_two_and_leaves_no_tmp_file(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        monkeypatch.chdir(tmp_path)
+        build(tmp_path, "z2").rename("z2.p.json")
+        (tmp_path / "somedir").mkdir()
+        code, stdout, err = run([*self.COMMANDS[command], "--out", "somedir"], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("input error: cannot write somedir: ") and err.count("\n") == 1
+        assert sorted(os.listdir(tmp_path)) == ["somedir", "z2.p.json"]
+        assert not os.listdir(tmp_path / "somedir")
+
+
 def fresh_process(args, cwd):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", *args], cwd=cwd,
@@ -756,6 +788,40 @@ class TestParser:
         presheaf = build(tmp_path, "z2")
         monkeypatch.setattr(cli, "cmd_check", lambda args: 42)
         assert cli.main(["check", "--input", str(presheaf)]) == 42
+
+
+def without_meta(report: str) -> str:
+    """A report as written, its top-level meta section cut out."""
+    return re.sub(r'\n  "meta": \{\n.*?\n  \},?', "", report, count=1, flags=re.S)
+
+
+class TestOldestPython:
+    def test_reports_match_under_the_oldest_supported_python(self, tmp_path):
+        # 3.10 is the oldest version requires-python admits; a pyenv shim runs
+        # python3.10 only once PYENV_VERSION selects a 3.10, and other
+        # interpreters ignore that variable
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+                   PYENV_VERSION="3.10")
+        oldest = shutil.which("python3.10")
+        probe = oldest and subprocess.run([oldest, "-c", "import sys; print(sys.version_info[:2])"],
+                                          capture_output=True, text=True, env=env, timeout=60)
+        if not probe or probe.stdout != "(3, 10)\n":
+            pytest.skip("no python3.10 on PATH")
+        calls = [["build", "--input", str(FIXTURES / "z2.json"), "--out", "z2.p.json"],
+                 ["classify", "--input", "z2.p.json", "--iterate", "2", "--dim", "3",
+                  "--homology", "1", "--out", "report.json"]]
+        reports = []
+        for side, python in (("oldest", oldest), ("current", sys.executable)):
+            cwd = tmp_path / side
+            cwd.mkdir()
+            for args in calls:
+                proc = subprocess.run([python, "-m", "gammaspaces.cli", *args], cwd=cwd,
+                                      capture_output=True, text=True, env=env, timeout=120)
+                assert (proc.returncode, proc.stderr) == (0, ""), (python, args)
+            reports.append([without_meta((cwd / name).read_text())
+                            for name in ("z2.p.json", "report.json")])
+        assert '"meta"' not in "".join(reports[1])
+        assert reports[0] == reports[1]
 
 
 def reference_dumps(node) -> str:

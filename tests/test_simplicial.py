@@ -131,7 +131,8 @@ class TestFaceVectorCheck:
     @pytest.mark.parametrize("name", ["z2_twice", "klein_once"])
     @pytest.mark.parametrize("p", [2, 3, 4])
     @pytest.mark.parametrize("i", [0, 1])
-    @pytest.mark.parametrize("corruption", ["negative", "past_the_level", "short", "long"])
+    @pytest.mark.parametrize("corruption",
+                             ["negative", "far_negative", "past_the_level", "short", "long"])
     def test_misshapen_table_reports_as_the_ordered_checks(self, request, name, p, i, corruption):
         # the quick pass reads these ranges only through the gathers; the
         # reports here are those of the range checks run before any identity
@@ -140,6 +141,8 @@ class TestFaceVectorCheck:
         table = Y.faces[p][i]
         if corruption == "negative":  # names the same simplex if read as a list index
             table[k] -= len(X.levels[p - 1])
+        elif corruption == "far_negative":  # past the front of the level if read as a list index
+            table[k] = -len(X.levels[p - 1]) - 1 - i
         elif corruption == "past_the_level":
             table[k] = len(X.levels[p - 1])
         elif corruption == "short":
@@ -147,6 +150,7 @@ class TestFaceVectorCheck:
         else:
             table.append(0)
         expected = {"negative": ("face lands outside level", (p, i, X.levels[p][k])),
+                    "far_negative": ("face lands outside level", (p, i, X.levels[p][k])),
                     "past_the_level": ("face lands outside level", (p, i, X.levels[p][k])),
                     "short": ("face not total", (p, i, X.levels[p][k])),
                     "long": ("face not total", (p, i))}[corruption]
@@ -192,11 +196,13 @@ class TestFaceVectorCheck:
         del Y.faces[2][0][7:]
         assert ss.validate(Y) == ss.ValidationReport(False, "face not total", (2, 0, (0, 1, 1, 1)))
 
-    @pytest.mark.parametrize("second", ["degeneracy_range", "face_swap"])
+    @pytest.mark.parametrize("second", ["degeneracy_range", "face_swap", "same_level_swap"])
     def test_range_report_wins_over_a_later_defect(self, z2_twice, second):
-        # level 4's faces are read for sign alone before any lookup, so a
-        # quick pass meets the second defect first; the report is still the
-        # range check's, which comes first in checking order
+        # level 4's faces are read only through the gather of level 4, so a
+        # quick pass meets the second defect first: a degeneracy range, a
+        # level 2 swap, or a level 4 identity in chunk 0, whose table by
+        # table search then meets the range defect as an IndexError; the
+        # report is still the range check's, which comes first in checking order
         X, i = z2_twice, 0 if second == "degeneracy_range" else 1
         Y, k = with_fresh_faces(X, 4), len(X.levels[4]) // 3
         Y.faces[4][i][k] = len(X.levels[3])
@@ -204,12 +210,29 @@ class TestFaceVectorCheck:
             Y.degeneracies = [[list(t) for t in X.degeneracies[0]]] + X.degeneracies[1:]
             Y.degeneracies[0][0][0] = len(X.levels[1])
         else:
-            Y.faces[2] = [list(t) for t in X.faces[2]]
-            table = Y.faces[2][0]
+            q = 2 if second == "face_swap" else 4
+            if q == 2:
+                Y.faces[2] = [list(t) for t in X.faces[2]]
+            table = Y.faces[q][0]
             m = next(m for m, y in enumerate(table) if y != table[0])
             table[0], table[m] = table[m], table[0]
+        if second == "same_level_swap":
+            assert not ss._faces_commute(Y, 4)  # fails in chunk 0, before entry k
         assert ss.validate(Y) == ss.ValidationReport(
             False, "face lands outside level", (4, i, X.levels[4][k]))
+
+    @pytest.mark.parametrize("name", ["z2_twice", "klein_once", "klein_wide"])
+    def test_quick_pass_reads_the_top_level_only_through_the_gather(self, request, name):
+        # a top face table that refuses to be iterated: a scan of it, such as
+        # a sign check, raises, and slices and lookups of it do not
+        class Unscannable(list):
+            def __iter__(self):
+                raise AssertionError("top face table scanned")
+
+        X = request.getfixturevalue(name)
+        Y = with_fresh_faces(X, X.d)
+        Y.faces[X.d] = [Unscannable(t) for t in Y.faces[X.d]]
+        assert ss.validate(Y) == pairwise_validate(X) == ss.ValidationReport(True)
 
     def test_face_vectors_name_their_byte_order(self, z2_twice, monkeypatch):
         # int.to_bytes takes no default byte order before Python 3.11

@@ -211,13 +211,12 @@ class TestFaceVectorCheck:
             Y.degeneracies[0][0][0] = len(X.levels[1])
         else:
             q = 2 if second == "face_swap" else 4
-            if q == 2:
-                Y.faces[2] = [list(t) for t in X.faces[2]]
+            Y.faces[q] = [list(t) for t in Y.faces[q]]
             table = Y.faces[q][0]
             m = next(m for m, y in enumerate(table) if y != table[0])
             table[0], table[m] = table[m], table[0]
-        if second == "same_level_swap":
-            assert not ss._faces_commute(Y, 4)  # fails in chunk 0, before entry k
+            if q == 4:
+                assert not ss._faces_commute(Y, 4)  # fails in chunk 0, before entry k
         assert ss.validate(Y) == ss.ValidationReport(
             False, "face lands outside level", (4, i, X.levels[4][k]))
 

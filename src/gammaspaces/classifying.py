@@ -7,10 +7,10 @@ simplicial set with level p given by the presheaf at the (p**k * n)-fold
 object, all simplicial structure maps acting through the interval functor
 in every smash factor at once.  For k = 1 and a monoid-built presheaf this
 is literally the nerve of the monoid.  `iterate_bar` builds one
-`BarSpace`, its level objects computed by `_check_budget` alone, and
-`delooping_report` and `structure_map` both read it.  A report computes
-each homology group once: from the cleared boundaries, or from the
-presentations when there is a group.
+`BarSpace`, its level objects computed by `_check_budget` from the size
+of the presheaf's monoid alone, and `delooping_report` and `structure_map`
+both read it.  A report computes each homology group once: from the
+cleared boundaries, or from the presentations when there is a group.
 """
 
 from __future__ import annotations
@@ -32,53 +32,39 @@ DEFAULT_BUDGET = 10 ** 7
 _EXACT_BITS = 4096
 
 
-def _identity_checks(p: int, d: int) -> int:
-    """Identity comparisons that validate makes per simplex of level p of a
-    space truncated at d: d_i d_j (i < j), s_i s_j (i <= j) and the d_i s_j."""
-    return ((p * (p + 1) // 2 if p >= 2 else 0) + ((p + 1) * (p + 2) // 2 if p < d - 1 else 0)
-            + ((p + 1) * (p + 2) if p < d else 0))
-
-
-def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
-    """The presheaf objects p**k * n behind bar levels p = 0..d, walked in
-    order.  A monoid-built level m holds size**m simplices; one past the
-    budget and over _EXACT_BITS bits is refused without being computed,
-    and so is p**k once k alone puts it there.  The labels of one-element
-    levels may hold at most budget entries in all, all levels at most
-    budget simplices, and last the identity checks on one-element levels,
-    which the simplex count does not bound, at most budget.  At n = 0 every
-    level is object 0: both totals are closed forms, refused as in the walk."""
-    algebra = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
-    sized = isinstance(algebra, FinAbMonoid)
+def _check_budget(size: int, k: int, d: int, n: int, budget: int) -> list[int]:
+    """The presheaf objects p**k * n behind bar levels p = 0..d of a monoid
+    of the given size, walked in order.  Level m holds size**m simplices;
+    one past the budget and over _EXACT_BITS bits is refused without being
+    computed, and so is p**k once k alone puts it there.  The labels of
+    one-element levels may hold at most budget entries in all, all levels
+    at most budget simplices, and last, when every level has one element,
+    the identity checks at most budget.  Otherwise only level 0 has one,
+    and its at most 3 checks fit any budget that the 1 + size simplices
+    of levels 0 and 1 fit.  At n = 0 both totals are closed forms."""
     objects: list[int] = []
-    total = entries = checks = 0
-    if not n:
-        size = 1 if sized else X.level_size(0)
-        total = (d + 1) * size
-        if size == 1:  # the sum of _identity_checks(p, d) over p <= d
-            checks = d and 3 * math.comb(d + 2, 3) + math.comb(d + 1, 3) - 1
+    total = 0 if n else d + 1
+    entries = 0
     # for p >= 2, p**k * n >= 2**k: past both bounds once k reaches their bit lengths
-    huge = sized and k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
+    huge = k >= max(budget.bit_length(), _EXACT_BITS.bit_length())
     for p in range(d + 1 if n else 0):
         if huge and p >= 2:
             raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
         m = p ** k * n
-        base, exponent = (algebra.size, m) if sized else (X.level_size(m), 1)
-        if (base >= 2 and exponent >= budget.bit_length()
-                and exponent * base.bit_length() > _EXACT_BITS):
+        if (size >= 2 and m >= budget.bit_length()
+                and m * size.bit_length() > _EXACT_BITS):
             raise BudgetError(f"predicted bar level {p} alone exceeds budget {budget}")
-        if base == 1:
+        if size == 1:
             entries += m
             if entries > budget:
                 raise BudgetError(f"predicted {entries} label entries in one-element "
                                   f"bar levels exceeds budget {budget}")
-        if base == 1 or not exponent:
-            checks += _identity_checks(p, d)
-        total += base ** exponent
+        total += size ** m
         objects.append(m)
     if total > budget:
         raise BudgetError(f"predicted {total} simplices exceeds budget {budget}")
-    if checks > budget:
+    checks = d and 3 * math.comb(d + 2, 3) + math.comb(d + 1, 3) - 1
+    if (size == 1 or not n) and checks > budget:
         raise BudgetError(f"predicted {checks} identity checks on one-element bar levels "
                           f"exceeds budget {budget}")
     return objects if n else [0] * (d + 1)
@@ -87,11 +73,12 @@ def _check_budget(X, k: int, d: int, n: int, budget: int) -> list[int]:
 @dataclass
 class BarSpace:
     """A (possibly iterated) classifying space with its provenance: the
-    presheaf object behind each level and, when the presheaf is
-    equivariant, the group acting levelwise."""
+    presheaf and its monoid, the presheaf object behind each level and,
+    when the presheaf is equivariant, the group acting levelwise."""
 
     space: TruncatedSimplicialSet
     presheaf: object
+    monoid: FinAbMonoid
     n: int
     d: int
     iterations: int
@@ -103,14 +90,17 @@ class BarSpace:
 
 
 def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> BarSpace:
-    """k-fold delooping at the n-wedge, truncated at simplicial dimension d.
-
-    Refuses before allocating anything if the predicted simplex count
-    exceeds the budget or the presheaf truncation is too small.
+    """k-fold delooping at the n-wedge, truncated at simplicial dimension d,
+    of a presheaf built from a monoid or a G-monoid.  Refuses before
+    allocating anything if the monoid's size predicts a bar past the budget
+    or the presheaf truncation is too small.
     """
     if k < 1:
         raise ValueError("iteration count must be at least 1")
-    objects = _check_budget(X, k, d, n, budget)
+    monoid = X.algebra.monoid if isinstance(X.algebra, GMonoid) else X.algebra
+    if not isinstance(monoid, FinAbMonoid):
+        raise ValueError("the bar needs a presheaf built from a monoid or a G-monoid")
+    objects = _check_budget(monoid.size, k, d, n, budget)
     if X.N < objects[-1]:
         raise TruncationError(
             f"{k}-fold bar at dimension {d} needs presheaf levels up to {objects[-1]}, "
@@ -127,7 +117,7 @@ def iterate_bar(X, k: int, d: int, n: int = 1, budget: int = DEFAULT_BUDGET) -> 
     report = validate(space)
     if not report.ok:
         raise StrictnessError(f"bar output failed validation: {report.violation} at {report.witness}")
-    return BarSpace(space, X, n, d, k, objects)
+    return BarSpace(space, X, monoid, n, d, k, objects)
 
 
 def bar(X, n: int, d: int, budget: int = DEFAULT_BUDGET) -> BarSpace:
@@ -377,12 +367,10 @@ def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> 
                                         target_pres=presentations[q]).as_dict()["matrix"]
                 for q in range(maxdeg + 1)]
 
-    source = B.presheaf.algebra
-    carrier = source.monoid if isinstance(source, GMonoid) else source
     expected: list = [None] * (maxdeg + 1)
     matches: list = [None] * (maxdeg + 1)
-    if isinstance(carrier, FinAbMonoid) and carrier.is_group():
-        invariants = _cyclic_decomposition(carrier)
+    if B.monoid.is_group():
+        invariants = _cyclic_decomposition(B.monoid)
         for q in range(maxdeg + 1):
             expected[q] = _expected_from_invariants(invariants, B.iterations, q)
             if expected[q] is not None:

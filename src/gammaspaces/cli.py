@@ -131,8 +131,18 @@ def _emit(report: dict, fmt: str, out: str | None, text_summary: str) -> None:
             if opened:
                 os.remove(tmp)
             raise InputError(f"cannot write {out}: {exc}") from exc
+    elif sys.stdout is None:  # file descriptor 1 was closed when the run began
+        raise InputError("cannot write stdout: file descriptor 1 is closed")
     else:
-        sys.stdout.write(payload)
+        try:
+            sys.stdout.write(payload)
+            sys.stdout.flush()  # a short report would fail only at exit otherwise
+        except OSError as exc:
+            # what stays buffered goes to the null device at exit, not into a second error
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise InputError(f"cannot write stdout: {exc}") from exc
 
 
 def _functoriality_probe(X, seed: int, pairs: int = 50) -> dict:
@@ -177,14 +187,14 @@ def cmd_build(args) -> int:
     algebra = alg.from_json(data)
     X = _build_presheaf(algebra, args.levels)
     budget = _default_budget()
-    try:
-        cb._check_budget(X, 1, args.levels, 1, budget)
-        # the report lists every label, so its entries are held at once
-        entries = sum(n * X.level_size(n) for n in range(args.levels + 1))
+    # the report holds every label at once, and names each of the 2n - 1
+    # Segal and Bousfield maps out of a level n >= 2 by its n + 1 values
+    entries = 0
+    for n in range(args.levels + 1):
+        entries += n * X.level_size(n) + (n >= 2) * (2 * n - 1) * (n + 1)
         if entries > budget:
-            raise BudgetError(f"predicted {entries} label entries exceeds budget {budget}")
-    except BudgetError as exc:
-        raise BudgetError(f"--levels {args.levels}: {exc}") from exc
+            raise BudgetError(f"--levels {args.levels}: predicted {entries} label and key "
+                              f"entries exceeds budget {budget}")
     report = ps.presheaf_to_json(X)
     config = {"command": "build", "input": args.input, "levels": args.levels,
               "seed": args.seed, "format": args.format}
@@ -254,24 +264,6 @@ def cmd_roundtrip(args) -> int:
     return EXIT_PASS if identical else EXIT_CHECK_FAILED
 
 
-def _verify_stored(stored, data: dict, X) -> None:
-    """The stored group, levels and tables, already validated by
-    presheaf_from_json, must agree position by position with the rebuilt
-    presheaf, and every canonical table within the stored levels must be
-    stored."""
-    if stored.group != X.group:
-        raise StrictnessError("stored group disagrees with rebuild")
-    for f in ps._canonical_family(stored).values():
-        if f.source <= stored.N and f.target <= stored.N:
-            stored.action_table(f)  # a missing table raises check's input error
-    for n in range(stored.N + 1):
-        if list(stored.level(n)) != list(X.level(n)):
-            raise StrictnessError(f"stored level {n} disagrees with rebuild")
-    for key, table in data["maps"].items():
-        if X.action_table(ps._morphism_from_key(key, X.group)) != table:
-            raise StrictnessError(f"stored table for {key} disagrees with rebuild")
-
-
 def cmd_classify(args) -> int:
     _require_positive(iterate=args.iterate, dim=args.dim, budget=args.budget)
     if args.homology < 0 or args.at < 0:
@@ -293,7 +285,7 @@ def cmd_classify(args) -> int:
     # lazy; a walked bar reads no level m >= 1 past budget: 2**m simplices or m label entries
     X = _build_presheaf(stored.algebra, max(stored.N, budget))
     B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
-    _verify_stored(stored, data, X)
+    ps.verify_stored(stored, data, X)
 
     config = {"command": "classify", "input": args.input, "iterate": args.iterate,
               "dim": args.dim, "homology": args.homology, "at": args.at,

@@ -523,6 +523,24 @@ def presheaf_from_json(data: dict):
     return X
 
 
+def verify_stored(stored, data: dict, X) -> None:
+    """The stored group, levels and tables of a presheaf file, already
+    validated by presheaf_from_json, must agree position by position with
+    the rebuilt presheaf X, and every canonical table within the stored
+    levels must be stored."""
+    if stored.group != X.group:
+        raise StrictnessError("stored group disagrees with rebuild")
+    for f in _canonical_family(stored).values():
+        if f.source <= stored.N and f.target <= stored.N:
+            stored.action_table(f)  # a missing table raises check's input error
+    for n in range(stored.N + 1):
+        if list(stored.level(n)) != list(X.level(n)):
+            raise StrictnessError(f"stored level {n} disagrees with rebuild")
+    for key, table in data["maps"].items():
+        if X.action_table(_morphism_from_key(key, X.group)) != table:
+            raise StrictnessError(f"stored table for {key} disagrees with rebuild")
+
+
 def _morphism_from_key(key: str, group: FiniteGroup | None):
     """The morphism a stored key names: a pointed map, or a normalized pair
     over the group when there is one."""

@@ -1,0 +1,61 @@
+"""No module of the package reads a private name of another one: each
+module's underscored names are its own to change."""
+
+import ast
+import pathlib
+
+import pytest
+
+PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gammaspaces"
+MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def module_aliases(tree: ast.Module) -> dict[str, str]:
+    """{name bound by an import in this file: the package module it names}."""
+    aliases = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None),
+                                                                             (0, "gammaspaces")):
+            pairs = [(alias.asname or alias.name, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            pairs = [(alias.asname, alias.name.partition(".")[2]) for alias in node.names
+                     if alias.asname and alias.name.startswith("gammaspaces.")]
+        else:
+            continue
+        aliases.update((bound, name) for bound, name in pairs if name in MODULES)
+    return aliases
+
+
+def foreign_private_reads(tree: ast.Module, module: str) -> list[str]:
+    """`alias._name` reads through another package module's alias, and
+    private names imported from another package module."""
+    aliases = module_aliases(tree)
+    reads = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and aliases.get(node.value.id, module) != module and private(node.attr)):
+            reads.append(f"{node.value.id}.{node.attr}")
+        elif (isinstance(node, ast.ImportFrom) and node.level == 1
+                and node.module not in (None, module)):
+            reads += [f"{node.module}.{alias.name}" for alias in node.names if private(alias.name)]
+    return reads
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_a_private_name_of_another(module):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    assert foreign_private_reads(tree, module) == []
+
+
+def test_the_scan_sees_module_aliases_and_their_private_names():
+    tree = ast.parse("from . import classifying as cb\nfrom gammaspaces import presheaves\n"
+                     "from .homology import _add, smith_rows\nimport gammaspaces.simplicial as ss\n"
+                     "cb._check_budget, presheaves._canonical_family, ss.validate, cb.__doc__\n")
+    assert module_aliases(tree) == {"cb": "classifying", "presheaves": "presheaves",
+                                    "ss": "simplicial"}
+    assert foreign_private_reads(tree, "cli") == [
+        "homology._add", "cb._check_budget", "presheaves._canonical_family"]

@@ -89,10 +89,10 @@ class TestBar:
                                               "exceeds budget 10000000$"):
             cb.bar(X, 0, 10 ** 12)
         # 5 simplices, on which validate makes 69 identity checks
-        assert cb._check_budget(X, 3, 4, 0, 69) == [0] * 5
+        assert cb._check_budget(Z2.size, 3, 4, 0, 69) == [0] * 5
         with pytest.raises(BudgetError, match="^predicted 69 identity checks on one-element "
                                               "bar levels exceeds budget 68$"):
-            cb._check_budget(X, 3, 4, 0, 68)
+            cb._check_budget(Z2.size, 3, 4, 0, 68)
 
     def test_bar_stores_its_level_objects(self):
         B = cb.iterate_bar(ps.build_gamma_set(Z2, 9), 2, 3)
@@ -100,22 +100,11 @@ class TestBar:
         assert B.space.level_sizes() == [2 ** m for m in B.objects]
 
 
-# the level sizes of a presheaf with no algebra, up to the largest object
-# that k <= 3, d <= 6 and n <= 2 reach
-UNSIZED_LEVELS = [(1, 2, 1, 3)[m % 4] for m in range(6 ** 3 * 2 + 1)]
-
-
 class TestBudgetWalk:
-    @pytest.mark.parametrize("name", ["trivial", "Z2", "Z3", "unsized"])
+    @pytest.mark.parametrize("name", ["trivial", "Z2", "Z3", "Z4"])
     def test_check_budget_agrees_with_the_level_by_level_oracle(self, name):
-        if name == "unsized":
-            X = ps.TruncatedGammaSet(len(UNSIZED_LEVELS) - 1, lambda m: range(UNSIZED_LEVELS[m]),
-                                     lambda f: [])
-            level_size = UNSIZED_LEVELS.__getitem__
-        else:
-            M = {"trivial": alg.trivial_monoid(), "Z2": Z2, "Z3": Z3}[name]
-            X = ps.build_gamma_set(M, 1)
-            level_size = functools.partial(pow, M.size)
+        size = {"trivial": 1, "Z2": 2, "Z3": 3, "Z4": 4}[name]
+        level_size = functools.partial(pow, size)
         for k, d, n in itertools.product(range(1, 4), range(7), range(3)):
             _, entries, total, checks = bar_budget_counts(level_size, k, d, n)
             thresholds = {max(1, t + step) for t in (*entries, total, checks)
@@ -125,10 +114,16 @@ class TestBudgetWalk:
                     expected = bar_budget(level_size, k, d, n, budget)
                 except BudgetError as exc:
                     with pytest.raises(BudgetError) as err:
-                        cb._check_budget(X, k, d, n, budget)
+                        cb._check_budget(size, k, d, n, budget)
                     assert str(err.value) == str(exc), (k, d, n, budget)
                 else:
-                    assert cb._check_budget(X, k, d, n, budget) == expected, (k, d, n, budget)
+                    assert cb._check_budget(size, k, d, n, budget) == expected, (k, d, n, budget)
+
+    def test_a_presheaf_with_no_monoid_has_no_bar(self):
+        X = ps.build_gamma_set(Z2, 3)
+        unsized = ps.TruncatedGammaSet(3, X.level, X.action_table)
+        with pytest.raises(ValueError, match="built from a monoid or a G-monoid"):
+            cb.iterate_bar(unsized, 1, 3)
 
 
 class TestGActionOnBar:
@@ -311,7 +306,7 @@ class TestIterateBar:
             return [0] * len(table) if (f.source, f.target) == (2, 1) else table
 
         with pytest.raises(StrictnessError, match=r"failed validation: d_i s_j = id at"):
-            cb.iterate_bar(ps.TruncatedGammaSet(3, X.level, broken), 1, 3)
+            cb.iterate_bar(ps.TruncatedGammaSet(3, X.level, broken, algebra=Z2), 1, 3)
 
     def test_witness_names_a_label_of_a_decoded_level(self):
         B = cb.iterate_bar(ps.build_gamma_set(Z2, 16), 2, 4)

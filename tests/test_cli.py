@@ -85,13 +85,14 @@ class TestBuild:
         code, _, err = run(["build", "--input", str(bad)], capsys)
         assert code == 2
 
+    # the count runs level by level and stops at the first level past the budget
     @pytest.mark.parametrize("fixture, levels, message", [
-        ("klein", 30, "predicted 1537228672809129301 simplices"),
-        ("z2", 24, "predicted 33554431 simplices"),
-        # one label per level, of N entries
-        ("trivial", 5000, "predicted 10001628 label entries in one-element bar levels"),
-        # 5,592,405 simplices fit; their labels hold sum n * 4**n entries
-        ("klein", 11, "predicted 59652324 label entries"),
+        ("klein", 30, "predicted 13515793 label and key entries"),
+        ("z2", 24, "predicted 18879479 label and key entries"),
+        # one label of n entries per level, and 2n - 1 keys of n + 1 values
+        ("trivial", 5000, "predicted 10045736 label and key entries"),
+        # 5,592,405 labels of at most 11 entries: refused at level 10 as at level 30
+        ("klein", 11, "predicted 13515793 label and key entries"),
     ], ids=["klein_30", "z2_24", "trivial_5000", "klein_11"])
     def test_levels_past_the_budget_exit_four_at_once(self, tmp_path, fixture, levels, message):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -110,15 +111,16 @@ class TestBuild:
 
     def test_budget_env_var_bounds_build(self, capsys, monkeypatch):
         args = ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "3"]
-        # 1 + 2 + 4 + 8 simplices, labels of 0 + 2 + 8 + 24 entries
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "34")
+        # labels of 0 + 2 + 8 + 24 entries, 3 keys of 3 values and 5 of 4
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "63")
         assert run(args, capsys)[0] == 0
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "33")
-        assert run(args, capsys) == \
-            (4, "", "resource error: --levels 3: predicted 34 label entries exceeds budget 33\n")
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "62")
+        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 63 label "
+                                            "and key entries exceeds budget 62\n")
+        # refused at level 2, before level 3 is sized
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "14")
-        assert run(args, capsys) == \
-            (4, "", "resource error: --levels 3: predicted 15 simplices exceeds budget 14\n")
+        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 19 label "
+                                            "and key entries exceeds budget 14\n")
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "ten")
         assert run(args, capsys) == \
             (2, "", "input error: $GAMMASPACES_BUDGET must be an integer, got 'ten'\n")
@@ -126,6 +128,39 @@ class TestBuild:
             monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, value)
             assert run(args, capsys) == \
                 (2, "", f"input error: $GAMMASPACES_BUDGET must be positive, got {value}\n")
+
+    @pytest.mark.parametrize("fixture", sorted(path.stem for path in FIXTURES.glob("*.json")))
+    def test_budget_counts_the_entries_of_the_written_report(self, tmp_path, capsys,
+                                                            monkeypatch, fixture):
+        monkeypatch.delenv(cli.DEFAULT_BUDGET_ENV, raising=False)
+        report = json.loads(build(tmp_path, fixture).read_text())
+        # every label entry, and the n + 1 values naming each map out of a level n >= 2
+        entries = sum(len(label) for level in report["levels"] for label in level)
+        for key in report["maps"]:
+            if int(key.partition(">")[0]) >= 2:
+                entries += len(key.partition(":")[2].partition("|")[0].split(","))
+        args = ["build", "--input", str(FIXTURES / f"{fixture}.json"), "--levels", "3"]
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, str(entries))
+        assert run(args, capsys)[0] == 0
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, str(entries - 1))
+        assert run(args, capsys) == (4, "", f"resource error: --levels 3: predicted {entries} "
+                                            f"label and key entries exceeds budget {entries - 1}\n")
+
+    @pytest.mark.parametrize("fixture, first_refused", [
+        ("trivial", 246), ("z2", 19), ("max2", 19), ("z2_trivial_on_z2", 19), ("z3", 13),
+        ("z2_inversion_on_z3", 13), ("z4", 10), ("klein", 10), ("z2_swap_on_klein", 10)])
+    def test_first_levels_past_the_default_budget(self, capsys, monkeypatch, fixture,
+                                                  first_refused):
+        monkeypatch.delenv(cli.DEFAULT_BUDGET_ENV, raising=False)
+        # an admitted build lists no level, so the largest admitted one is cheap
+        monkeypatch.setattr(ps, "presheaf_to_json", lambda X: {"kind": "unlisted", "levels": []})
+        args = ["build", "--input", str(FIXTURES / f"{fixture}.json"), "--format", "text"]
+        assert run([*args, "--levels", str(first_refused - 1)], capsys) == \
+            (0, "built unlisted presheaf, levels []\n", "")
+        code, out, err = run([*args, "--levels", str(first_refused)], capsys)
+        assert (code, out) == (4, "")
+        assert re.fullmatch(f"resource error: --levels {first_refused}: predicted [0-9]+ label "
+                            f"and key entries exceeds budget 10000000\n", err)
 
     def test_line_break_in_a_label_stays_on_one_line(self, tmp_path, capsys):
         bad = tmp_path / "unit.json"
@@ -695,7 +730,8 @@ class TestClassify:
         def broken_build(algebra, N):  # faces out of level 2 land on one simplex
             X = ps.build_gamma_set(algebra, N)
             return ps.TruncatedGammaSet(N, X.level, lambda f: [0] * X.level_size(2)
-                                        if (f.source, f.target) == (2, 1) else X.action_table(f))
+                                        if (f.source, f.target) == (2, 1) else X.action_table(f),
+                                        algebra=algebra)
 
         monkeypatch.setattr(cli, "_build_presheaf", broken_build)
         code, out, err = run(["classify", "--input", str(presheaf), "--dim", "3"], capsys)
@@ -762,6 +798,34 @@ class TestUnwritableOut:
         assert err.startswith("input error: cannot write somedir: ") and err.count("\n") == 1
         assert sorted(os.listdir(tmp_path)) == ["somedir", "z2.p.json"]
         assert not os.listdir(tmp_path / "somedir")
+
+
+class TestUnwritableStdout:
+    def stderr_of(self, tmp_path, args, **stdout):
+        build(tmp_path, "z2").rename(tmp_path / "z2.p.json")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        env.pop("PYTHONUNBUFFERED", None)  # a buffered stdout, as a redirected one is by default
+        proc = subprocess.run([sys.executable, "-m", "gammaspaces.cli", *args], cwd=tmp_path,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=60, **stdout)
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+        assert proc.returncode == 2 and proc.stderr.count("\n") == 1, proc.stderr
+        return proc.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [
+        # a 24 kB report fails while it is written, a short one only when flushed
+        ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "6"],
+        ["check", "--input", "z2.p.json"]], ids=["build", "check"])
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_full_stdout_exits_two_on_one_line(self, tmp_path, args, fmt):
+        with open("/dev/full", "w") as full:
+            err = self.stderr_of(tmp_path, [*args, "--format", fmt], stdout=full)
+        assert err.startswith("input error: cannot write stdout: [Errno 28] ")
+
+    def test_closed_stdout_exits_two_on_one_line(self, tmp_path):
+        err = self.stderr_of(tmp_path, ["check", "--input", "z2.p.json"],
+                             preexec_fn=functools.partial(os.close, 1))
+        assert err == "input error: cannot write stdout: file descriptor 1 is closed\n"
 
 
 def fresh_process(args, cwd):

@@ -813,7 +813,7 @@ class TestUnwritableStdout:
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("args", [
-        # a 24 kB report fails while it is written, a short one only when flushed
+        # build's 24 kB json report fails while it is written, a short one only when flushed
         ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "6"],
         ["check", "--input", "z2.p.json"]], ids=["build", "check"])
     @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -73,8 +73,7 @@ def trivial_group() -> FiniteGroup:
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-    return FiniteGroup(tuple(range(n)), table)
+    return FiniteGroup(tuple(range(n)), cyclic(n).table)
 
 
 @dataclass(frozen=True)
@@ -329,24 +328,14 @@ def enumerate_abelian_monoids(order: int) -> list[FinAbMonoid]:
             table[0][k] = table[k][0] = k
         for (i, j), v in zip(slots, assignment):
             table[i][j] = table[j][i] = v
-        if not _associative(table, order):
-            continue
         candidate = FinAbMonoid(tuple(range(order)), 0, tuple(tuple(r) for r in table))
+        try:
+            candidate.check()
+        except AxiomError:  # associativity, the one axiom a unit-pinned symmetric table can fail
+            continue
         if not any(monoid_isomorphic(candidate, m) for m in found):
             found.append(candidate)
     return found
-
-
-def _associative(table, order) -> bool:
-    for i in range(order):
-        ti = table[i]
-        for j in range(order):
-            tij = table[ti[j]]
-            tj = table[j]
-            for k in range(order):
-                if tij[k] != ti[tj[k]]:
-                    return False
-    return True
 
 
 def enumerate_abelian_groups(order: int) -> list[FinAbGroup]:

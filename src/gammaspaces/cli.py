@@ -74,14 +74,13 @@ def _build_presheaf(algebra, N: int):
     return ps.build_gamma_set(algebra, N)
 
 
-def _meta(config: dict, inputs: dict[str, str]) -> dict:
-    """Report metadata; inputs maps each input path to its sha256."""
-    return {
-        "version": __version__,
-        "config": config,
-        "seed": config.get("seed"),
-        "inputs": inputs,
-    }
+def _meta(args, digest: str, **config) -> dict:
+    """Report metadata: the config, which holds the command, input, seed and
+    format of every command beside its own options, and the input's sha256."""
+    config = {"command": args.command, "input": args.input, **config,
+              "seed": args.seed, "format": args.format}
+    return {"version": __version__, "config": config, "seed": args.seed,
+            "inputs": {args.input: digest}}
 
 
 def _layout(count: int, item: str, inner: str, outer: str) -> str:
@@ -187,18 +186,19 @@ def cmd_build(args) -> int:
     algebra = alg.from_json(data)
     X = _build_presheaf(algebra, args.levels)
     budget = _default_budget()
-    # the report holds every label at once, and names each of the 2n - 1
-    # Segal and Bousfield maps out of a level n >= 2 by its n + 1 values
-    entries = 0
+    # the report holds every label at once, and a table of |X_n| entries for
+    # each map it stores out of level n: the 2n - 1 Segal and Bousfield maps
+    # of a level n >= 2, each also named by its n + 1 values, the group
+    # actions (or, at --levels 1, the fold) on level 1, and the unit's
+    entries, actions = 0, X.group.size if X.group is not None else args.levels == 1
     for n in range(args.levels + 1):
-        entries += n * X.level_size(n) + (n >= 2) * (2 * n - 1) * (n + 1)
+        maps = (1, actions)[n] if n < 2 else 2 * n - 1
+        entries += (n + maps) * X.level_size(n) + (n >= 2) * maps * (n + 1)
         if entries > budget:
-            raise BudgetError(f"--levels {args.levels}: predicted {entries} label and key "
-                              f"entries exceeds budget {budget}")
+            raise BudgetError(f"--levels {args.levels}: predicted {entries} label, key "
+                              f"and table entries exceeds budget {budget}")
     report = ps.presheaf_to_json(X)
-    config = {"command": "build", "input": args.input, "levels": args.levels,
-              "seed": args.seed, "format": args.format}
-    report["meta"] = _meta(config, {args.input: digest})
+    report["meta"] = _meta(args, digest, levels=args.levels)
     report["functoriality_probe"] = _functoriality_probe(X, args.seed)
     sizes = [len(level) for level in report["levels"]]
     _emit(report, args.format, args.out,
@@ -214,9 +214,7 @@ def cmd_check(args) -> int:
     kind = "bousfield" if args.bousfield else "segal"
     upto = args.upto if args.upto is not None else X.N
     check = (ps.check_strict_bousfield if args.bousfield else ps.check_strict_segal)(X, upto)
-    config = {"command": "check", "input": args.input, "condition": kind,
-              "upto": upto, "seed": args.seed, "format": args.format}
-    report = {"meta": _meta(config, {args.input: digest}), "check": check.as_dict()}
+    report = {"meta": _meta(args, digest, condition=kind, upto=upto), "check": check.as_dict()}
     verdict = "pass" if check.passed else f"FAIL at n={check.failed_at}: {check.witness}"
     _emit(report, args.format, args.out, f"strict {kind} up to {upto}: {verdict}")
     return EXIT_PASS if check.passed else EXIT_CHECK_FAILED
@@ -255,9 +253,7 @@ def cmd_roundtrip(args) -> int:
         X = _build_presheaf(reference, args.levels)
     result = _roundtrip(X, reference)
     result["functoriality_probe"] = _functoriality_probe(X, args.seed)
-    config = {"command": "roundtrip", "input": args.input, "levels": args.levels,
-              "seed": args.seed, "format": args.format}
-    report = {"meta": _meta(config, {args.input: digest}), "roundtrip": result}
+    report = {"meta": _meta(args, digest, levels=args.levels), "roundtrip": result}
     identical = result["tables_identical"]
     _emit(report, args.format, args.out,
           "roundtrip exact" if identical else "roundtrip MISMATCH")
@@ -287,10 +283,8 @@ def cmd_classify(args) -> int:
     B = cb.iterate_bar(X, k, args.dim, n=args.at, budget=budget)
     ps.verify_stored(stored, data, X)
 
-    config = {"command": "classify", "input": args.input, "iterate": args.iterate,
-              "dim": args.dim, "homology": args.homology, "at": args.at,
-              "budget": budget, "seed": args.seed, "format": args.format}
-    report: dict = {"meta": _meta(config, {args.input: digest})}
+    report: dict = {"meta": _meta(args, digest, iterate=args.iterate, dim=args.dim,
+                                  homology=args.homology, at=args.at, budget=budget)}
 
     if args.at == 0:
         sizes = B.space.level_sizes()

@@ -78,22 +78,19 @@ def enumerate_maps(m: int, n: int):
         yield GammaOpMap(m, n, (0,) + tail)
 
 
+def _family(n: int, hits) -> list[GammaOpMap]:
+    """The n maps n -> 1 whose k-th sends i to 1 when hits(i, k), else to 0."""
+    return [GammaOpMap(n, 1, tuple(int(hits(i, k)) for i in range(n + 1))) for k in range(1, n + 1)]
+
+
 def segal_family(n: int) -> list[GammaOpMap]:
     """The n projection-like maps n -> 1: the k-th sends k to 1 and all else to 0."""
-    family = []
-    for k in range(1, n + 1):
-        values = tuple(1 if i == k else 0 for i in range(n + 1))
-        family.append(GammaOpMap(n, 1, values))
-    return family
+    return _family(n, lambda i, k: i == k)
 
 
 def bousfield_family(n: int) -> list[GammaOpMap]:
     """The n initial-segment folds n -> 1: the k-th sends 1..k to 1, the rest to 0."""
-    family = []
-    for k in range(1, n + 1):
-        values = tuple(1 if 1 <= i <= k else 0 for i in range(n + 1))
-        family.append(GammaOpMap(n, 1, values))
-    return family
+    return _family(n, lambda i, k: 1 <= i <= k)
 
 
 def fold_map(n: int) -> GammaOpMap:

@@ -305,15 +305,21 @@ def normalized_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) 
     return ChainComplex(ranks, boundaries)
 
 
+def _require_boundaries(C: ChainComplex, q: int, negative_ok: bool) -> None:
+    """Refuse degree q unless C has boundaries up to degree q + 1, and a
+    negative q unless negative_ok (no homology group lies below degree 0)."""
+    if q + 1 > C.top or q < 0 and not negative_ok:
+        raise TruncationError(
+            f"homology in degree {q} needs boundaries up to degree {q + 1}; "
+            f"complex stops at {C.top}", required=q + 1)
+
+
 def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> list[HomologyGroup]:
     """H_0 .. H_top of C: H_q is Z^(n_q - rank d_q - rank d_(q+1)) plus the
     torsion of d_(q+1).  Each d_p goes to `smith_rows` without transforms,
     cleared first by d_(p-1): the rows that name its leading unit pivot
     columns are dropped.  Past a `budget`, BudgetError names the boundary."""
-    if top + 1 > C.top:
-        raise TruncationError(
-            f"homology in degree {top} needs boundaries up to degree {top + 1}; "
-            f"complex stops at {C.top}", required=top + 1)
+    _require_boundaries(C, top, negative_ok=True)
     invariants, cleared = [(0, ())], set()
     for p in range(1, top + 2):
         # Exact over Z: the rows W of U @ d_(p-1) at the leading unit pivots
@@ -347,10 +353,7 @@ class HomologyPresentation:
     """
 
     def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
-        if p < 0 or p + 1 > C.top:
-            raise TruncationError(
-                f"homology in degree {p} needs boundaries up to degree {p + 1}; "
-                f"complex stops at {C.top}", required=p + 1)
+        _require_boundaries(C, p, negative_ok=False)
         n_p, n_next = C.ranks[p], C.ranks[p + 1]
         d = [dict(row) for row in C.boundaries[p]]  # reduced in place
         try:

@@ -239,32 +239,28 @@ class TupleLevel(Sequence):
         return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
-def _tuple_levels(M: FinAbMonoid):
-    """Level n of a monoid-built presheaf: the n-tuples of element indices
-    in lexicographic order, never materialized."""
-    return lambda n: TupleLevel(M.size, n)
+def _monoid_built(M: FinAbMonoid, N: int, table_fn, **provenance) -> TruncatedGammaSet:
+    """Levels 0..N of a monoid-built presheaf: level n holds the n-tuples
+    of element indices in lexicographic order, never materialized."""
+    if N < 1:
+        raise ValueError("level bound must be at least 1")
+    return TruncatedGammaSet(N, lambda n: TupleLevel(M.size, n), table_fn, **provenance)
 
 
 def build_gamma_set(M: FinAbMonoid, N: int) -> TruncatedGammaSet:
     """Presheaf of a finite abelian monoid: level n holds the n-tuples of
     element indices, and a morphism acts by summing preimages (an empty
     preimage contributes the unit)."""
-    if N < 1:
-        raise ValueError("level bound must be at least 1")
     identity_row = range(M.size)
-    return TruncatedGammaSet(N, _tuple_levels(M),
-                             lambda f: _sum_preimages_table(M, identity_row, f), algebra=M)
+    return _monoid_built(M, N, lambda f: _sum_preimages_table(M, identity_row, f), algebra=M)
 
 
 def build_ggamma_set(A: GMonoid, N: int) -> TruncatedGammaSet:
     """Equivariant variant: a normalized pair acts by relabeling entries
     through the group action and then summing preimages."""
-    if N < 1:
-        raise ValueError("level bound must be at least 1")
     M = A.monoid
-    return TruncatedGammaSet(N, _tuple_levels(M),
-                             lambda a: _sum_preimages_table(M, A.action[a.g], a.f),
-                             algebra=A, group=A.group)
+    return _monoid_built(M, N, lambda a: _sum_preimages_table(M, A.action[a.g], a.f),
+                         algebra=A, group=A.group)
 
 
 @dataclass(frozen=True)
@@ -335,15 +331,20 @@ def _through_inverse(X, kind: str, table: list[int]) -> list[int]:
     return [table[p] for p in sorted(range(len(codes)), key=codes.__getitem__)]
 
 
+def _require_strict_at_two(X, check, strictness: str) -> None:
+    """The precondition of extraction: levels up to 2, strict at 2."""
+    if X.N < 2:
+        raise TruncationError("extraction needs levels up to 2", required=2)
+    report = check(X, 2)
+    if not report.passed:
+        raise StrictnessError(f"presheaf is not {strictness} up to level 2", report=report)
+
+
 def extract_monoid(X) -> FinAbMonoid:
     """Recover the abelian monoid from a strict presheaf: the carrier is
     level 1, multiplication is the fold through the inverted Segal
     bijection at level 2, the unit is the image of the point."""
-    if X.N < 2:
-        raise TruncationError("extraction needs levels up to 2", required=2)
-    report = check_strict_segal(X, 2)
-    if not report.passed:
-        raise StrictnessError("presheaf is not strict up to level 2", report=report)
+    _require_strict_at_two(X, check_strict_segal, "strict")
     carrier = list(X.level(1))
     products = _through_inverse(X, "segal", X.action_table(X.fold(2)))
     unit_idx = X.action_table(X.unit_inclusion())[0]
@@ -386,11 +387,7 @@ def extract_group_bousfield(X) -> FinAbGroup:
     multiplication is d(inverse(a), b).  Every axiom is then verified
     exhaustively before the group is returned.
     """
-    if X.N < 2:
-        raise TruncationError("extraction needs levels up to 2", required=2)
-    report = check_strict_bousfield(X, 2)
-    if not report.passed:
-        raise StrictnessError("presheaf is not strictly Bousfield up to level 2", report=report)
+    _require_strict_at_two(X, check_strict_bousfield, "strictly Bousfield")
     d, size = _difference_operation(X)
     units = {d(i, i) for i in range(size)}
     if len(units) != 1:

@@ -1,12 +1,15 @@
 """No module of the package reads a private name of another one: each
-module's underscored names are its own to change."""
+module's underscored names are its own to change.  Every module parses
+under the grammar of the oldest Python that pyproject.toml admits."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "gammaspaces"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gammaspaces"
 MODULES = sorted(path.stem for path in PACKAGE.glob("*.py"))
 
 
@@ -59,3 +62,22 @@ def test_the_scan_sees_module_aliases_and_their_private_names():
                                     "ss": "simplicial"}
     assert foreign_private_reads(tree, "cli") == [
         "homology._add", "cb._check_budget", "presheaves._canonical_family"]
+
+
+def oldest_python() -> tuple[int, int]:
+    declared = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                         (ROOT / "pyproject.toml").read_text())
+    return int(declared[1]), int(declared[2])
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_parses_under_the_oldest_python(module):
+    # runs on any interpreter; test_cli.py's TestOldestPython runs the CLI
+    # under python3.10 itself, and skips where none is installed
+    ast.parse((PACKAGE / f"{module}.py").read_text(), feature_version=oldest_python())
+
+
+def test_the_oldest_grammar_refuses_newer_syntax():
+    assert oldest_python() == (3, 10)
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))

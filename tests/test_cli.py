@@ -87,12 +87,13 @@ class TestBuild:
 
     # the count runs level by level and stops at the first level past the budget
     @pytest.mark.parametrize("fixture, levels, message", [
-        ("klein", 30, "predicted 13515793 label and key entries"),
-        ("z2", 24, "predicted 18879479 label and key entries"),
-        # one label of n entries per level, and 2n - 1 keys of n + 1 values
-        ("trivial", 5000, "predicted 10045736 label and key entries"),
+        ("klein", 30, "predicted 39147650 label, key and table entries"),
+        ("z2", 24, "predicted 12324479 label, key and table entries"),
+        # one label of n entries per level, 2n - 1 keys of n + 1 values, and
+        # 2n - 1 tables of one entry
+        ("trivial", 5000, "predicted 10106252 label, key and table entries"),
         # 5,592,405 labels of at most 11 entries: refused at level 10 as at level 30
-        ("klein", 11, "predicted 13515793 label and key entries"),
+        ("klein", 11, "predicted 39147650 label, key and table entries"),
     ], ids=["klein_30", "z2_24", "trivial_5000", "klein_11"])
     def test_levels_past_the_budget_exit_four_at_once(self, tmp_path, fixture, levels, message):
         env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -111,16 +112,17 @@ class TestBuild:
 
     def test_budget_env_var_bounds_build(self, capsys, monkeypatch):
         args = ["build", "--input", str(FIXTURES / "z2.json"), "--levels", "3"]
-        # labels of 0 + 2 + 8 + 24 entries, 3 keys of 3 values and 5 of 4
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "63")
+        # labels of 0 + 2 + 8 + 24 entries, 3 keys of 3 values and 5 of 4, and
+        # tables of 1 (the unit's) + 3 * 4 + 5 * 8 entries
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "116")
         assert run(args, capsys)[0] == 0
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "62")
-        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 63 label "
-                                            "and key entries exceeds budget 62\n")
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "115")
+        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 116 label, "
+                                            "key and table entries exceeds budget 115\n")
         # refused at level 2, before level 3 is sized
-        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "14")
-        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 19 label "
-                                            "and key entries exceeds budget 14\n")
+        monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "31")
+        assert run(args, capsys) == (4, "", "resource error: --levels 3: predicted 32 label, "
+                                            "key and table entries exceeds budget 31\n")
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, "ten")
         assert run(args, capsys) == \
             (2, "", "input error: $GAMMASPACES_BUDGET must be an integer, got 'ten'\n")
@@ -129,26 +131,34 @@ class TestBuild:
             assert run(args, capsys) == \
                 (2, "", f"input error: $GAMMASPACES_BUDGET must be positive, got {value}\n")
 
-    @pytest.mark.parametrize("fixture", sorted(path.stem for path in FIXTURES.glob("*.json")))
+    # at --levels 1 the fold is stored beside the unit's table, or is the
+    # identity element's action when there is a group
+    @pytest.mark.parametrize("fixture, levels", [
+        *(pytest.param(path.stem, 3, id=path.stem) for path in sorted(FIXTURES.glob("*.json"))),
+        pytest.param("z2", 1, id="z2-levels1"),
+        pytest.param("z2_swap_on_klein", 1, id="z2_swap_on_klein-levels1")])
     def test_budget_counts_the_entries_of_the_written_report(self, tmp_path, capsys,
-                                                            monkeypatch, fixture):
+                                                            monkeypatch, fixture, levels):
         monkeypatch.delenv(cli.DEFAULT_BUDGET_ENV, raising=False)
-        report = json.loads(build(tmp_path, fixture).read_text())
-        # every label entry, and the n + 1 values naming each map out of a level n >= 2
+        report = json.loads(build(tmp_path, fixture, levels).read_text())
+        # every label entry, every table entry, and the n + 1 values naming
+        # each map out of a level n >= 2
         entries = sum(len(label) for level in report["levels"] for label in level)
+        entries += sum(map(len, report["maps"].values()))
         for key in report["maps"]:
             if int(key.partition(">")[0]) >= 2:
                 entries += len(key.partition(":")[2].partition("|")[0].split(","))
-        args = ["build", "--input", str(FIXTURES / f"{fixture}.json"), "--levels", "3"]
+        args = ["build", "--input", str(FIXTURES / f"{fixture}.json"), "--levels", str(levels)]
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, str(entries))
         assert run(args, capsys)[0] == 0
         monkeypatch.setenv(cli.DEFAULT_BUDGET_ENV, str(entries - 1))
-        assert run(args, capsys) == (4, "", f"resource error: --levels 3: predicted {entries} "
-                                            f"label and key entries exceeds budget {entries - 1}\n")
+        assert run(args, capsys) == (4, "", f"resource error: --levels {levels}: predicted "
+                                            f"{entries} label, key and table entries exceeds "
+                                            f"budget {entries - 1}\n")
 
     @pytest.mark.parametrize("fixture, first_refused", [
-        ("trivial", 246), ("z2", 19), ("max2", 19), ("z2_trivial_on_z2", 19), ("z3", 13),
-        ("z2_inversion_on_z3", 13), ("z4", 10), ("klein", 10), ("z2_swap_on_klein", 10)])
+        ("trivial", 246), ("z2", 17), ("max2", 17), ("z2_trivial_on_z2", 17), ("z3", 12),
+        ("z2_inversion_on_z3", 12), ("z4", 10), ("klein", 10), ("z2_swap_on_klein", 10)])
     def test_first_levels_past_the_default_budget(self, capsys, monkeypatch, fixture,
                                                   first_refused):
         monkeypatch.delenv(cli.DEFAULT_BUDGET_ENV, raising=False)
@@ -159,8 +169,8 @@ class TestBuild:
             (0, "built unlisted presheaf, levels []\n", "")
         code, out, err = run([*args, "--levels", str(first_refused)], capsys)
         assert (code, out) == (4, "")
-        assert re.fullmatch(f"resource error: --levels {first_refused}: predicted [0-9]+ label "
-                            f"and key entries exceeds budget 10000000\n", err)
+        assert re.fullmatch(f"resource error: --levels {first_refused}: predicted [0-9]+ label, "
+                            f"key and table entries exceeds budget 10000000\n", err)
 
     def test_line_break_in_a_label_stays_on_one_line(self, tmp_path, capsys):
         bad = tmp_path / "unit.json"
@@ -873,7 +883,9 @@ class TestOldestPython:
             pytest.skip("no python3.10 on PATH")
         calls = [["build", "--input", str(FIXTURES / "z2.json"), "--out", "z2.p.json"],
                  ["classify", "--input", "z2.p.json", "--iterate", "2", "--dim", "3",
-                  "--homology", "1", "--out", "report.json"]]
+                  "--homology", "1", "--out", "report.json"],
+                 ["check", "--input", "z2.p.json", "--bousfield", "--out", "check.json"],
+                 ["roundtrip", "--input", str(FIXTURES / "z2.json"), "--out", "roundtrip.json"]]
         reports = []
         for side, python in (("oldest", oldest), ("current", sys.executable)):
             cwd = tmp_path / side
@@ -883,7 +895,8 @@ class TestOldestPython:
                                       capture_output=True, text=True, env=env, timeout=120)
                 assert (proc.returncode, proc.stderr) == (0, ""), (python, args)
             reports.append([without_meta((cwd / name).read_text())
-                            for name in ("z2.p.json", "report.json")])
+                            for name in ("z2.p.json", "report.json", "check.json",
+                                         "roundtrip.json")])
         assert '"meta"' not in "".join(reports[1])
         assert reports[0] == reports[1]
 

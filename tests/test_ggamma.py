@@ -64,9 +64,11 @@ class TestGGammaMap:
             assert wedge_action_table(m) == wedge_action_table(gg.GGammaMap(zero, 0, Z2))
 
     def test_mismatch_raises(self):
-        with pytest.raises(CompositionError):
+        with pytest.raises(CompositionError, match="^cannot compose 2->2 after 3->3$"):
             gg.compose(gg.group_action_map(2, 0, Z2), gg.group_action_map(3, 0, Z2))
-        with pytest.raises(CompositionError):
+        with pytest.raises(CompositionError, match="^cannot compose 2->2 after 3->1$"):
+            gg.compose(gg.group_action_map(2, 0, Z2), gg.GGammaMap(gc.zero_map(3, 1), 1, Z2))
+        with pytest.raises(CompositionError, match="^morphisms over different groups$"):
             gg.compose(gg.group_action_map(2, 0, Z2), gg.group_action_map(2, 0, Z3))
 
     def test_pair_presentation_faithful(self):

@@ -192,6 +192,25 @@ class TestHomology:
         with pytest.raises(TruncationError, match="needs boundaries up to degree 3"):
             hm.homology_groups(C, 2)
 
+    @pytest.mark.parametrize("q", [2, 3, -1])
+    def test_degree_guard_message(self, q):
+        C = hm.normalized_chain_complex(ss.point(2))
+        message = (f"homology in degree {q} needs boundaries up to degree {q + 1}; "
+                   f"complex stops at 2")
+        with pytest.raises(TruncationError) as err:
+            hm.HomologyPresentation(C, q)
+        assert (str(err.value), err.value.required) == (message, q + 1)
+        if q >= 0:
+            with pytest.raises(TruncationError) as err:
+                hm.homology_groups(C, q)
+            assert (str(err.value), err.value.required) == (message, q + 1)
+
+    def test_negative_top_lists_no_group(self):
+        # only a presentation refuses a negative degree; H_0 .. H_-1 is empty
+        C = hm.normalized_chain_complex(ss.point(2))
+        assert hm.homology_groups(C, -1) == []
+        assert hm.homology_groups(C, -2) == []
+
     def test_agrees_with_bar_resolution_oracle(self):
         for M, q, expected in [
             (cyclic(2), 1, hm.HomologyGroup(0, (2,))),

@@ -73,6 +73,14 @@ class TestBuildGammaSet:
         for n in range(3):
             assert X.action_table(gc.identity(n)) == list(range(X.level_size(n)))
 
+    @pytest.mark.parametrize("build, algebra", [
+        (ps.build_gamma_set, Z2), (ps.build_ggamma_set, alg.inversion_action(Z3))],
+        ids=["gamma", "ggamma"])
+    @pytest.mark.parametrize("N", [0, -1])
+    def test_level_bound_must_be_at_least_one(self, build, algebra, N):
+        with pytest.raises(ValueError, match="^level bound must be at least 1$"):
+            build(algebra, N)
+
     def test_truncation_errors(self):
         X = ps.build_gamma_set(Z2, 2)
         with pytest.raises(TruncationError):
@@ -412,11 +420,20 @@ class TestExtractMonoid:
             ps.extract_monoid(X)
         assert err.value.report is not None
         assert not err.value.report.passed
+        assert err.value.report.kind == "segal"
+        assert str(err.value) == ("presheaf is not strict up to level 2 (witness: not "
+                                  "surjective at n=2: 3 elements cover 4 tuples)")
 
     def test_truncation_refusal(self):
         X = ps.build_gamma_set(Z2, 1)
-        with pytest.raises(TruncationError):
+        with pytest.raises(TruncationError) as err:
             ps.extract_monoid(X)
+        assert (str(err.value), err.value.required) == ("extraction needs levels up to 2", 2)
+
+    @pytest.mark.parametrize("extract", [ps.extract_g_monoid, ps.extract_g_group_bousfield])
+    def test_equivariant_truncation_refusal(self, extract):
+        with pytest.raises(TruncationError, match="^extraction needs levels up to 2$"):
+            extract(ps.build_ggamma_set(alg.inversion_action(Z3), 1))
 
 
 class TestExtractGMonoid:
@@ -460,10 +477,18 @@ class TestExtractGroupBousfield:
         assert out.monoid.index_table() == A.monoid.index_table()
         assert out.action == A.action
 
+    def test_truncation_refusal(self):
+        with pytest.raises(TruncationError) as err:
+            ps.extract_group_bousfield(ps.build_gamma_set(Z2, 1))
+        assert (str(err.value), err.value.required) == ("extraction needs levels up to 2", 2)
+
     def test_non_group_refused(self):
         X = ps.build_gamma_set(MAX2, 2)
-        with pytest.raises(StrictnessError):
+        with pytest.raises(StrictnessError) as err:
             ps.extract_group_bousfield(X)
+        assert err.value.report.kind == "bousfield"
+        assert str(err.value) == ("presheaf is not strictly Bousfield up to level 2 (witness: "
+                                  "not injective at n=2: (1, 0) and (1, 1) share image (1, 1))")
 
 
 class TestPresheafFiles:

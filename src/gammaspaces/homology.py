@@ -36,6 +36,9 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
 
     The pivot is the smallest nonzero |entry|, lowest row first, then lowest
     column, so the output is deterministic and does not depend on `track`.
+    A pivot search reads each row's least |entry| from a cache that row
+    clears reset, and the pivot column, read upward from column s, is
+    swapped into place only in the rows that hold it or column s.
     A row operation M on D acts on the rows of U and, as M^-T, on the rows
     of U^-1 transposed; a column operation acts the same way on V
     transposed and on V^-1.  Every operation sends zeros to zeros, so the
@@ -52,33 +55,36 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
     side = {name: [kept[name]] if name in kept else [] for name in ("u", "u_inv", "v", "v_inv")}
     # (forward, inverse-transpose) rows of the row and of the column operations
     row_side, col_side = ([d, *side["u"]], side["u_inv"]), (side["v"], side["v_inv"])
-    # the original column at each position, and the leading +-1 pivots so far
-    perm, units = list(range(cols)), 0
+    # the original column at each position, the leading +-1 pivots so far,
+    # and each row's least |entry|, 0 until read after the row last changed
+    perm, units, least = list(range(cols)), 0, [0] * rows
     # rows from s on are nonzero in columns from s on only, and every row
     # above s in its diagonal entry only
     for s in range(min(rows, cols)):
         if budget is not None:
             _check(held, budget)
-        pivot = None
+        pi = None
         for i in range(s, rows):
             if d[i]:
-                val = min(map(abs, d[i].values()))
-                if pivot is None or val < pivot[0]:
-                    pivot = (val, i, min(compress(d[i], map(val.__eq__, map(abs, d[i].values())))))
-                    if val == 1:
+                if not least[i]:  # a unit ends the scan at the first one
+                    vals = d[i].values()
+                    least[i] = min(map(abs, vals)) if {1, -1}.isdisjoint(vals) else 1
+                if pi is None or least[i] < least[pi]:
+                    pi = i
+                    if least[i] == 1:
                         break
-        if pivot is None:
+        if pi is None:
             break
-        val, pi, pj = pivot
-        if val == 1 and units == s:
+        # the lowest column of that |entry|: row pi is zero left of column s
+        pj = next(compress(range(s, cols), map({least[pi], -least[pi]}.__contains__,
+                                                map(d[pi].get, range(s, cols)))))
+        if least[pi] == 1 and units == s:
             units += 1
         if pi != s:
             _swap(row_side, s, pi)
-        if pj != s:
-            for row in d[s:]:
-                p, r = row.pop(s, 0), row.pop(pj, 0)
-                _put(row, pj, p)
-                _put(row, s, r)
+            least[s], least[pi] = least[pi], least[s]
+        if pj != s:  # a swap has determinant -1: `_swap` makes it on the transforms
+            _columns(d[s:], ((), ()), s, pj, 0, 1, 1, 0)
             _swap(col_side, s, pj)
             perm[s], perm[pj] = perm[pj], perm[s]
         # clearing one entry leaves the others in the pivot row and column
@@ -86,9 +92,11 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
         while True:
             for i in [i for i in range(s + 1, rows) if s in d[i]]:
                 _pair(row_side, s, i, *_coefficients(d[s][s], d[i][s]))
+                least[i] = 0  # also for any row a column step changed: it holds column s
             if len(d[s]) == 1:
                 break
-            if not any(col_side) and not any(map(d[s][s].__rmod__, d[s].values())):
+            if not any(col_side) and (d[s][s] in (1, -1)
+                                      or not any(map(d[s][s].__rmod__, d[s].values()))):
                 d[s] = {s: d[s][s]}  # each column operation would clear its entry only
                 break
             live = [d[s]]  # the rows nonzero in column s
@@ -137,13 +145,6 @@ def _coefficients(aa: int, bb: int) -> tuple[int, int, int, int]:
     if g < 0:
         x, y, g = -x, -y, -g
     return x, y, -(bb // g), aa // g
-
-
-def _put(row: Row, j: int, x: int) -> None:
-    if x:
-        row[j] = x
-    else:
-        row.pop(j, None)
 
 
 def _add(target: Row, source: Row, q: int) -> None:
@@ -197,12 +198,14 @@ def _pair(side, a, b, x, y, ca, cb):
 
 
 def _columns(rows, col_side, a, b, x, y, ca, cb):
-    # columns (a, b) by [[x, ca], [y, cb]] of determinant 1 in the rows of D
-    # that can be nonzero there, and the same operation on the transforms
+    # columns (a, b) by [[x, ca], [y, cb]] in the rows of D that hold either
+    # column, and the same operation, of determinant 1, on the transforms
     for row in rows:
-        p, r = row.get(a, 0), row.get(b, 0)
-        _put(row, a, x * p + y * r)
-        _put(row, b, ca * p + cb * r)
+        if a in row or b in row:
+            p, r = row.pop(a, 0), row.pop(b, 0)
+            for j, z in ((a, x * p + y * r), (b, ca * p + cb * r)):
+                if z:
+                    row[j] = z
     _pair(col_side, a, b, x, y, ca, cb)
 
 

@@ -412,6 +412,111 @@ def determinantal_homology(C: ChainComplex, top: int) -> list[HomologyGroup]:
                           tuple(x for x in factors[q + 1] if x > 1)) for q in range(top + 1)]
 
 
+def _bezout(aa: int, bb: int) -> tuple[int, int, int]:
+    """(g, x, y) with x*aa + y*bb = g = gcd(aa, bb) up to sign, by the
+    recursive extended Euclidean algorithm."""
+    if bb == 0:
+        return aa, 1, 0
+    g, x, y = _bezout(bb, aa % bb)
+    return g, y, x - (aa // bb) * y
+
+
+def _elementary(aa: int, bb: int) -> tuple[int, int, int, int]:
+    """[[x, y], [ca, cb]] of determinant 1 taking (aa, bb) to (g, 0): a
+    subtraction when aa divides bb, else the extended Euclidean pair with
+    g > 0."""
+    if bb % aa == 0:
+        return 1, 0, -(bb // aa), 1
+    g, x, y = _bezout(aa, bb)
+    if g < 0:
+        g, x, y = -g, -x, -y
+    return x, y, -(bb // g), aa // g
+
+
+def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
+    """The documented elimination of `smith_rows`, redone on dense lists.
+
+    The pivot is the least nonzero |entry| of the rows and columns from s
+    on, lowest row first, then lowest column; it is swapped to (s, s).
+    Row clears take out column s below the pivot, then column clears take
+    out row s right of it (a subtraction, or an extended Euclidean step
+    that refills column s), until both are clear.  A negative pivot turns
+    its row's sign, and adjacent diagonal entries whose second is not a
+    multiple of the first are folded to (gcd, lcm), sweep after sweep.
+    Returns D, U, U^-1, V and V^-1 with U @ a @ V = D, the original columns
+    of the leading +-1 pivots, the nonzeros that D and the transforms in
+    `track` hold at each pivot and at the end, and how many Bezout column
+    steps and folds ran."""
+    rows = len(a)
+    d = [row[:] for row in a]
+    m = {name: [[int(i == j) for j in range(n)] for i in range(n)]
+         for name, n in (("u", rows), ("u_inv", rows), ("v", cols), ("v_inv", cols))}
+    perm, units, nonzeros, steps = list(range(cols)), 0, [], {"bezout_columns": 0, "folds": 0}
+
+    def count():
+        return sum(x != 0 for name in ("d", *track) for row in (d if name == "d" else m[name])
+                   for x in row)
+
+    def row_op(i, k, x, y, ca, cb):  # rows (i, k) by [[x, y], [ca, cb]]
+        for t in (d, m["u"]):
+            t[i], t[k] = ([x * p + y * q for p, q in zip(t[i], t[k])],
+                          [ca * p + cb * q for p, q in zip(t[i], t[k])])
+        for row in m["u_inv"]:  # U^-1 times the inverse [[cb, -y], [-ca, x]]
+            row[i], row[k] = cb * row[i] - ca * row[k], -y * row[i] + x * row[k]
+
+    def col_op(j, k, x, y, ca, cb):  # columns (j, k) by [[x, ca], [y, cb]]
+        for row in (*d, *m["v"]):
+            row[j], row[k] = x * row[j] + y * row[k], ca * row[j] + cb * row[k]
+        vi = m["v_inv"]  # the inverse [[cb, -ca], [-y, x]] times V^-1
+        vi[j], vi[k] = ([cb * p - ca * q for p, q in zip(vi[j], vi[k])],
+                        [-y * p + x * q for p, q in zip(vi[j], vi[k])])
+
+    for s in range(min(rows, cols)):
+        nonzeros.append(count())
+        entries = [(abs(d[i][j]), i, j) for i in range(s, rows) for j in range(s, cols) if d[i][j]]
+        if not entries:
+            break
+        val, pi, pj = min(entries)
+        if val == 1 and units == s:
+            units += 1
+        for t in (d, m["u"]):
+            t[s], t[pi] = t[pi], t[s]
+        for row in m["u_inv"]:
+            row[s], row[pi] = row[pi], row[s]
+        for row in (*d, *m["v"]):
+            row[s], row[pj] = row[pj], row[s]
+        m["v_inv"][s], m["v_inv"][pj] = m["v_inv"][pj], m["v_inv"][s]
+        perm[s], perm[pj] = perm[pj], perm[s]
+        while True:
+            for i in range(s + 1, rows):
+                if d[i][s]:
+                    row_op(s, i, *_elementary(d[s][s], d[i][s]))
+            for j in [j for j in range(s + 1, cols) if d[s][j]]:
+                x, y, ca, cb = _elementary(d[s][s], d[s][j])
+                steps["bezout_columns"] += y != 0
+                col_op(s, j, x, y, ca, cb)
+            if not any(d[i][s] for i in range(s + 1, rows)):
+                break
+        if d[s][s] < 0:
+            d[s] = [-x for x in d[s]]
+            m["u"][s] = [-x for x in m["u"][s]]
+            for row in m["u_inv"]:
+                row[s] = -row[s]
+    rank = sum(1 for i in range(min(rows, cols)) if d[i][i])
+    folded = True
+    while folded:
+        folded = False
+        for i in range(rank - 1):
+            if d[i + 1][i + 1] % d[i][i]:
+                col_op(i + 1, i, 1, 0, 1, 1)  # column i += column i + 1
+                row_op(i, i + 1, *_elementary(d[i][i], d[i + 1][i]))
+                col_op(i, i + 1, 1, 0, -(d[i][i + 1] // d[i][i]), 1)
+                steps["folds"] += 1
+                folded = True
+    nonzeros.append(count())
+    return {"d": d, **m, "unit_columns": perm[:units], "nonzeros": nonzeros, "steps": steps}
+
+
 def snf_diagonal(a: Matrix) -> list[int]:
     """The diagonal of the Smith normal form of a."""
     d, _, _ = smith_normal_form(a)

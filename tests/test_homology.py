@@ -1,9 +1,10 @@
 import hashlib
+import itertools
 import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import find, given, settings, strategies as st
 
 from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
@@ -13,7 +14,7 @@ from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_c
                      compose_maps, constant_map_to_point, determinantal_homology,
                      determinantal_invariants, em_two_cocycle_space, full_chain_complex,
                      identity_map, map_from_label_maps, nerve_of_monoid, presentation_group,
-                     snf_diagonal, verify_snf)
+                     reference_smith, snf_diagonal, verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -389,6 +390,79 @@ class TestSparseElimination:
         C = chain_complex([2, 3], [[], [[1, 0, -1], [0, 2, 0]]])
         assert C.boundaries[1] == [{0: 1, 2: -1}, {1: 2}]
         assert C.boundary(1) == [[1, 0, -1], [0, 2, 0]]
+
+
+TRACKS = [t for k in range(5) for t in itertools.combinations(("u", "u_inv", "v", "v_inv"), k)]
+
+
+@st.composite
+def reference_matrices(draw):
+    """(column count, matrix): entries with units, or without them so that
+    Bezout steps and folds run, with zero rows and columns spliced in."""
+    values = draw(st.sampled_from([entries, unitless, st.sampled_from([0, 0, 1, -1, 2, -4, 6])]))
+    cols, a = draw(shaped_matrices(values, most=5))
+    for _ in range(draw(st.integers(0, 2))):
+        j = draw(st.integers(0, cols))
+        a, cols = [row[:j] + [0] + row[j:] for row in a], cols + 1
+    for _ in range(draw(st.integers(0, 2))):
+        a.insert(draw(st.integers(0, len(a))), [0] * cols)
+    return cols, a
+
+
+def sparse_rows(a):
+    return [{j: x for j, x in enumerate(row) if x} for row in a]
+
+
+class TestEliminationMatchesReference:
+    """`smith_rows` against `oracles.reference_smith`, the same pivot rule
+    and steps on dense lists: every reduced row, every transform, the unit
+    columns and the nonzero count at which a budget refuses."""
+
+    @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
+    @settings(max_examples=40, deadline=None)
+    @given(shaped=reference_matrices())
+    def test_rows_transforms_and_unit_columns(self, track, shaped):
+        cols, a = shaped
+        expected = reference_smith(a, cols, track)
+        d = sparse_rows(a)
+        kept = hm.smith_rows(d, cols, track)
+        assert [[row.get(j, 0) for j in range(cols)] for row in d] == expected["d"]
+        for name in track:  # U^-1 and V are kept transposed
+            n = len(kept[name])
+            dense = [[row.get(j, 0) for j in range(n)] for row in kept[name]]
+            assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
+                expected[name], name
+        assert kept["unit_columns"] == expected["unit_columns"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(reference_matrices(), st.sampled_from(TRACKS), st.data())
+    def test_budget_refuses_at_the_first_count_past_it(self, shaped, track, data):
+        cols, a = shaped
+        counts = reference_smith(a, cols, track)["nonzeros"]
+        budget = data.draw(st.integers(0, max(counts)))
+        past = [n for n in counts if n > budget]
+        if past:
+            with pytest.raises(BudgetError, match=f"^Smith form holds {past[0]} nonzeros, "
+                                                  f"past budget {budget}$"):
+                hm.smith_rows(sparse_rows(a), cols, track, budget)
+        else:
+            hm.smith_rows(sparse_rows(a), cols, track, budget)
+
+    def test_budget_trips_mid_elimination(self):
+        # d_4 of the nerve of Z/4 keeping V and V^-1 holds 483 nonzeros
+        # before the first pivot, 1105 before the eighth, and 1486 at the end
+        C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(4), 4))
+        counts = reference_smith(C.boundary(4), C.ranks[4], ("v", "v_inv"))["nonzeros"]
+        assert (counts[0], counts[7], counts[-1], len(counts)) == (483, 1105, 1486, 23)
+        with pytest.raises(BudgetError, match="^Smith form holds 1105 nonzeros, past budget 1000$"):
+            hm.smith_rows([dict(row) for row in C.boundaries[4]], C.ranks[4], ("v", "v_inv"), 1000)
+
+    @pytest.mark.parametrize("step", ["bezout_columns", "folds"])
+    def test_the_strategy_reaches_every_step(self, step):
+        cols, a = find(reference_matrices(), lambda shaped: any(
+            not any(row) for row in shaped[1]) and any(not any(c) for c in zip(*shaped[1]))
+            and reference_smith(shaped[1], shaped[0])["steps"][step])
+        assert reference_smith(a, cols)["steps"][step]
 
 
 def contract_complexes():

@@ -30,6 +30,18 @@ def test_second_delooping():
     assert "MISMATCH" not in proc.stdout
 
 
+def test_ladder_runs_its_fastest_rung():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ladder.py"), "klein_k1_h4"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    match = re.fullmatch(r"klein_k1_h4 +\d+\.\d\d s +\d+\.\d MB  sha256 ([0-9a-f]{64})\n",
+                         proc.stdout)
+    assert match, proc.stdout
+    # the benchmark's em1_klein op classifies the same presheaf the same way
+    digests = json.loads((ROOT / "perfbench" / "digests.json").read_text())
+    assert match[1] == digests["classify:group_klein"]["sha256"]
+
+
 def test_committed_fixtures_match_build_fixtures():
     spec = importlib.util.spec_from_file_location("build_fixtures",
                                                   ROOT / "scripts" / "build_fixtures.py")

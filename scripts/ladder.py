@@ -12,7 +12,7 @@ from this checkout's `src/`, no bytecode written (`-B`) and a 3 GB address
 space (RLIMIT_AS).  The wall time includes interpreter start; the peak RSS
 is the child's own ru_maxrss; the digest is the sha256 of the report
 without its `meta` section, as the benchmark computes it.  A rung that
-fails or runs past `--timeout` prints its exit code (or DNF) and the last
+fails or runs past TIMEOUT seconds prints its exit code (or DNF) and the last
 line of its stderr in place of a digest.
 """
 
@@ -32,6 +32,7 @@ import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 3 << 30
+TIMEOUT = 600  # seconds per child
 # name: (fixture, classify arguments), in the state table's order
 RUNGS = {
     "z2_k2_h2": ("z2", ["--iterate", "2", "--dim", "4", "--homology", "2"]),
@@ -47,7 +48,7 @@ RUNGS = {
 }
 
 
-def cli(args: list[str], cwd: str, timeout: float):
+def cli(args: list[str], cwd: str):
     """Run the CLI in a child with a capped address space; return its exit
     code (None past the timeout), wall seconds, peak RSS in MB and stderr."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -59,7 +60,7 @@ def cli(args: list[str], cwd: str, timeout: float):
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (ADDRESS_SPACE, ADDRESS_SPACE)))
         killed = []
-        timer = threading.Timer(timeout, lambda: killed.append(child.kill()))
+        timer = threading.Timer(TIMEOUT, lambda: killed.append(child.kill()))
         timer.start()
         _, status, usage = os.wait4(child.pid, 0)  # reaped here, for the child's own rusage
         wall = time.perf_counter() - start
@@ -81,7 +82,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rungs", nargs="*", metavar="RUNG",
                         help=f"rungs to run (default all): {', '.join(RUNGS)}")
-    parser.add_argument("--timeout", type=float, default=600, help="seconds per rung")
     args = parser.parse_args()
     for name in args.rungs:
         if name not in RUNGS:
@@ -90,8 +90,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for fixture in dict.fromkeys(RUNGS[name][0] for name in args.rungs or RUNGS):
             code, _, _, err = cli(["build", "--input", str(ROOT / "fixtures" / f"{fixture}.json"),
-                                   "--levels", "3", "--out", f"{fixture}.json"],
-                                  work, args.timeout)
+                                   "--levels", "3", "--out", f"{fixture}.json"], work)
             if code != 0:
                 raise SystemExit(f"build {fixture}: exit {code}: {err.strip()}")
         for name in args.rungs or RUNGS:
@@ -99,7 +98,7 @@ def main() -> int:
             out = pathlib.Path(work, f"{name}.out.json")
             out.unlink(missing_ok=True)
             code, wall, rss, err = cli(["classify", "--input", f"{fixture}.json", *extra,
-                                        "--out", out.name], work, args.timeout)
+                                        "--out", out.name], work)
             if code == 0:
                 result = f"sha256 {report_digest(out)}"
             else:

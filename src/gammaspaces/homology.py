@@ -37,7 +37,7 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
     The pivot is the smallest nonzero |entry|, lowest row first, then lowest
     column, so the output is deterministic and does not depend on `track`.
     A pivot search reads each row's least |entry| from a cache that row
-    clears reset, and the pivot column, read upward from column s, is
+    clears and Bezout column steps reset, and the pivot column, read upward from column s, is
     swapped into place only in the rows that hold it or column s.
     A row operation M on D acts on the rows of U and, as M^-T, on the rows
     of U^-1 transposed; a column operation acts the same way on V
@@ -92,9 +92,10 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
         while True:
             for i in [i for i in range(s + 1, rows) if s in d[i]]:
                 _pair(row_side, s, i, *_coefficients(d[s][s], d[i][s]))
-                least[i] = 0  # also for any row a column step changed: it holds column s
+                least[i] = 0
             if len(d[s]) == 1:
                 break
+            # a unit divides every entry without reading the row
             if not any(col_side) and (d[s][s] in (1, -1)
                                       or not any(map(d[s][s].__rmod__, d[s].values()))):
                 d[s] = {s: d[s][s]}  # each column operation would clear its entry only
@@ -102,10 +103,14 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
             live = [d[s]]  # the rows nonzero in column s
             for j in sorted(d[s])[1:]:
                 x, y, ca, cb = _coefficients(d[s][s], d[s][j])
-                # a subtraction reads column s only, which only `live` holds
+                # a subtraction reads column s only, which only `live` holds,
+                # and leaves it there, so a row clear resets their cache; a
+                # Bezout step may rewrite any row, and a later one may clear
+                # column s from it again, so the cache below is reset
                 _columns(d[s:] if y else live, col_side, s, j, x, y, ca, cb)
                 if y:
                     live = [row for row in d[s:] if s in row]
+                    least[s + 1:] = [0] * (rows - s - 1)
             if len(live) == 1:
                 break
         if d[s][s] < 0:

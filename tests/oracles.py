@@ -446,12 +446,13 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
     Returns D, U, U^-1, V and V^-1 with U @ a @ V = D, the original columns
     of the leading +-1 pivots, the nonzeros that D and the transforms in
     `track` hold at each pivot and at the end, and how many Bezout column
-    steps and folds ran."""
+    steps, column sweeps with more than one of them, and folds ran."""
     rows = len(a)
     d = [row[:] for row in a]
     m = {name: [[int(i == j) for j in range(n)] for i in range(n)]
          for name, n in (("u", rows), ("u_inv", rows), ("v", cols), ("v_inv", cols))}
-    perm, units, nonzeros, steps = list(range(cols)), 0, [], {"bezout_columns": 0, "folds": 0}
+    perm, units, nonzeros, steps = list(range(cols)), 0, [], {"bezout_columns": 0,
+                                                                "bezout_sweeps": 0, "folds": 0}
 
     def count():
         return sum(x != 0 for name in ("d", *track) for row in (d if name == "d" else m[name])
@@ -491,10 +492,13 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
             for i in range(s + 1, rows):
                 if d[i][s]:
                     row_op(s, i, *_elementary(d[s][s], d[i][s]))
+            bezout = 0
             for j in [j for j in range(s + 1, cols) if d[s][j]]:
                 x, y, ca, cb = _elementary(d[s][s], d[s][j])
-                steps["bezout_columns"] += y != 0
+                bezout += y != 0
                 col_op(s, j, x, y, ca, cb)
+            steps["bezout_columns"] += bezout
+            steps["bezout_sweeps"] += bezout > 1
             if not any(d[i][s] for i in range(s + 1, rows)):
                 break
         if d[s][s] < 0:

@@ -398,8 +398,11 @@ TRACKS = [t for k in range(5) for t in itertools.combinations(("u", "u_inv", "v"
 @st.composite
 def reference_matrices(draw):
     """(column count, matrix): entries with units, or without them so that
-    Bezout steps and folds run, with zero rows and columns spliced in."""
-    values = draw(st.sampled_from([entries, unitless, st.sampled_from([0, 0, 1, -1, 2, -4, 6])]))
+    Bezout steps and folds run, or entries such as 10, 15 and 17, where
+    one column sweep takes several Bezout steps; with zero rows and
+    columns spliced in."""
+    values = draw(st.sampled_from([entries, unitless, st.sampled_from([0, 0, 1, -1, 2, -4, 6]),
+                                   st.sampled_from([0, 0, 10, -15, 17, 35])]))
     cols, a = draw(shaped_matrices(values, most=5))
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, cols))
@@ -413,6 +416,19 @@ def sparse_rows(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
+def assert_matches_reference(cols, a, track):
+    expected = reference_smith(a, cols, track)
+    d = sparse_rows(a)
+    kept = hm.smith_rows(d, cols, track)
+    assert [[row.get(j, 0) for j in range(cols)] for row in d] == expected["d"]
+    for name in track:  # U^-1 and V are kept transposed
+        n = len(kept[name])
+        dense = [[row.get(j, 0) for j in range(n)] for row in kept[name]]
+        assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
+            expected[name], name
+    assert kept["unit_columns"] == expected["unit_columns"]
+
+
 class TestEliminationMatchesReference:
     """`smith_rows` against `oracles.reference_smith`, the same pivot rule
     and steps on dense lists: every reduced row, every transform, the unit
@@ -422,17 +438,14 @@ class TestEliminationMatchesReference:
     @settings(max_examples=40, deadline=None)
     @given(shaped=reference_matrices())
     def test_rows_transforms_and_unit_columns(self, track, shaped):
-        cols, a = shaped
-        expected = reference_smith(a, cols, track)
-        d = sparse_rows(a)
-        kept = hm.smith_rows(d, cols, track)
-        assert [[row.get(j, 0) for j in range(cols)] for row in d] == expected["d"]
-        for name in track:  # U^-1 and V are kept transposed
-            n = len(kept[name])
-            dense = [[row.get(j, 0) for j in range(n)] for row in kept[name]]
-            assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
-                expected[name], name
-        assert kept["unit_columns"] == expected["unit_columns"]
+        assert_matches_reference(*shaped, track)
+
+    @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
+    def test_two_bezout_steps_in_one_sweep(self, track):
+        # at pivot 10 the steps (10, 15) and (5, 17) first put column 0
+        # into row 1, then clear it again: row 1 ends as {1: 20, 2: 5},
+        # whose least |entry| is no longer the 10 read before the sweep
+        assert_matches_reference(3, [[10, 15, 17], [0, 10, 35]], track)
 
     @settings(max_examples=200, deadline=None)
     @given(reference_matrices(), st.sampled_from(TRACKS), st.data())
@@ -457,7 +470,7 @@ class TestEliminationMatchesReference:
         with pytest.raises(BudgetError, match="^Smith form holds 1105 nonzeros, past budget 1000$"):
             hm.smith_rows([dict(row) for row in C.boundaries[4]], C.ranks[4], ("v", "v_inv"), 1000)
 
-    @pytest.mark.parametrize("step", ["bezout_columns", "folds"])
+    @pytest.mark.parametrize("step", ["bezout_columns", "bezout_sweeps", "folds"])
     def test_the_strategy_reaches_every_step(self, step):
         cols, a = find(reference_matrices(), lambda shaped: any(
             not any(row) for row in shaped[1]) and any(not any(c) for c in zip(*shaped[1]))

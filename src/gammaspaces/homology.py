@@ -55,9 +55,10 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
     side = {name: [kept[name]] if name in kept else [] for name in ("u", "u_inv", "v", "v_inv")}
     # (forward, inverse-transpose) rows of the row and of the column operations
     row_side, col_side = ([d, *side["u"]], side["u_inv"]), (side["v"], side["v_inv"])
-    # the original column at each position, the leading +-1 pivots so far,
-    # and each row's least |entry|, 0 until read after the row last changed
-    perm, units, least = list(range(cols)), 0, [0] * rows
+    # the original column at each position a swap moved, the leading +-1
+    # pivots so far, and each row's least |entry|, 0 until read after the
+    # row last changed
+    moved, units, least = {}, 0, [0] * rows
     # rows from s on are nonzero in columns from s on only, and every row
     # above s in its diagonal entry only
     for s in range(min(rows, cols)):
@@ -86,7 +87,7 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
         if pj != s:  # a swap has determinant -1: `_swap` makes it on the transforms
             _columns(d[s:], ((), ()), s, pj, 0, 1, 1, 0)
             _swap(col_side, s, pj)
-            perm[s], perm[pj] = perm[pj], perm[s]
+            moved[s], moved[pj] = moved.get(pj, pj), moved.get(s, s)
         # clearing one entry leaves the others in the pivot row and column
         # as they were, so only the nonzero ones are visited
         while True:
@@ -128,7 +129,7 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
                 changed = True
     if budget is not None:
         _check(held, budget)
-    return {**kept, "unit_columns": perm[:units]}
+    return {**kept, "unit_columns": [moved.get(j, j) for j in range(units)]}
 
 
 def _check(held, budget):

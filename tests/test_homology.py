@@ -4,7 +4,7 @@ import json
 import random
 
 import pytest
-from hypothesis import find, given, settings, strategies as st
+from hypothesis import example, find, given, settings, strategies as st
 
 from gammaspaces import homology as hm
 from gammaspaces import simplicial as ss
@@ -416,19 +416,6 @@ def sparse_rows(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
-def assert_matches_reference(cols, a, track):
-    expected = reference_smith(a, cols, track)
-    d = sparse_rows(a)
-    kept = hm.smith_rows(d, cols, track)
-    assert [[row.get(j, 0) for j in range(cols)] for row in d] == expected["d"]
-    for name in track:  # U^-1 and V are kept transposed
-        n = len(kept[name])
-        dense = [[row.get(j, 0) for j in range(n)] for row in kept[name]]
-        assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
-            expected[name], name
-    assert kept["unit_columns"] == expected["unit_columns"]
-
-
 class TestEliminationMatchesReference:
     """`smith_rows` against `oracles.reference_smith`, the same pivot rule
     and steps on dense lists: every reduced row, every transform, the unit
@@ -437,15 +424,22 @@ class TestEliminationMatchesReference:
     @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
     @settings(max_examples=40, deadline=None)
     @given(shaped=reference_matrices())
+    # at pivot 10 the steps (10, 15) and (5, 17) first put column 0 into
+    # row 1, then clear it again: row 1 ends as {1: 20, 2: 5}, whose least
+    # |entry| is no longer the 10 read before the sweep
+    @example(shaped=(3, [[10, 15, 17], [0, 10, 35]]))
     def test_rows_transforms_and_unit_columns(self, track, shaped):
-        assert_matches_reference(*shaped, track)
-
-    @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
-    def test_two_bezout_steps_in_one_sweep(self, track):
-        # at pivot 10 the steps (10, 15) and (5, 17) first put column 0
-        # into row 1, then clear it again: row 1 ends as {1: 20, 2: 5},
-        # whose least |entry| is no longer the 10 read before the sweep
-        assert_matches_reference(3, [[10, 15, 17], [0, 10, 35]], track)
+        cols, a = shaped
+        expected = reference_smith(a, cols, track)
+        d = sparse_rows(a)
+        kept = hm.smith_rows(d, cols, track)
+        assert [[row.get(j, 0) for j in range(cols)] for row in d] == expected["d"]
+        for name in track:  # U^-1 and V are kept transposed
+            n = len(kept[name])
+            dense = [[row.get(j, 0) for j in range(n)] for row in kept[name]]
+            assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
+                expected[name], name
+        assert kept["unit_columns"] == expected["unit_columns"]
 
     @settings(max_examples=200, deadline=None)
     @given(reference_matrices(), st.sampled_from(TRACKS), st.data())

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Run the classify ladder: the rungs of ROADMAP.md's state table, each as
-one CLI subprocess, and print its wall time, peak RSS and report digest.
+one CLI subprocess, and print its wall time, CPU time, peak RSS and report
+digest.
 
     python3 scripts/ladder.py                 # every rung, in table order
     python3 scripts/ladder.py z2_k2_h2 ...    # the named rungs only
@@ -9,11 +10,15 @@ The script first builds the `--levels 3` presheaf file of each fixture it
 needs in a temporary directory.  Each rung then runs
 `python -m gammaspaces.cli classify` on such a file, with the package taken
 from this checkout's `src/`, no bytecode written (`-B`) and a 3 GB address
-space (RLIMIT_AS).  The wall time includes interpreter start; the peak RSS
-is the child's own ru_maxrss; the digest is the sha256 of the report
-without its `meta` section, as the benchmark computes it.  A rung that
-fails or runs past TIMEOUT seconds prints its exit code (or DNF) and the last
-line of its stderr in place of a digest.
+space (RLIMIT_AS).  The wall time includes interpreter start; the CPU time
+is the child's own user plus system time and the peak RSS its own
+ru_maxrss; the digest is the sha256 of the report without its `meta`
+section, as the benchmark computes it.  The first line, `baseline`, gives
+the same figures for a child under the same settings that only imports
+`gammaspaces.cli`.  A rung that fails or runs past TIMEOUT seconds prints
+its exit code (or DNF) and the last line of its stderr in place of a
+digest; one whose report has an oracle comparison with match false prints
+the first such degree.  Either makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import time
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 ADDRESS_SPACE = 3 << 30
 TIMEOUT = 600  # seconds per child
+CLI = ["-m", "gammaspaces.cli"]
 # name: (fixture, classify arguments), in the state table's order
 RUNGS = {
     "z2_k2_h2": ("z2", ["--iterate", "2", "--dim", "4", "--homology", "2"]),
@@ -48,34 +54,45 @@ RUNGS = {
 }
 
 
-def cli(args: list[str], cwd: str):
-    """Run the CLI in a child with a capped address space; return its exit
-    code (None past the timeout), wall seconds, peak RSS in MB and stderr."""
+def child(args: list[str], cwd: str):
+    """Run `python -B *args` in a child with a capped address space; return
+    its exit code (None past the timeout), wall and CPU seconds, peak RSS in
+    MB and stderr."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
-        child = subprocess.Popen(
-            [sys.executable, "-B", "-m", "gammaspaces.cli", *args], cwd=cwd, env=env,
+        proc = subprocess.Popen(
+            [sys.executable, "-B", *args], cwd=cwd, env=env,
             stdout=subprocess.DEVNULL, stderr=err,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
                                                   (ADDRESS_SPACE, ADDRESS_SPACE)))
         killed = []
-        timer = threading.Timer(TIMEOUT, lambda: killed.append(child.kill()))
+        timer = threading.Timer(TIMEOUT, lambda: killed.append(proc.kill()))
         timer.start()
-        _, status, usage = os.wait4(child.pid, 0)  # reaped here, for the child's own rusage
+        _, status, usage = os.wait4(proc.pid, 0)  # reaped here, for the child's own rusage
         wall = time.perf_counter() - start
-        child.returncode = os.waitstatus_to_exitcode(status)
+        proc.returncode = os.waitstatus_to_exitcode(status)
         timer.cancel()
         timer.join()
-        code = None if killed else child.returncode
+        code = None if killed else proc.returncode
         err.seek(0)
-        return code, wall, usage.ru_maxrss / 1024, err.read().decode()
+        return (code, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024,
+                err.read().decode())
 
 
-def report_digest(path: pathlib.Path) -> str:
-    report = json.loads(path.read_text())
-    body = {k: v for k, v in report.items() if k != "meta"}
-    return hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+def verdict(report: dict) -> tuple[bool, str]:
+    """Whether a classify report passes its oracle comparisons, and the
+    line that says so: the report's digest, or the first degree whose
+    comparison has match false."""
+    for entry in report["delooping"]["oracle_comparisons"]:
+        if entry["match"] is False:
+            return False, f"oracle mismatch in degree {entry['degree']}"
+    body = json.dumps({k: v for k, v in report.items() if k != "meta"}, sort_keys=True)
+    return True, f"sha256 {hashlib.sha256(body.encode()).hexdigest()}"
+
+
+def line(name: str, wall: float, cpu: float, rss: float, result: str) -> str:
+    return f"{name:26s} {wall:8.2f} s {cpu:8.2f} s CPU {rss:8.1f} MB  {result}"
 
 
 def main() -> int:
@@ -88,8 +105,13 @@ def main() -> int:
             parser.error(f"unknown rung {name!r}")
     failed = False
     with tempfile.TemporaryDirectory() as work:
+        code, wall, cpu, rss, err = child(["-c", "import gammaspaces.cli"], work)
+        if code != 0:
+            raise SystemExit(f"baseline: exit {code}: {err.strip()}")
+        print(line("baseline", wall, cpu, rss, "import gammaspaces.cli"), flush=True)
         for fixture in dict.fromkeys(RUNGS[name][0] for name in args.rungs or RUNGS):
-            code, _, _, err = cli(["build", "--input", str(ROOT / "fixtures" / f"{fixture}.json"),
+            code, *_, err = child([*CLI, "build", "--input",
+                                   str(ROOT / "fixtures" / f"{fixture}.json"),
                                    "--levels", "3", "--out", f"{fixture}.json"], work)
             if code != 0:
                 raise SystemExit(f"build {fixture}: exit {code}: {err.strip()}")
@@ -97,15 +119,16 @@ def main() -> int:
             fixture, extra = RUNGS[name]
             out = pathlib.Path(work, f"{name}.out.json")
             out.unlink(missing_ok=True)
-            code, wall, rss, err = cli(["classify", "--input", f"{fixture}.json", *extra,
-                                        "--out", out.name], work)
+            code, wall, cpu, rss, err = child([*CLI, "classify", "--input", f"{fixture}.json",
+                                               *extra, "--out", out.name], work)
             if code == 0:
-                result = f"sha256 {report_digest(out)}"
+                passed, result = verdict(json.loads(out.read_text()))
+                failed |= not passed
             else:
                 failed = True
                 last = err.strip().rpartition("\n")[2]
                 result = "DNF" if code is None else f"exit {code}: {last}"
-            print(f"{name:26s} {wall:8.2f} s {rss:8.1f} MB  {result}", flush=True)
+            print(line(name, wall, cpu, rss, result), flush=True)
     return 1 if failed else 0
 
 

@@ -17,8 +17,7 @@ from .gammacat import (DeltaMap, GammaMap, GammaOpMap, bousfield_family,
                        identity, segal_family, smash_morphisms)
 from .ggamma import GGammaMap, diag_inclusion
 from .homology import (ChainComplex, HomologyGroup, InducedMap,
-                       induced_map_on_homology, normalized_chain_complex,
-                       smith_normal_form)
+                       induced_map_on_homology, normalized_chain_complex)
 from .presheaves import (CheckReport, TruncatedGammaSet,
                          build_gamma_set, build_ggamma_set,
                          check_strict_bousfield, check_strict_segal,

@@ -51,6 +51,13 @@ class GGammaMap:
         arbitrary labels cannot collide with the separator."""
         return f"{self.f.key()}|g{self.g}"
 
+    @classmethod
+    def from_key(cls, key: str, group: FiniteGroup) -> "GGammaMap":
+        map_part, _, tag = key.rpartition("|")
+        if not tag.startswith("g"):
+            raise ValueError("missing group-element tag")
+        return cls(gc.GammaOpMap.from_key(map_part), int(tag[1:]), group)
+
 
 def compose(b: GGammaMap, a: GGammaMap) -> GGammaMap:
     """b after a: compose the maps and multiply the group elements."""

@@ -542,11 +542,6 @@ def _morphism_from_key(key: str, group: FiniteGroup | None):
     """The morphism a stored key names: a pointed map, or a normalized pair
     over the group when there is one."""
     try:
-        if group is not None:
-            map_part, _, tag = key.rpartition("|")
-            if not tag.startswith("g"):
-                raise ValueError("missing group-element tag")
-            return gg.GGammaMap(gc.GammaOpMap.from_key(map_part), int(tag[1:]), group)
-        return gc.GammaOpMap.from_key(key)
+        return gc.GammaOpMap.from_key(key) if group is None else gg.GGammaMap.from_key(key, group)
     except (ValueError, KeyError, TypeError) as exc:
         raise InputError(f"bad morphism key {key!r}: {exc}") from exc

@@ -421,7 +421,7 @@ def _bezout(aa: int, bb: int) -> tuple[int, int, int]:
     return g, y, x - (aa // bb) * y
 
 
-def _elementary(aa: int, bb: int) -> tuple[int, int, int, int]:
+def elementary(aa: int, bb: int) -> tuple[int, int, int, int]:
     """[[x, y], [ca, cb]] of determinant 1 taking (aa, bb) to (g, 0): a
     subtraction when aa divides bb, else the extended Euclidean pair with
     g > 0."""
@@ -446,13 +446,15 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
     Returns D, U, U^-1, V and V^-1 with U @ a @ V = D, the original columns
     of the leading +-1 pivots, the nonzeros that D and the transforms in
     `track` hold at each pivot and at the end, and how many Bezout column
-    steps, column sweeps with more than one of them, and folds ran."""
+    steps, column sweeps with more than one of them, and folds ran, and how
+    many times a row that one Bezout step of a sweep gave column s had it
+    cleared by a later one."""
     rows = len(a)
     d = [row[:] for row in a]
     m = {name: [[int(i == j) for j in range(n)] for i in range(n)]
          for name, n in (("u", rows), ("u_inv", rows), ("v", cols), ("v_inv", cols))}
-    perm, units, nonzeros, steps = list(range(cols)), 0, [], {"bezout_columns": 0,
-                                                                "bezout_sweeps": 0, "folds": 0}
+    perm, units, nonzeros = list(range(cols)), 0, []
+    steps = {"bezout_columns": 0, "bezout_sweeps": 0, "refills_cleared": 0, "folds": 0}
 
     def count():
         return sum(x != 0 for name in ("d", *track) for row in (d if name == "d" else m[name])
@@ -491,12 +493,16 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
         while True:
             for i in range(s + 1, rows):
                 if d[i][s]:
-                    row_op(s, i, *_elementary(d[s][s], d[i][s]))
-            bezout = 0
+                    row_op(s, i, *elementary(d[s][s], d[i][s]))
+            bezout, filled = 0, set()  # the rows below s a Bezout step put column s into
             for j in [j for j in range(s + 1, cols) if d[s][j]]:
-                x, y, ca, cb = _elementary(d[s][s], d[s][j])
+                x, y, ca, cb = elementary(d[s][s], d[s][j])
                 bezout += y != 0
                 col_op(s, j, x, y, ca, cb)
+                if y:
+                    now = {i for i in range(s + 1, rows) if d[i][s]}
+                    steps["refills_cleared"] += len(filled - now)
+                    filled = now
             steps["bezout_columns"] += bezout
             steps["bezout_sweeps"] += bezout > 1
             if not any(d[i][s] for i in range(s + 1, rows)):
@@ -513,7 +519,7 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
         for i in range(rank - 1):
             if d[i + 1][i + 1] % d[i][i]:
                 col_op(i + 1, i, 1, 0, 1, 1)  # column i += column i + 1
-                row_op(i, i + 1, *_elementary(d[i][i], d[i + 1][i]))
+                row_op(i, i + 1, *elementary(d[i][i], d[i + 1][i]))
                 col_op(i, i + 1, 1, 0, -(d[i][i + 1] // d[i][i]), 1)
                 steps["folds"] += 1
                 folded = True

@@ -455,6 +455,13 @@ class TestDeloopingReports:
         assert report.g_action_on_h["0"][1] == [[1]]
         assert report.g_action_on_h["1"][1] == [[2]]
 
+    def test_induced_swap_action_on_h1(self):
+        X = ps.build_ggamma_set(alg.swap_action(), 4)
+        report = cb.delooping_report(cb.bar(X, 1, 4), 1)
+        assert report.homology[1] == HomologyGroup(0, (2, 2))
+        assert report.g_action_on_h["0"][1] == [[1, 0], [0, 1]]
+        assert report.g_action_on_h["1"][1] == [[1, 0], [1, 1]]
+
     @pytest.mark.parametrize("algebra, built", [
         (KLEIN, 0), (alg.swap_action(), 3)], ids=["klein", "swap_on_klein"])
     def test_presentations_only_for_induced_maps(self, monkeypatch, algebra, built):

@@ -326,6 +326,20 @@ class TestMalformedPresheafFiles:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("key, reason", [
+        ("1>1:0,1", "missing group-element tag"),
+        ("1>1:0,1|gx", "invalid literal for int() with base 10: 'x'"),
+        ("1>1:0,1|g2", "group element index 2 out of range")],
+        ids=["no_tag", "tag_not_integer", "tag_out_of_range"])
+    def test_bad_group_element_tag_names_the_key(self, tmp_path, capsys, key, reason):
+        presheaf = build(tmp_path, "z2_inversion_on_z3")
+        data = json.loads(presheaf.read_text())
+        data["maps"][key] = data["maps"]["1>1:0,1|g0"]
+        presheaf.write_text(json.dumps(data))
+        line = f"input error: bad morphism key {key!r}: {reason}\n"
+        for command in (["check", "--segal"], ["roundtrip"], ["classify"]):
+            assert run([*command, "--input", str(presheaf)], capsys) == (2, "", line), command
+
 
 class TestUndecodableInput:
     @pytest.mark.parametrize("command", [["build"], ["check", "--segal"], ["roundtrip"],

@@ -56,6 +56,10 @@ class TestGGammaMap:
                         assert wedge_action_table(lhs) == wedge_action_table(rhs)
                         assert lhs == rhs
 
+    def test_key_roundtrip(self):
+        for a in gg.enumerate_ggamma_maps(2, 3, Z3):
+            assert gg.GGammaMap.from_key(a.key(), Z3) == a
+
     def test_zero_map_normalization(self):
         zero = gc.zero_map(2, 2)
         for g in range(2):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import math
 import random
 
 import pytest
@@ -12,9 +13,9 @@ from gammaspaces.algebra import cyclic, klein_four, max_monoid
 from gammaspaces.errors import BudgetError, TruncationError
 from oracles import (bar_resolution_boundaries, bar_resolution_homology, chain_complex,
                      compose_maps, constant_map_to_point, determinantal_homology,
-                     determinantal_invariants, em_two_cocycle_space, full_chain_complex,
-                     identity_map, map_from_label_maps, nerve_of_monoid, presentation_group,
-                     reference_smith, snf_diagonal, verify_snf)
+                     determinantal_invariants, elementary, em_two_cocycle_space,
+                     full_chain_complex, identity_map, map_from_label_maps, nerve_of_monoid,
+                     presentation_group, reference_smith, snf_diagonal, verify_snf)
 
 int_matrices = st.integers(1, 5).flatmap(
     lambda r: st.integers(1, 5).flatmap(
@@ -395,15 +396,46 @@ class TestSparseElimination:
 TRACKS = [t for k in range(5) for t in itertools.combinations(("u", "u_inv", "v", "v_inv"), k)]
 
 
+def _refilled_rows():
+    """Each pivot row [p, a, b] whose column sweep takes two Bezout steps,
+    with the row [0, c, e] below it, in lowest terms, whose column 0 the
+    first step fills and the second clears again; kept where the least
+    |entry| of [0, c, e] is none of its |entries| after the sweep, so that
+    this least |entry|, read before the sweep, is stale after it."""
+    for p, a, b in itertools.product([*range(-12, -1), *range(2, 13)], range(-30, 31),
+                                     range(-40, 41)):
+        g = math.gcd(p, a)
+        if abs(a) > abs(p) < abs(b) and a % p and b % g:
+            _, y1, _, cb1 = elementary(p, a)
+            x2, y2, ca2, cb2 = elementary(g, b)
+            c, e = y2, -x2 * y1  # column 0: y1 * c after the first step, 0 after the second
+            if min(abs(c), abs(e)) not in {abs(cb1 * c), abs(ca2 * y1 * c + cb2 * e)}:
+                yield [p, a, b], [0, c, e]
+
+
+REFILLED_ROWS = list(_refilled_rows())
+
+
+@st.composite
+def refilled_rows(draw):
+    """(3, [[p, a, b], [0, c, e]]) from REFILLED_ROWS, the lower row scaled
+    by a multiple of |p| so that p stays the pivot, as in the pinned
+    [[10, 15, 17], [0, 10, 35]]."""
+    top, below = draw(st.sampled_from(REFILLED_ROWS))
+    t = abs(top[0]) * draw(st.sampled_from([1, -1, 2]))
+    return 3, [top, [t * x for x in below]]
+
+
 @st.composite
 def reference_matrices(draw):
     """(column count, matrix): entries with units, or without them so that
     Bezout steps and folds run, or entries such as 10, 15 and 17, where
-    one column sweep takes several Bezout steps; with zero rows and
-    columns spliced in."""
-    values = draw(st.sampled_from([entries, unitless, st.sampled_from([0, 0, 1, -1, 2, -4, 6]),
-                                   st.sampled_from([0, 0, 10, -15, 17, 35])]))
-    cols, a = draw(shaped_matrices(values, most=5))
+    one column sweep takes several Bezout steps, or rows that such a sweep
+    fills and clears again; with zero rows and columns spliced in."""
+    values = st.sampled_from([entries, unitless, st.sampled_from([0, 0, 1, -1, 2, -4, 6]),
+                              st.sampled_from([0, 0, 10, -15, 17, 35])])
+    cols, a = draw(st.one_of(values.flatmap(lambda v: shaped_matrices(v, most=5)),
+                             refilled_rows()))
     for _ in range(draw(st.integers(0, 2))):
         j = draw(st.integers(0, cols))
         a, cols = [row[:j] + [0] + row[j:] for row in a], cols + 1
@@ -464,7 +496,8 @@ class TestEliminationMatchesReference:
         with pytest.raises(BudgetError, match="^Smith form holds 1105 nonzeros, past budget 1000$"):
             hm.smith_rows([dict(row) for row in C.boundaries[4]], C.ranks[4], ("v", "v_inv"), 1000)
 
-    @pytest.mark.parametrize("step", ["bezout_columns", "bezout_sweeps", "folds"])
+    @pytest.mark.parametrize("step", ["bezout_columns", "bezout_sweeps", "refills_cleared",
+                                      "folds"])
     def test_the_strategy_reaches_every_step(self, step):
         cols, a = find(reference_matrices(), lambda shaped: any(
             not any(row) for row in shaped[1]) and any(not any(c) for c in zip(*shaped[1]))

@@ -24,6 +24,7 @@ from .simplicial import SimplicialMap, TruncatedSimplicialSet
 
 Matrix = list  # dense: list of rows, each a list of ints
 Row = dict  # sparse row or chain: index -> nonzero coefficient
+LONG_ROW = 1024  # entries of a pivot row past which a row clear adds the shorter row
 
 
 def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
@@ -37,15 +38,23 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
     The pivot is the smallest nonzero |entry|, lowest row first, then lowest
     column, so the output is deterministic and does not depend on `track`.
     A pivot search reads each row's least |entry| from a cache that row
-    clears and Bezout column steps reset, and the pivot column, read upward from column s, is
-    swapped into place only in the rows that hold it or column s.
+    clears and Bezout column steps reset, and the pivot column, read upward
+    from column s, is swapped into place only in the rows that hold it or
+    column s.  A pivot row of more than LONG_ROW entries is added into each
+    row below as the shorter of the two into the longer (`_added`).  A
+    pivot that divides its whole row clears it in one pass, each entry's
+    column subtraction made on the transforms alone; any other row is swept
+    by subtractions and Bezout steps, column by column.
     A row operation M on D acts on the rows of U and, as M^-T, on the rows
     of U^-1 transposed; a column operation acts the same way on V
     transposed and on V^-1.  Every operation sends zeros to zeros, so the
     output is entry for entry that of the same elimination on dense rows.
     With a `budget`, BudgetError is raised at a pivot where D and the
-    transforms hold more nonzeros than that.
+    transforms hold more nonzeros than that.  A name in `track` other than
+    "u", "u_inv", "v" and "v_inv" raises ValueError.
     """
+    if not set(track) <= {"u", "u_inv", "v", "v_inv"}:
+        raise ValueError(f"unknown transform in {track!r}: smith_rows keeps u, u_inv, v and v_inv")
     rows = len(d)
     kept = {name: [{i: 1} for i in range(rows if name[0] == "u" else cols)] for name in track}
     held = [d, *kept.values()]
@@ -91,15 +100,21 @@ def smith_rows(d: list[Row], cols: int, track: tuple[str, ...] = (),
         # clearing one entry leaves the others in the pivot row and column
         # as they were, so only the nonzero ones are visited
         while True:
+            long = len(d[s]) > LONG_ROW
             for i in [i for i in range(s + 1, rows) if s in d[i]]:
-                _pair(row_side, s, i, *_coefficients(d[s][s], d[i][s]))
+                _pair(row_side, s, i, *_coefficients(d[s][s], d[i][s]), long)
                 least[i] = 0
             if len(d[s]) == 1:
                 break
+            u = d[s][s]
             # a unit divides every entry without reading the row
-            if not any(col_side) and (d[s][s] in (1, -1)
-                                      or not any(map(d[s][s].__rmod__, d[s].values()))):
-                d[s] = {s: d[s][s]}  # each column operation would clear its entry only
+            if u in (1, -1) or not any(map(u.__rmod__, d[s].values())):
+                # column s is zero below the pivot, so each subtraction
+                # clears its entry of row s and changes no other row of D
+                if any(col_side):
+                    for j, x in sorted(d[s].items())[1:]:
+                        _pair(col_side, s, j, 1, 0, -(x // u), 1)
+                d[s] = {s: u}
                 break
             live = [d[s]]  # the rows nonzero in column s
             for j in sorted(d[s])[1:]:
@@ -165,6 +180,22 @@ def _add(target: Row, source: Row, q: int) -> None:
                 del target[j]
 
 
+def _added(target: Row, source: Row, q: int) -> Row:
+    """target + q * source, the shorter row added into the longer: into
+    target in place, or into one copy of q * source, which is returned.
+    Adding entry by entry costs a lookup and an insertion per entry, and
+    a long pivot row mostly brings columns new to the row it clears."""
+    if len(target) >= len(source):
+        _add(target, source, q)
+        return target
+    row = dict(source)  # copies the hash table as it is, q = 1 at nearly every call
+    if q != 1:
+        for j, x in source.items():
+            row[j] = q * x
+    _add(row, target, 1)
+    return row
+
+
 def _mix(ra: Row, rb: Row, x, y, ca, cb) -> tuple[Row, Row]:
     """The rows x*ra + y*rb and ca*ra + cb*rb."""
     na, nb = {}, {}
@@ -187,13 +218,16 @@ def _swap(side, a, b):
         m[a], m[b] = m[b], m[a]
 
 
-def _pair(side, a, b, x, y, ca, cb):
+def _pair(side, a, b, x, y, ca, cb, long=False):
     # forward rows (a, b) by [[x, y], [ca, cb]], inverse transpose by
-    # [[cb, -ca], [-y, x]]; a subtraction (y = 0) rewrites one row in place
+    # [[cb, -ca], [-y, x]]; a subtraction (y = 0) rewrites one row, in
+    # place unless row a is `long` and the longer of the two
     fwds, invs = side
     for m in fwds:
         if y:
             m[a], m[b] = _mix(m[a], m[b], x, y, ca, cb)
+        elif long:
+            m[b] = _added(m[b], m[a], ca)
         else:
             _add(m[b], m[a], ca)
     for m in invs:
@@ -385,6 +419,7 @@ class HomologyPresentation:
         self.free_positions = list(range(rel_rank, n_p - self._rank))
         self.positions = torsion_positions + self.free_positions
         self._generators: list[Row] | None = None
+        self._by_columns: tuple[list[Row], list[Row]] | None = None  # for `coordinates`
 
     def relation_rows(self, boundary_rows: list[Row], budget: int | None = None) -> list[Row]:
         """The next boundary, given by its sparse rows, in kernel
@@ -392,11 +427,8 @@ class HomologyPresentation:
         boundary row r."""
         relations, nonzeros = [], 0
         for row in self._v_inv[self._rank:]:
-            relation = {}
-            for r, x in row.items():
-                _add(relation, boundary_rows[r], x)
-            relations.append(relation)
-            nonzeros += len(relation)
+            relations.append(_apply(boundary_rows, row))
+            nonzeros += len(relations[-1])
             if budget is not None and nonzeros > budget:
                 raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {budget}")
         return relations
@@ -407,11 +439,24 @@ class HomologyPresentation:
     def coordinates(self, cycles: list[Row]) -> tuple[tuple[int, ...], ...]:
         """Canonical coordinates of sparse cycles in the chain basis: row i
         holds coordinate i of every cycle, torsion coordinates reduced mod
-        their order.  Raises ValueError if some chain is not a cycle."""
-        if any(_apply(self._v_inv[:self._rank], cycle) for cycle in cycles):
-            raise ValueError("not a cycle")
-        u = [self._rel_u[pos] for pos in self.positions]
-        coords = [_apply(u, _apply(self._v_inv[self._rank:], cycle)) for cycle in cycles]
+        their order.  Raises ValueError if some chain is not a cycle.
+
+        A chain z goes through V^-1 and then through U's rows at the
+        canonical positions, each applied as Σ_r z[r] * (column r): their
+        columns are transposed on first use and kept, so a product reads
+        only the columns where z is nonzero.  z is a cycle exactly when
+        V^-1 z vanishes in the first rank coordinates."""
+        if self._by_columns is None:
+            u = [self._rel_u[pos] for pos in self.positions]
+            self._by_columns = (_transposed(self._v_inv, len(self._v_inv)),
+                                [{}] * self._rank + _transposed(u, len(self.kernel)))
+        v_inv, u = self._by_columns
+        coords = []
+        for cycle in cycles:
+            kernel = _apply(v_inv, cycle)
+            if any(i < self._rank for i in kernel):
+                raise ValueError("not a cycle")
+            coords.append(_apply(u, kernel))
         orders = self.torsion + (0,) * len(self.free_positions)
         return tuple(tuple(c.get(i, 0) % t if t else c.get(i, 0) for c in coords)
                      for i, t in enumerate(orders))
@@ -420,17 +465,29 @@ class HomologyPresentation:
         """Representative cycles as sparse chains, one per canonical
         coordinate; computed on first use and shared."""
         if self._generators is None:
-            self._generators = [{} for _ in self.positions]
-            for cycle, pos in zip(self._generators, self.positions):
-                for k, x in self._rel_u_inv[pos].items():  # column pos of U^-1, kept transposed
-                    _add(cycle, self.kernel[k], x)
+            # column pos of U^-1, kept transposed, in the kernel basis
+            self._generators = [_apply(self.kernel, self._rel_u_inv[pos])
+                                for pos in self.positions]
         return self._generators
 
 
 def _apply(rows: list[Row], chain: Row) -> Row:
-    """The matrix of sparse `rows` times a sparse chain."""
-    return {i: x for i, row in enumerate(rows)
-            if (x := sum(row[r] * chain[r] for r in row.keys() & chain.keys()))}
+    """The sparse sum of chain[r] * rows[r]: the chain times the matrix of
+    `rows`, or the transpose of that matrix times the chain, reading only
+    the rows where the chain is nonzero."""
+    image = {}
+    for r, x in chain.items():
+        _add(image, rows[r], x)
+    return image
+
+
+def _transposed(rows: list[Row], cols: int) -> list[Row]:
+    """The `cols` columns of sparse `rows`, as sparse rows."""
+    columns = [{} for _ in range(cols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            columns[j][i] = x
+    return columns
 
 
 @dataclass(frozen=True)

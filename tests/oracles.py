@@ -445,7 +445,8 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
     multiple of the first are folded to (gcd, lcm), sweep after sweep.
     Returns D, U, U^-1, V and V^-1 with U @ a @ V = D, the original columns
     of the leading +-1 pivots, the nonzeros that D and the transforms in
-    `track` hold at each pivot and at the end, and how many Bezout column
+    `track` hold at each pivot and at the end, those of each of the five
+    matrices apart under "held", and how many Bezout column
     steps, column sweeps with more than one of them, and folds ran, and how
     many times a row that one Bezout step of a sweep gave column s had it
     cleared by a later one."""
@@ -453,12 +454,13 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
     d = [row[:] for row in a]
     m = {name: [[int(i == j) for j in range(n)] for i in range(n)]
          for name, n in (("u", rows), ("u_inv", rows), ("v", cols), ("v_inv", cols))}
-    perm, units, nonzeros = list(range(cols)), 0, []
+    perm, units, nonzeros, held = list(range(cols)), 0, [], []
     steps = {"bezout_columns": 0, "bezout_sweeps": 0, "refills_cleared": 0, "folds": 0}
 
     def count():
-        return sum(x != 0 for name in ("d", *track) for row in (d if name == "d" else m[name])
-                   for x in row)
+        held.append({name: sum(x != 0 for row in (d if name == "d" else m[name]) for x in row)
+                     for name in ("d", *m)})
+        return sum(held[-1][name] for name in ("d", *track))
 
     def row_op(i, k, x, y, ca, cb):  # rows (i, k) by [[x, y], [ca, cb]]
         for t in (d, m["u"]):
@@ -524,7 +526,8 @@ def reference_smith(a: Matrix, cols: int, track: tuple[str, ...] = ()) -> dict:
                 steps["folds"] += 1
                 folded = True
     nonzeros.append(count())
-    return {"d": d, **m, "unit_columns": perm[:units], "nonzeros": nonzeros, "steps": steps}
+    return {"d": d, **m, "unit_columns": perm[:units], "nonzeros": nonzeros, "held": held,
+            "steps": steps}
 
 
 def snf_diagonal(a: Matrix) -> list[int]:

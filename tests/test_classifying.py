@@ -462,6 +462,26 @@ class TestDeloopingReports:
         assert report.g_action_on_h["0"][1] == [[1, 0], [0, 1]]
         assert report.g_action_on_h["1"][1] == [[1, 0], [1, 1]]
 
+    @pytest.mark.parametrize("name, k, d, top", [
+        pytest.param(name, k, d, top, id=f"{name}-k{k}",
+                     marks=[pytest.mark.slow] if (name, k) == ("z2_swap_on_klein", 2) else [])
+        for name in ACTION_FIXTURES for k, d, top in [(1, 5, 4), (2, 3, 2)]])
+    def test_the_action_on_homology_is_a_representation(self, name, k, d, top):
+        # in every degree M(e) = I and M(g) M(h) = M(gh), row i of the
+        # product reduced mod the order of target coordinate i (0: free)
+        A = alg.GMonoid.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        report = cb.delooping_report(cb.iterate_bar(ps.build_ggamma_set(A, 16), k, d), top)
+        M = [report.g_action_on_h[str(g)] for g in A.group.elements]
+        for q, group in enumerate(report.homology):
+            orders = group.torsion + (0,) * group.rank
+            n = len(orders)
+            assert M[0][q] == [[int(i == j) for j in range(n)] for i in range(n)]
+            for g, h in itertools.product(range(A.group.size), repeat=2):
+                product = [[sum(M[g][q][i][m] * M[h][q][m][j] for m in range(n))
+                            for j in range(n)] for i in range(n)]
+                assert [[x % t if t else x for x in row] for row, t in zip(product, orders)] \
+                    == M[A.group.table[g][h]][q], (q, g, h)
+
     @pytest.mark.parametrize("algebra, built", [
         (KLEIN, 0), (alg.swap_action(), 3)], ids=["klein", "swap_on_klein"])
     def test_presentations_only_for_induced_maps(self, monkeypatch, algebra, built):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -327,6 +328,10 @@ class TestSparseElimination:
         assert dense_invariants(padded) == expected
         assert h0(cols + 1, padded) == cokernel(padded, expected)
 
+    def test_an_unknown_transform_is_refused(self):
+        with pytest.raises(ValueError, match=r"keeps u, u_inv, v and v_inv$"):
+            hm.smith_rows([{0: 1}, {1: 1}], 2, ("vinv",))
+
     def test_empty_shapes(self):
         assert h0(0, []) == hm.HomologyGroup(0)
         assert h0(3, []) == hm.HomologyGroup(0)
@@ -448,6 +453,28 @@ def sparse_rows(a):
     return [{j: x for j, x in enumerate(row) if x} for row in a]
 
 
+def long_rows():
+    """(1,600, four rows) whose first pivot row passes LONG_ROW: row 0 has
+    1,200 entries and its +-1 pivot in column 0, and goes into row 1's 300
+    entries as a copy and into row 2's 1,400 in place; row 3, zero in
+    column 0 and with no unit, meets only the longer rows that follow.
+    Entries of +-1 and +-2 make some shared columns cancel."""
+    rng = random.Random(28)
+    cols, a = 1600, []
+    for n, values in [(1200, [1, -1, 2, -2]), (300, [1, -1, 2, -2, 3]),
+                      (1400, [1, -1, 2, -2, 3]), (1100, [2, -2, 3, 4])]:
+        support = set(rng.sample(range(1, cols), n - 1)) | {0 if len(a) < 3 else 1}
+        a.append([rng.choice(values) if j in support else 0 for j in range(cols)])
+    a[0][0] = 1
+    return cols, a
+
+
+@functools.cache
+def long_rows_reference():
+    cols, a = long_rows()
+    return reference_smith(a, cols, ("u", "u_inv", "v", "v_inv"))
+
+
 class TestEliminationMatchesReference:
     """`smith_rows` against `oracles.reference_smith`, the same pivot rule
     and steps on dense lists: every reduced row, every transform, the unit
@@ -472,6 +499,29 @@ class TestEliminationMatchesReference:
             assert (dense if name in ("u", "v_inv") else [list(c) for c in zip(*dense)]) == \
                 expected[name], name
         assert kept["unit_columns"] == expected["unit_columns"]
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
+    def test_long_pivot_rows(self, track):
+        cols, a = long_rows()
+        lengths = [len(row) for row in sparse_rows(a)]
+        assert lengths[1] < lengths[0] < lengths[2] and lengths[0] > hm.LONG_ROW
+        expected = long_rows_reference()
+        d = sparse_rows(a)
+        kept = hm.smith_rows(d, cols, track)
+        assert d == sparse_rows(expected["d"])
+        for name in track:  # U^-1 and V are kept transposed
+            dense = expected[name] if name in ("u", "v_inv") else [list(c) for c in
+                                                                    zip(*expected[name])]
+            assert kept[name] == sparse_rows(dense), name
+        assert kept["unit_columns"] == expected["unit_columns"]
+        # the nonzeros at each pivot: a budget one below each count refuses
+        # at the first pivot that holds as many
+        counts = [sum(held[name] for name in ("d", *track)) for held in expected["held"]]
+        for budget in [n - 1 for n in counts]:
+            past = next(n for n in counts if n > budget)
+            with pytest.raises(BudgetError, match=f"^Smith form holds {past} nonzeros, "):
+                hm.smith_rows(sparse_rows(a), cols, track, budget)
 
     @settings(max_examples=200, deadline=None)
     @given(reference_matrices(), st.sampled_from(TRACKS), st.data())

@@ -454,18 +454,20 @@ def sparse_rows(a):
 
 
 def long_rows():
-    """(1,600, four rows) whose first pivot row passes LONG_ROW: row 0 has
-    1,200 entries and its +-1 pivot in column 0, and goes into row 1's 300
-    entries as a copy and into row 2's 1,400 in place; row 3, zero in
-    column 0 and with no unit, meets only the longer rows that follow.
-    Entries of +-1 and +-2 make some shared columns cancel."""
+    """(1,600, five rows) whose first pivot row passes LONG_ROW: row 0 has
+    1,201 entries and its +-1 pivot in column 0, and goes into the 301 of
+    row 1 as a copy, into the 251 of row 4 as a doubled copy and into the
+    1,401 of row 2 in place; row 3, zero in column 0 and with no unit,
+    meets only the longer rows that follow.  Entries of +-1 and +-2 make
+    some shared columns cancel."""
     rng = random.Random(28)
     cols, a = 1600, []
     for n, values in [(1200, [1, -1, 2, -2]), (300, [1, -1, 2, -2, 3]),
-                      (1400, [1, -1, 2, -2, 3]), (1100, [2, -2, 3, 4])]:
-        support = set(rng.sample(range(1, cols), n - 1)) | {0 if len(a) < 3 else 1}
+                      (1400, [1, -1, 2, -2, 3]), (1100, [2, -2, 3, 4]), (250, [1, -1, 2])]:
+        support = set(rng.sample(range(1, cols), n))
         a.append([rng.choice(values) if j in support else 0 for j in range(cols)])
-    a[0][0] = 1
+    for row, x in zip(a, [1, -1, 1, 0, 2]):
+        row[0] = x
     return cols, a
 
 
@@ -505,7 +507,7 @@ class TestEliminationMatchesReference:
     def test_long_pivot_rows(self, track):
         cols, a = long_rows()
         lengths = [len(row) for row in sparse_rows(a)]
-        assert lengths[1] < lengths[0] < lengths[2] and lengths[0] > hm.LONG_ROW
+        assert lengths[4] < lengths[1] < lengths[0] < lengths[2] and lengths[0] > hm.LONG_ROW
         expected = long_rows_reference()
         d = sparse_rows(a)
         kept = hm.smith_rows(d, cols, track)

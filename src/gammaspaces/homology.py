@@ -188,10 +188,8 @@ def _added(target: Row, source: Row, q: int) -> Row:
     if len(target) >= len(source):
         _add(target, source, q)
         return target
-    row = dict(source)  # copies the hash table as it is, q = 1 at nearly every call
-    if q != 1:
-        for j, x in source.items():
-            row[j] = q * x
+    # q is 1 at nearly every call, and dict() copies the hash table as it is
+    row = dict(source) if q == 1 else {j: q * x for j, x in source.items()}
     _add(row, target, 1)
     return row
 
@@ -419,7 +417,7 @@ class HomologyPresentation:
         self.free_positions = list(range(rel_rank, n_p - self._rank))
         self.positions = torsion_positions + self.free_positions
         self._generators: list[Row] | None = None
-        self._by_columns: tuple[list[Row], list[Row]] | None = None  # for `coordinates`
+        self._by_columns = None  # V^-1 and U's kept rows by columns, for `coordinates`
 
     def relation_rows(self, boundary_rows: list[Row], budget: int | None = None) -> list[Row]:
         """The next boundary, given by its sparse rows, in kernel
@@ -451,12 +449,10 @@ class HomologyPresentation:
             self._by_columns = (_transposed(self._v_inv, len(self._v_inv)),
                                 [{}] * self._rank + _transposed(u, len(self.kernel)))
         v_inv, u = self._by_columns
-        coords = []
-        for cycle in cycles:
-            kernel = _apply(v_inv, cycle)
-            if any(i < self._rank for i in kernel):
-                raise ValueError("not a cycle")
-            coords.append(_apply(u, kernel))
+        coords = [_apply(v_inv, cycle) for cycle in cycles]
+        if any(i < self._rank for c in coords for i in c):
+            raise ValueError("not a cycle")
+        coords = [_apply(u, c) for c in coords]
         orders = self.torsion + (0,) * len(self.free_positions)
         return tuple(tuple(c.get(i, 0) % t if t else c.get(i, 0) for c in coords)
                      for i, t in enumerate(orders))

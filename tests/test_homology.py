@@ -502,7 +502,6 @@ class TestEliminationMatchesReference:
                 expected[name], name
         assert kept["unit_columns"] == expected["unit_columns"]
 
-    @pytest.mark.slow
     @pytest.mark.parametrize("track", TRACKS, ids=lambda t: "+".join(t) or "none")
     def test_long_pivot_rows(self, track):
         cols, a = long_rows()

@@ -456,8 +456,8 @@ def sparse_rows(a):
 def long_rows():
     """(1,600, five rows) whose first pivot row passes LONG_ROW: row 0 has
     1,201 entries and its +-1 pivot in column 0, and goes into the 301 of
-    row 1 as a copy, into the 251 of row 4 as a doubled copy and into the
-    1,401 of row 2 in place; row 3, zero in column 0 and with no unit,
+    row 1 as a copy, into the 251 of row 4 as a copy scaled by -2 and
+    into the 1,401 of row 2 in place; row 3, zero in column 0 and with no unit,
     meets only the longer rows that follow.  Entries of +-1 and +-2 make
     some shared columns cancel."""
     rng = random.Random(28)

@@ -92,7 +92,7 @@ def verdict(report: dict) -> tuple[bool, str]:
 
 
 def line(name: str, wall: float, cpu: float, rss: float, result: str) -> str:
-    return f"{name:26s} {wall:8.2f} s {cpu:8.2f} s CPU {rss:8.1f} MB  {result}"
+    return f"{name:26s} {wall:8.3f} s {cpu:8.3f} s CPU {rss:8.1f} MB  {result}"
 
 
 def main() -> int:

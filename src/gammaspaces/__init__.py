@@ -16,8 +16,8 @@ from .gammacat import (DeltaMap, GammaMap, GammaOpMap, bousfield_family,
                        compose, delta_to_gamma, fold_map, from_power_set_form,
                        identity, segal_family, smash_morphisms)
 from .ggamma import GGammaMap, diag_inclusion
-from .homology import (ChainComplex, HomologyGroup, InducedMap,
-                       induced_map_on_homology, normalized_chain_complex)
+from .homology import (ChainComplex, HomologyGroup, induced_map_on_homology,
+                       normalized_chain_complex)
 from .presheaves import (CheckReport, TruncatedGammaSet,
                          build_gamma_set, build_ggamma_set,
                          check_strict_bousfield, check_strict_segal,

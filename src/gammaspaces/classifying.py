@@ -297,19 +297,14 @@ def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None
     in degree q; None when outside the range tabulated here."""
     if not A.is_group():
         raise ValueError("expected homology needs a group, not a monoid without inverses")
-    return _expected_from_invariants(_cyclic_decomposition(A), k, q)
-
-
-def _expected_from_invariants(invariants: list[int], k: int, q: int) -> HomologyGroup | None:
-    """expected_em_homology for the group with these invariant factors."""
     if q == 0:
         return HomologyGroup(1)
     if k == 1:
-        return _canonical_group(_cyclic_list_homology(invariants, q))
+        return _canonical_group(_cyclic_list_homology(_cyclic_decomposition(A), q))
     if q < k:
         return HomologyGroup(0)
     if q == k:
-        return _canonical_group(list(invariants))
+        return _canonical_group(_cyclic_decomposition(A))
     if q == k + 1:
         return HomologyGroup(0)
     return None
@@ -319,7 +314,6 @@ def _expected_from_invariants(invariants: list[int], k: int, q: int) -> Homology
 class DeloopingReport:
     iterations: int
     d: int
-    maxdeg: int
     levels: list[int]
     homology: list[HomologyGroup]
     g_action_on_h: dict = field(default_factory=dict)
@@ -342,15 +336,15 @@ class DeloopingReport:
 
 
 def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> DeloopingReport:
-    """Homology of the bar B through degree maxdeg, with the induced
-    action of every group element and, when the presheaf came from a
-    group, a comparison against the expected pattern of its delooping.
-    Degree maxdeg needs B.d > maxdeg.  A bar without a group takes its
-    groups from the boundaries, each cleared by the unit pivots of the one
-    below.  A bar with a group builds a presentation per degree, whose
-    representative cycles the induced maps need, and reads each group off
-    it.  An elimination whose nonzeros pass the budget raises
-    BudgetError."""
+    """Homology of the bar B through degree maxdeg, with the matrix of the
+    induced action of every group element in each degree and, when the
+    presheaf came from a group, a comparison against
+    `expected_em_homology` in each degree.  Degree maxdeg needs
+    B.d > maxdeg.  A bar without a group takes its groups from the
+    boundaries, each cleared by the unit pivots of the one below.  A bar
+    with a group builds a presentation per degree, whose representative
+    cycles the induced maps need, and reads each group off it.  An
+    elimination whose nonzeros pass the budget raises BudgetError."""
     chain = normalized_chain_complex(B.space, top=maxdeg + 1)
     g_action: dict = {}
     if B.group is None:
@@ -362,18 +356,12 @@ def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> 
             label = str(B.group.elements[g])
             action_map = g_action_on_bar(B, g)
             g_action[label] = [
-                induced_map_on_homology(action_map, q,
-                                        source_pres=presentations[q],
-                                        target_pres=presentations[q]).as_dict()["matrix"]
-                for q in range(maxdeg + 1)]
+                [list(row) for row in induced_map_on_homology(action_map, q, pres, pres)]
+                for q, pres in enumerate(presentations)]
 
     expected: list = [None] * (maxdeg + 1)
-    matches: list = [None] * (maxdeg + 1)
     if B.monoid.is_group():
-        invariants = _cyclic_decomposition(B.monoid)
-        for q in range(maxdeg + 1):
-            expected[q] = _expected_from_invariants(invariants, B.iterations, q)
-            if expected[q] is not None:
-                matches[q] = expected[q] == groups[q]
-    return DeloopingReport(B.iterations, B.d, maxdeg, B.space.level_sizes(), groups,
+        expected = [expected_em_homology(B.monoid, B.iterations, q) for q in range(maxdeg + 1)]
+    matches = [None if e is None else e == h for e, h in zip(expected, groups)]
+    return DeloopingReport(B.iterations, B.d, B.space.level_sizes(), groups,
                            g_action, expected, matches)

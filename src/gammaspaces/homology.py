@@ -9,9 +9,10 @@ without transforms, one boundary at a time, each boundary first cleared
 of the rows that the previous one's leading unit pivots mark (Chen-Kerber,
 "Persistent homology computation with a twist", 2011).  Induced maps need
 representative cycles, so a `HomologyPresentation` runs two Smith forms
-per degree, each keeping only the transforms it reads, and a report with
-induced maps reads its groups off the presentations.  Dense matrices are
-left to the helpers at the end, which this path never calls.
+per degree, each keeping only the transforms it reads, and
+`induced_map_on_homology` reads its matrix off the presentations of its
+source and target.  Dense matrices are left to the helpers at the end,
+which this path never calls.
 """
 
 from __future__ import annotations
@@ -285,9 +286,9 @@ class ChainComplex:
 
     ranks[p] for 0 <= p <= top; boundaries[p] is the differential from
     degree p to degree p-1 for 1 <= p <= top, stored as ranks[p-1] sparse
-    rows with columns below ranks[p], and boundaries[0] is empty.  The
-    composite of consecutive boundaries is checked to vanish at
-    construction time.
+    rows with columns below ranks[p], and boundaries[0] is empty.  A row
+    holding an explicit 0 is refused, and the composite of consecutive
+    boundaries is checked to vanish at construction time.
     """
 
     def __init__(self, ranks: list[int], boundaries: list[list[Row]]):
@@ -299,11 +300,13 @@ class ChainComplex:
             if len(boundaries[p]) != ranks[p - 1] or any(not 0 <= j < cols
                                                         for row in boundaries[p] for j in row):
                 raise ValueError(f"boundary {p} does not fit shape {(ranks[p - 1], cols)}")
+            if any(0 in row.values() for row in boundaries[p]):
+                raise ValueError(f"boundary {p} holds an explicit zero")
         for p in range(2, self.top + 1):
             above = boundaries[p]
             for row in boundaries[p - 1]:
                 # row of d_(p-1) @ d_p; entries are summed, never deleted, so
-                # a row holding an explicit 0 is read as it stands
+                # a sum that cancels stays as an explicit 0, which `any` passes
                 image = {}
                 for s, x in row.items():
                     for j, y in above[s].items():
@@ -486,30 +489,14 @@ def _transposed(rows: list[Row], cols: int) -> list[Row]:
     return columns
 
 
-@dataclass(frozen=True)
-class InducedMap:
-    """Matrix description of a map on homology presentations: column j is
-    the image of the j-th source generator in target coordinates (torsion
-    coordinates reduced mod their order)."""
-
-    source: HomologyGroup
-    target: HomologyGroup
-    matrix: tuple[tuple[int, ...], ...]  # rows indexed by target coordinates
-
-    def as_dict(self) -> dict:
-        return {"source": self.source.as_dict(), "target": self.target.as_dict(),
-                "matrix": [list(r) for r in self.matrix]}
-
-
-def induced_map_on_homology(f: SimplicialMap, p: int,
-                            source_pres: HomologyPresentation | None = None,
-                            target_pres: HomologyPresentation | None = None) -> InducedMap:
-    """Push each source generator, a sparse cycle, through the chain map
-    and express it in the target presentation.  A generator's entry on a
-    source simplex is added onto the entry of that simplex's image; an
-    image that is degenerate drops out."""
-    source_pres = source_pres or HomologyPresentation(normalized_chain_complex(f.source, p + 1), p)
-    target_pres = target_pres or HomologyPresentation(normalized_chain_complex(f.target, p + 1), p)
+def induced_map_on_homology(f: SimplicialMap, p: int, source_pres: HomologyPresentation,
+                            target_pres: HomologyPresentation) -> tuple[tuple[int, ...], ...]:
+    """The map f induces on H_p, from the presentation of its source to
+    that of its target: column j is the image of the j-th source generator,
+    row i its target coordinate i, torsion rows reduced mod their order.
+    Each generator, a sparse cycle, is pushed through the chain map: its
+    entry on a source simplex is added onto the entry of that simplex's
+    image, and an image that is degenerate drops out."""
     row_of = {k: i for i, k in enumerate(f.target.nondegenerate_indices(p))}
     table = f.tables[p]
     to = [row_of.get(table[k]) for k in f.source.nondegenerate_indices(p)]
@@ -520,7 +507,7 @@ def induced_map_on_homology(f: SimplicialMap, p: int,
             if to[r] is not None:
                 image[to[r]] = image.get(to[r], 0) + x
         images.append({i: x for i, x in image.items() if x})
-    return InducedMap(source_pres.group(), target_pres.group(), target_pres.coordinates(images))
+    return target_pres.coordinates(images)
 
 
 # ---------------------------------------------------------------------------

@@ -511,6 +511,40 @@ class TestDeloopingReports:
             cb.delooping_report(cb.bar(X, 1, 2), 2)
 
 
+class TestHurewicz:
+    @pytest.mark.parametrize("name, k", [
+        pytest.param(name, k, id=f"{name}-k{k}",
+                     marks=[pytest.mark.slow] if (name, k) == ("z2_swap_on_klein", 2) else [])
+        for name in ACTION_FIXTURES for k in (1, 2)])
+    def test_g_action_on_h_follows_the_action_on_a(self, name, k):
+        # H_k of the k-fold delooping is A through Hurewicz: a goes to the
+        # class of its Moore cycle, the k-simplex whose faces all lie at the
+        # basepoint.  g moves a to g.a, so M(g) h(a) = h(g.a), with h read
+        # off single simplices rather than pushed chains
+        A = alg.GMonoid.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        X = ps.build_ggamma_set(A, (k + 1) ** k)
+        B = cb.iterate_bar(X, k, k + 1)
+        S = B.space
+        base = 0  # the level-0 point, degenerated up to level k - 1
+        for p in range(k - 1):
+            base = S.degeneracies[p][0][base]
+        moore = [a for a in range(len(S.levels[k])) if all(t[a] == base for t in S.faces[k])]
+        assert len(moore) == A.monoid.size
+        row_of = {a: r for r, a in enumerate(S.nondegenerate_indices(k))}
+        pres = HomologyPresentation(hm.normalized_chain_complex(S, k + 1), k)
+        coordinates = pres.coordinates([{row_of[a]: 1} if a in row_of else {} for a in moore])
+        h = dict(zip(moore, zip(*coordinates)))
+        assert len(set(h.values())) == len(moore)
+        report = cb.delooping_report(B, k)
+        orders = pres.torsion + (0,) * len(pres.free_positions)
+        for g, label in enumerate(A.group.elements):
+            M = report.g_action_on_h[str(label)][k]
+            act = X.action_table(X.group_action(B.objects[k], g))
+            for a in moore:
+                image = (sum(x * y for x, y in zip(row, h[a])) for row in M)
+                assert tuple(x % t if t else x for x, t in zip(image, orders)) == h[act[a]], (g, a)
+
+
 class TestExpectedPattern:
     def test_cyclic_first_delooping(self):
         assert cb.expected_em_homology(Z3, 1, 0) == HomologyGroup(1)

@@ -15,7 +15,7 @@ def test_ladder_runs_its_fastest_rung():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "ladder.py"), "klein_k1_h4"],
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    figures = r" +\d+\.\d\d s +\d+\.\d\d s CPU +\d+\.\d MB  "
+    figures = r" +\d+\.\d{3} s +\d+\.\d{3} s CPU +\d+\.\d MB  "
     match = re.fullmatch(f"baseline{figures}import gammaspaces.cli\n"
                          f"klein_k1_h4{figures}sha256 ([0-9a-f]{{64}})\n", proc.stdout)
     assert match, proc.stdout

@@ -15,7 +15,6 @@ cleared boundaries, or from the presentations when there is a group.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -221,37 +220,24 @@ def structure_map(B: BarSpace) -> StructureMapResult:
     return StructureMapResult(susp, sk, iso, incl, equivariant)
 
 
-def _primes(x: int) -> list[int]:
-    return [p for p in range(2, x + 1) if x % p == 0 and all(p % q for q in range(2, p))]
-
-
-def _invariant_factors(primes, at_least) -> list[int]:
-    """Invariant factors, in divisibility order, of the finite abelian group
-    with at_least(p, j) cyclic factors of order a multiple of p**j: the t-th
-    factor from the top takes p**e, e counting the j with at_least >= t."""
-    top: dict[int, int] = {}
-    for p in primes:
-        counts = list(itertools.takewhile(bool, (at_least(p, j) for j in itertools.count(1))))
-        for t in range(1, counts[0] + 1):
-            top[t] = top.get(t, 1) * p ** sum(c >= t for c in counts)
-    return sorted(top.values())
-
-
 def _cyclic_decomposition(A: FinAbMonoid) -> list[int]:
-    """Invariant factors of a finite abelian group given by its table, from
-    element orders alone: when p**j kills p**s_j elements, s_j - s_(j-1)
-    cyclic p-power factors have order at least p**j."""
-    orders = []
-    for a in range(A.size):
-        x, order = a, 1
-        while x != A.unit:
-            x, order = A.table[x][a], order + 1
-        orders.append(order)
+    """Invariant factors, in divisibility order, of a finite abelian group
+    by subgroup closure: from H = {unit}, an x of largest order e modulo H
+    (the least e with e*x in H) spans a cyclic summand of A/H, so e is the
+    next factor from the top; H is closed under x until it is A."""
+    def order(a, subgroup):
+        x, e = a, 1
+        while x not in subgroup:
+            x, e = A.table[x][a], e + 1
+        return e
 
-    def at_least(p, j):
-        ratio = sum(p ** j % o == 0 for o in orders) // sum(p ** (j - 1) % o == 0 for o in orders)
-        return next(e for e in range(ratio) if p ** e == ratio)
-    return _invariant_factors(_primes(A.size), at_least)
+    subgroup, factors = {A.unit}, []
+    while len(subgroup) < A.size:
+        top, x = max((order(a, subgroup), a) for a in range(A.size))
+        factors.append(top)
+        for _ in range(top - 1):
+            subgroup |= {A.table[h][x] for h in subgroup}
+    return factors[::-1]
 
 
 def _cyclic_list_homology(orders: list[int], q: int) -> list[int]:
@@ -265,31 +251,30 @@ def _cyclic_list_homology(orders: list[int], q: int) -> list[int]:
 
 
 def _kunneth(ha, hb, q: int) -> list[list[int]]:
+    """Degrees 0..q of the Kuenneth formula over Z on lists of cyclic orders
+    per degree (0 meaning free): Z/x tensor Z/y and Tor(Z/x, Z/y) are both
+    Z/gcd(x, y), Tor only where x and y are nonzero; Z/1 stays in."""
     out: list[list[int]] = []
     for degree in range(q + 1):
         summands: list[int] = []
         for i in range(degree + 1):
-            summands.extend(_tensor(ha[i], hb[degree - i]))
+            summands.extend(math.gcd(x, y) for x in ha[i] for y in hb[degree - i])
         for i in range(degree):
-            summands.extend(_tor(ha[i], hb[degree - 1 - i]))
+            summands.extend(math.gcd(x, y) for x in ha[i] for y in hb[degree - 1 - i] if x and y)
         out.append(summands)
     return out
 
 
-def _tensor(xs, ys):
-    return [math.gcd(x, y) for x in xs for y in ys if math.gcd(x, y) != 1]
-
-
-def _tor(xs, ys):
-    return [math.gcd(x, y) for x in xs for y in ys if x and y and math.gcd(x, y) != 1]
-
-
 def _canonical_group(orders: list[int]) -> HomologyGroup:
     """The direct sum of cyclic groups of the given orders (0 meaning a free
-    summand), in invariant-factor form."""
-    nonzero = [x for x in orders if x]
-    return HomologyGroup(orders.count(0), tuple(_invariant_factors(
-        _primes(math.lcm(*nonzero)), lambda p, j: sum(x % p ** j == 0 for x in nonzero))))
+    summand) in invariant-factor form: one sweep of Z/a + Z/b = Z/gcd + Z/lcm
+    over the pairs leaves each nonzero order dividing the later ones."""
+    factors = [x for x in orders if x]
+    for i in range(len(factors)):
+        for j in range(i + 1, len(factors)):
+            a, b = factors[i], factors[j]
+            factors[i], factors[j] = math.gcd(a, b), math.lcm(a, b)
+    return HomologyGroup(orders.count(0), tuple(x for x in factors if x > 1))
 
 
 def expected_em_homology(A: FinAbMonoid, k: int, q: int) -> HomologyGroup | None:
@@ -356,8 +341,8 @@ def delooping_report(B: BarSpace, maxdeg: int, budget: int = DEFAULT_BUDGET) -> 
             label = str(B.group.elements[g])
             action_map = g_action_on_bar(B, g)
             g_action[label] = [
-                [list(row) for row in induced_map_on_homology(action_map, q, pres, pres)]
-                for q, pres in enumerate(presentations)]
+                [list(row) for row in induced_map_on_homology(action_map, pres, pres)]
+                for pres in presentations]
 
     expected: list = [None] * (maxdeg + 1)
     if B.monoid.is_group():

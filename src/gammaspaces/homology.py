@@ -398,6 +398,7 @@ class HomologyPresentation:
 
     def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
         _require_boundaries(C, p, negative_ok=False)
+        self.degree = p
         n_p, n_next = C.ranks[p], C.ranks[p + 1]
         d = [dict(row) for row in C.boundaries[p]]  # reduced in place
         try:
@@ -489,17 +490,28 @@ def _transposed(rows: list[Row], cols: int) -> list[Row]:
     return columns
 
 
-def induced_map_on_homology(f: SimplicialMap, p: int, source_pres: HomologyPresentation,
+def induced_map_on_homology(f: SimplicialMap, source_pres: HomologyPresentation,
                             target_pres: HomologyPresentation) -> tuple[tuple[int, ...], ...]:
-    """The map f induces on H_p, from the presentation of its source to
-    that of its target: column j is the image of the j-th source generator,
-    row i its target coordinate i, torsion rows reduced mod their order.
-    Each generator, a sparse cycle, is pushed through the chain map: its
-    entry on a source simplex is added onto the entry of that simplex's
-    image, and an image that is degenerate drops out."""
-    row_of = {k: i for i, k in enumerate(f.target.nondegenerate_indices(p))}
+    """The map f induces on H_p, p the degree of both presentations, from
+    the presentation of its source to that of its target: column j is the
+    image of the j-th source generator, row i its target coordinate i,
+    torsion rows reduced mod their order.  Each generator, a sparse cycle,
+    is pushed through the chain map: its entry on a source simplex is added
+    onto the entry of that simplex's image, and an image that is degenerate
+    drops out.  Raises ValueError unless both presentations are of degree p
+    and on as many p-chains as f has nondegenerate p-simplices on that side."""
+    p = source_pres.degree
+    fits = target_pres.degree == p <= f.source.d
+    if fits:
+        sources, targets = (X.nondegenerate_indices(p) for X in (f.source, f.target))
+        # V^-1 is square on the p-chains of the presentation's complex
+        fits = (len(source_pres._v_inv), len(target_pres._v_inv)) == (len(sources), len(targets))
+    if not fits:
+        raise ValueError(f"presentations of degrees {p} and {target_pres.degree} "
+                         f"do not fit the chains of f in degree {p}")
+    row_of = {k: i for i, k in enumerate(targets)}
     table = f.tables[p]
-    to = [row_of.get(table[k]) for k in f.source.nondegenerate_indices(p)]
+    to = [row_of.get(table[k]) for k in sources]
     images = []
     for cycle in source_pres.generator_cycles():
         image = {}

@@ -17,7 +17,9 @@ checked against `homology_groups`, which eliminates each boundary with
 pivots mark.  Both are also checked against homology read off
 determinantal divisors and ranks, which share no code with `smith_rows`;
 the Smith diagonal checks the invariant factors that the
-expected-homology oracle finds without it.  Wedge objects give the normalized pairs of the
+expected-homology oracle finds without it.  The integer Moore complex of
+the bar, from the 0/1 matrices of its faces, gives its homotopy groups
+through Dold-Kan.  Wedge objects give the normalized pairs of the
 wedge-indexed category their concrete functions.  The category-axiom tests
 build the preimage form of a pointed map, identities and composites of
 power-set and order-preserving maps, the edges from vertex zero and
@@ -35,7 +37,8 @@ from dataclasses import dataclass
 
 from gammaspaces.algebra import FinAbMonoid, FiniteGroup
 from gammaspaces.errors import BudgetError, CompositionError, TruncationError
-from gammaspaces.gammacat import DeltaMap, GammaMap, GammaOpMap
+from gammaspaces.gammacat import (DeltaMap, GammaMap, GammaOpMap, face_gamma_op, identity,
+                                  smash_morphisms)
 from gammaspaces.homology import (ChainComplex, HomologyGroup, HomologyPresentation, Matrix,
                                   homology_groups, mat_mul, normalized_chain_complex,
                                   smith_normal_form, zeros)
@@ -357,6 +360,36 @@ def full_chain_complex(X: TruncatedSimplicialSet, top: int | None = None) -> Cha
                 mat[row][j] += -1 if i % 2 else 1
         boundaries.append(mat)
     return chain_complex(ranks, boundaries)
+
+
+def bar_face_preimages(p: int, i: int, k: int) -> list[list[int]]:
+    """F_i, the 0/1 matrix of face i out of level p of the k-fold bar at
+    the 1-wedge, as the columns of each of its (p-1)**k rows: row r lists
+    the points c, from 0, of the p**k that smash_morphisms of
+    face_gamma_op(p, i) in each of the k factors with identity(1) sends to
+    point r + 1."""
+    f = smash_morphisms(*[face_gamma_op(p, i)] * k, identity(1))
+    rows: list[list[int]] = [[] for _ in range(f.target)]
+    for c, v in enumerate(f.values[1:]):
+        if v:
+            rows[v - 1].append(c)
+    return rows
+
+
+def moore_complex(k: int, top: int) -> ChainComplex:
+    """The unnormalized Moore complex over Z of the k-fold bar at the
+    1-wedge through degree top: C_p = Z^(p**k) and d_p = sum_i (-1)**i F_i.
+    For a group A, bar level p is A^(p**k) with face i the matrix F_i over
+    A, so the bar's Moore complex is this one tensored with A."""
+    boundaries: list[list[dict]] = [[]]
+    for p in range(1, top + 1):
+        rows: list[dict] = [{} for _ in range((p - 1) ** k)]
+        for i in range(p + 1):
+            for row, points in zip(rows, bar_face_preimages(p, i, k), strict=True):
+                for c in points:
+                    row[c] = row.get(c, 0) + (-1) ** i
+        boundaries.append([{c: x for c, x in row.items() if x} for row in rows])
+    return ChainComplex([p ** k for p in range(top + 1)], boundaries)
 
 
 def determinant(a: Matrix) -> int:

@@ -1,6 +1,8 @@
 """No module of the package reads a private name of another one: each
-module's underscored names are its own to change.  Every module parses
-under the grammar of the oldest Python that pyproject.toml admits."""
+module's underscored names are its own to change.  The expected-homology
+oracle reaches no name of the homology path it is compared against.
+Every module parses under the grammar of the oldest Python that
+pyproject.toml admits."""
 
 import ast
 import pathlib
@@ -62,6 +64,47 @@ def test_the_scan_sees_module_aliases_and_their_private_names():
                                     "ss": "simplicial"}
     assert foreign_private_reads(tree, "cli") == [
         "homology._add", "cb._check_budget", "presheaves._canonical_family"]
+
+
+# what computes the homology a report compares against `expected_em_homology`
+HOMOLOGY_PATH = {"smith_rows", "homology_groups", "HomologyPresentation", "ChainComplex",
+                 "normalized_chain_complex"}
+
+
+def names_reached(tree: ast.Module, entry: str) -> dict[str, set[str]]:
+    """{each module-level function that entry reaches through the names it
+    reads: the names it reads, bare or as attributes}."""
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached: dict[str, set[str]] = {}
+    todo = [entry]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        nodes = list(ast.walk(functions[name]))
+        reached[name] = ({node.id for node in nodes if isinstance(node, ast.Name)}
+                         | {node.attr for node in nodes if isinstance(node, ast.Attribute)})
+        todo += sorted(reached[name] & functions.keys())
+    return reached
+
+
+def test_the_oracle_reaches_nothing_of_the_homology_path():
+    tree = ast.parse((PACKAGE / "classifying.py").read_text())
+    reached = names_reached(tree, "expected_em_homology")
+    assert {"_cyclic_decomposition", "_cyclic_list_homology", "_kunneth",
+            "_canonical_group"} <= reached.keys()
+    assert {name: names & HOMOLOGY_PATH for name, names in reached.items()
+            if names & HOMOLOGY_PATH} == {}
+
+
+def test_the_oracle_scan_sees_calls_through_helpers_and_aliases():
+    tree = ast.parse("def expected(A):\n    return _helper(A) or hm.HomologyGroup(0)\n"
+                     "def _helper(A):\n    return hm.smith_rows(A) or homology_groups(A)\n"
+                     "def unreached():\n    return ChainComplex([], [])\n")
+    reached = names_reached(tree, "expected")
+    assert reached.keys() == {"expected", "_helper"}
+    assert reached["_helper"] & HOMOLOGY_PATH == {"smith_rows", "homology_groups"}
+    assert not reached["expected"] & HOMOLOGY_PATH
 
 
 def oldest_python() -> tuple[int, int]:

@@ -4,6 +4,7 @@ import itertools
 import json
 import os
 import pathlib
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -18,8 +19,9 @@ from gammaspaces import simplicial as ss
 from gammaspaces.errors import BudgetError, StrictnessError, TruncationError
 from gammaspaces.homology import HomologyGroup, HomologyPresentation
 from oracles import (TruncatedBisimplicialSet, bar_budget, bar_budget_counts,
-                     bar_resolution_homology, compose_maps, diagonal, em_two_homology,
-                     map_from_label_maps, nerve_of_monoid, snf_diagonal)
+                     bar_face_preimages, bar_resolution_homology, compose_maps, diagonal,
+                     em_two_homology, map_from_label_maps, moore_complex, nerve_of_monoid,
+                     snf_diagonal)
 
 Z2 = alg.cyclic(2)
 Z3 = alg.cyclic(3)
@@ -34,6 +36,17 @@ def z3_with_unit(unit):
     """The order-3 group with element k standing for k - unit mod 3."""
     return alg.FinAbGroup((0, 1, 2), unit,
                           tuple(tuple((i + j - unit) % 3 for j in range(3)) for i in range(3)))
+
+
+def relabelled(A, perm):
+    """The group A with element i moved to index perm[i]."""
+    table = [[0] * A.size for _ in range(A.size)]
+    elements = [None] * A.size
+    for i in range(A.size):
+        elements[perm[i]] = A.elements[i]
+        for j in range(A.size):
+            table[perm[i]][perm[j]] = perm[A.table[i][j]]
+    return alg.FinAbGroup(tuple(elements), perm[A.unit], tuple(map(tuple, table)))
 
 
 class TestBar:
@@ -455,6 +468,25 @@ class TestDeloopingReports:
         assert report.g_action_on_h["0"][1] == [[1]]
         assert report.g_action_on_h["1"][1] == [[2]]
 
+    @pytest.mark.parametrize("name, d, h1_matrix", [("z2_inversion_on_z3", 4, ((2,),)),
+                                                    ("z2_trivial_on_z2", 5, ((1,),))])
+    def test_induced_maps_refuse_presentations_that_do_not_fit(self, name, d, h1_matrix):
+        # on the trivial action every chain rank is 1, so only the degrees
+        # tell P1 from P3 there; a Klein four nerve has 3 chains in degree 1
+        A = alg.GMonoid.from_json(json.loads((FIXTURES / f"{name}.json").read_text()))
+        B = cb.bar(ps.build_ggamma_set(A, d), 1, d)
+        C = hm.normalized_chain_complex(B.space)
+        g = cb.g_action_on_bar(B, 1)
+        P1, P3 = HomologyPresentation(C, 1), HomologyPresentation(C, 3)
+        Q1 = HomologyPresentation(hm.normalized_chain_complex(nerve_of_monoid(KLEIN, 2)), 1)
+        for source, target in ((P1, P3), (P3, P1), (P1, Q1), (Q1, P1)):
+            with pytest.raises(ValueError) as refused:
+                hm.induced_map_on_homology(g, source, target)
+            assert str(refused.value) == (
+                f"presentations of degrees {source.degree} and {target.degree} "
+                f"do not fit the chains of f in degree {source.degree}")
+        assert hm.induced_map_on_homology(g, P1, P1) == h1_matrix
+
     def test_induced_swap_action_on_h1(self):
         X = ps.build_ggamma_set(alg.swap_action(), 4)
         report = cb.delooping_report(cb.bar(X, 1, 4), 1)
@@ -545,6 +577,35 @@ class TestHurewicz:
                 assert tuple(x % t if t else x for x, t in zip(image, orders)) == h[act[a]], (g, a)
 
 
+class TestDoldKan:
+    # for a group A, bar level p at the 1-wedge is A^(p**k) with faces F_i
+    # over A, so by Dold-Kan pi_q of the bar is H_q of the integer Moore
+    # complex tensored with A; with that homology Z in degree k alone,
+    # universal coefficients give pi_k = A and pi_q = 0 in every other degree
+    @pytest.mark.parametrize("k, d", [(1, 14), (2, 12), (3, 8), (4, 6)])
+    def test_the_integer_moore_complex_is_z_in_degree_k(self, k, d):
+        groups = hm.homology_groups(moore_complex(k, d), d - 1)
+        assert groups == [HomologyGroup(int(q == k)) for q in range(d)]
+
+    @pytest.mark.parametrize("A, k, d", [(Z2, 2, 4), (Z3, 2, 3), (KLEIN, 1, 5)],
+                             ids=["Z2-k2", "Z3-k2", "Klein-k1"])
+    def test_bar_faces_are_the_preimage_matrices_over_a(self, A, k, d):
+        space = cb.iterate_bar(ps.build_gamma_set(A, d ** k), k, d).space
+        for p in range(1, d + 1):
+            level, below = space.levels[p], space.levels[p - 1]
+            assert len(level) == A.size ** p ** k
+            for i, table in enumerate(space.faces[p]):
+                preimages = bar_face_preimages(p, i, k)
+                for s, x in enumerate(level):
+                    image = []
+                    for points in preimages:
+                        total = A.unit
+                        for c in points:
+                            total = A.table[total][x[c]]
+                        image.append(total)
+                    assert below[table[s]] == tuple(image), (p, i, s)
+
+
 class TestExpectedPattern:
     def test_cyclic_first_delooping(self):
         assert cb.expected_em_homology(Z3, 1, 0) == HomologyGroup(1)
@@ -605,10 +666,23 @@ class TestExpectedPattern:
         assert cb._cyclic_decomposition(alg.cyclic(8)) == [8]
 
     def test_invariant_factors_agree_with_smith_form(self):
-        # every abelian group of order up to 8, up to isomorphism
-        prod, c = alg.direct_product, alg.cyclic
-        groups = [c(n) for n in range(1, 9)] + [
-            prod(Z2, Z2), prod(Z2, Z3), prod(Z2, Z4), prod(Z4, Z2), prod(prod(Z2, Z2), Z2)]
+        # every abelian group of order up to 16, up to isomorphism, as built
+        # and in two random relabellings that move the unit, where the
+        # subgroup walk starts, off index 0
+        rng = random.Random(16)
+        c = alg.cyclic
+        built = [c(n) for n in range(1, 17)] + [
+            functools.reduce(alg.direct_product, map(c, orders)) for orders in (
+                (2, 2), (2, 3), (2, 4), (4, 2), (2, 2, 2), (3, 3), (2, 3, 2), (2, 8), (4, 4),
+                (2, 2, 4), (2, 2, 2, 2))]
+        groups = []
+        for A in built:
+            groups.append(A)
+            for _ in range(2 if A.size > 1 else 0):
+                perm = list(range(A.size))
+                while perm[A.unit] == 0:
+                    rng.shuffle(perm)
+                groups.append(relabelled(A, perm))
         for A in groups:
             relations = []  # e_a + e_b - e_ab, one column per element
             for a in range(A.size):
@@ -620,7 +694,8 @@ class TestExpectedPattern:
                     relations.append(row)
             invariants = cb._cyclic_decomposition(A)
             assert invariants == [x for x in snf_diagonal(relations) if x > 1]
-            for orders in (invariants, [0] + invariants[::-1], [6, 4, 0, 9][:A.size]):
+            for orders in (invariants, [0] + invariants[::-1], [6, 4, 0, 9][:A.size],
+                           [1, 0] + invariants + [1], [1, 6, 0, 4, 1, 9, 0, 10, 1, 15][:A.size]):
                 diag = snf_diagonal([[x if i == j else 0 for j in range(len(orders))]
                                      for i, x in enumerate(orders)]) if orders else []
                 assert cb._canonical_group(orders) == HomologyGroup(

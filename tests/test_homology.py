@@ -663,7 +663,7 @@ def induced(f, p):
     read off presentations of the normalized chains of both ends."""
     source, target = (hm.HomologyPresentation(hm.normalized_chain_complex(X, p + 1), p)
                       for X in (f.source, f.target))
-    return source.group(), target.group(), hm.induced_map_on_homology(f, p, source, target)
+    return source.group(), target.group(), hm.induced_map_on_homology(f, source, target)
 
 
 class TestInducedMaps:

@@ -343,7 +343,7 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _fail(kind: str, exc: Exception, code: int) -> int:
+def _fail(kind: str, exc: Exception | str, code: int) -> int:
     """Report a failure on one stderr line; a line break in the message,
     say from an element label read from the input, is written as \\n."""
     print(f"{kind}: " + "\\n".join(str(exc).splitlines()), file=sys.stderr)
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
         return _fail("algebra/extraction error", exc, EXIT_ALGEBRA)
     except (TruncationError, BudgetError) as exc:
         return _fail("resource error", exc, EXIT_RESOURCE)
+    except MemoryError:
+        pass  # the line is written once its traceback, and what filled memory, are freed
+    return _fail("resource error", "out of memory", EXIT_RESOURCE)
 
 
 if __name__ == "__main__":

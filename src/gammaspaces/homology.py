@@ -9,10 +9,10 @@ without transforms, one boundary at a time, each boundary first cleared
 of the rows that the previous one's leading unit pivots mark (Chen-Kerber,
 "Persistent homology computation with a twist", 2011).  Induced maps need
 representative cycles, so a `HomologyPresentation` runs two Smith forms
-per degree, each keeping only the transforms it reads, and
-`induced_map_on_homology` reads its matrix off the presentations of its
-source and target.  Dense matrices are left to the helpers at the end,
-which this path never calls.
+per degree, each keeping only the transforms it reads, and then holds only
+the cycles and transform columns that `induced_map_on_homology` reads its
+matrix through, outside the budget.  Dense matrices are left to the
+helpers at the end, which this path never calls.
 """
 
 from __future__ import annotations
@@ -384,56 +384,55 @@ def homology_groups(C: ChainComplex, top: int, budget: int | None = None) -> lis
 class HomologyPresentation:
     """Canonical presentation of one homology group of a chain complex.
 
-    Generators are a basis of the cycle lattice, `kernel`: the columns of V
-    past the rank in the Smith form U @ d_p @ V = D, whose inverse V^-1 is
-    kept alongside.  A p-chain z is a cycle exactly when the first rank
-    coordinates of V^-1 z vanish, and the rest are its coordinates in the
-    kernel basis, so the relations are V^-1's rows past the rank times the
-    next boundary's rows (`relation_rows`), and they are diagonalized in
-    place keeping U and U^-1 only.  The canonical coordinates list torsion
-    positions first (in divisibility order), then free positions.  Every
-    matrix is held as sparse rows, and cycles as sparse chains; with a
-    `budget`, BudgetError is raised as soon as the nonzeros held pass it.
+    The columns of V past the rank in the Smith form U_1 @ d_p @ V = D are
+    a basis of the cycle lattice: a p-chain z is a cycle exactly when the
+    first rank coordinates of V^-1 z vanish, and the rest are its
+    coordinates in that basis.  The relations, V^-1's rows past the rank
+    times the next boundary's rows, are diagonalized keeping U and U^-1.
+    Canonical coordinates list torsion positions first (in divisibility
+    order), then free positions.  A presentation holds, as sparse rows,
+    only what its readers read: one representative cycle per coordinate,
+    the columns of V^-1, and those of U's rows at the canonical positions,
+    besides `chains`, the number of p-chains.  With a `budget`, BudgetError
+    is raised as soon as the relations or the eliminations hold more
+    nonzeros; the stored cycles and columns stay outside that count.
     """
 
     def __init__(self, C: ChainComplex, p: int, budget: int | None = None):
         _require_boundaries(C, p, negative_ok=False)
-        self.degree = p
-        n_p, n_next = C.ranks[p], C.ranks[p + 1]
+        self.degree, self.chains = p, C.ranks[p]
+        n_next = C.ranks[p + 1]
         d = [dict(row) for row in C.boundaries[p]]  # reduced in place
         try:
-            kept = smith_rows(d, n_p, ("v", "v_inv"), budget)
+            kept = smith_rows(d, self.chains, ("v", "v_inv"), budget)
             self._rank = sum(1 for i, row in enumerate(d) if i in row)
-            self.kernel, self._v_inv = kept["v"][self._rank:], kept["v_inv"]
-            left = None if budget is None else (budget - sum(map(len, self.kernel))
-                                                - sum(map(len, self._v_inv)))
-            relations = self.relation_rows(C.boundaries[p + 1], left)
+            kernel, v_inv = kept["v"][self._rank:], kept["v_inv"]
+            left = None if budget is None else (budget - sum(map(len, kernel))
+                                                - sum(map(len, v_inv)))
+            # the next boundary in kernel coordinates: relation k is the sum
+            # of V^-1[rank + k][r] times boundary row r
+            relations, nonzeros = [], 0
+            for row in v_inv[self._rank:]:
+                relations.append(_apply(C.boundaries[p + 1], row))
+                nonzeros += len(relations[-1])
+                if left is not None and nonzeros > left:
+                    raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {left}")
             kept = smith_rows(relations, n_next, ("u", "u_inv"), left)
         except BudgetError as exc:
             raise BudgetError(f"homology presentation in degree {p}: nonzeros held "
                               f"exceed budget {budget}") from exc
-        self._rel_u, self._rel_u_inv = kept["u"], kept["u_inv"]
         diag = [row.get(i, 0) for i, row in enumerate(relations[:n_next])]
         rel_rank = sum(1 for x in diag if x)
         # coordinate layout: torsion positions then free positions
         torsion_positions = [i for i in range(rel_rank) if diag[i] > 1]
         self.torsion = tuple(diag[i] for i in torsion_positions)
-        self.free_positions = list(range(rel_rank, n_p - self._rank))
-        self.positions = torsion_positions + self.free_positions
-        self._generators: list[Row] | None = None
-        self._by_columns = None  # V^-1 and U's kept rows by columns, for `coordinates`
-
-    def relation_rows(self, boundary_rows: list[Row], budget: int | None = None) -> list[Row]:
-        """The next boundary, given by its sparse rows, in kernel
-        coordinates: relation k is the sum of V^-1[rank + k][r] times
-        boundary row r."""
-        relations, nonzeros = [], 0
-        for row in self._v_inv[self._rank:]:
-            relations.append(_apply(boundary_rows, row))
-            nonzeros += len(relations[-1])
-            if budget is not None and nonzeros > budget:
-                raise BudgetError(f"relations hold {nonzeros} nonzeros, past budget {budget}")
-        return relations
+        self.free_positions = list(range(rel_rank, self.chains - self._rank))
+        positions = torsion_positions + self.free_positions
+        # column pos of U^-1, kept transposed, in the kernel basis
+        self._cycles = [_apply(kernel, kept["u_inv"][pos]) for pos in positions]
+        self._v_inv_columns = _transposed(v_inv, self.chains)
+        self._u_columns = [{}] * self._rank + _transposed([kept["u"][pos] for pos in positions],
+                                                          len(kernel))
 
     def group(self) -> HomologyGroup:
         return HomologyGroup(len(self.free_positions), self.torsion)
@@ -441,34 +440,28 @@ class HomologyPresentation:
     def coordinates(self, cycles: list[Row]) -> tuple[tuple[int, ...], ...]:
         """Canonical coordinates of sparse cycles in the chain basis: row i
         holds coordinate i of every cycle, torsion coordinates reduced mod
-        their order.  Raises ValueError if some chain is not a cycle.
+        their order.  Raises ValueError if some chain has an index outside
+        0..chains-1 or is not a cycle.
 
         A chain z goes through V^-1 and then through U's rows at the
-        canonical positions, each applied as Σ_r z[r] * (column r): their
-        columns are transposed on first use and kept, so a product reads
-        only the columns where z is nonzero.  z is a cycle exactly when
-        V^-1 z vanishes in the first rank coordinates."""
-        if self._by_columns is None:
-            u = [self._rel_u[pos] for pos in self.positions]
-            self._by_columns = (_transposed(self._v_inv, len(self._v_inv)),
-                                [{}] * self._rank + _transposed(u, len(self.kernel)))
-        v_inv, u = self._by_columns
-        coords = [_apply(v_inv, cycle) for cycle in cycles]
+        canonical positions, each applied as Σ_r z[r] * (column r), so a
+        product reads only the columns where z is nonzero.  z is a cycle
+        exactly when V^-1 z vanishes in the first rank coordinates."""
+        if any(cycle and (min(cycle) < 0 or max(cycle) >= self.chains) for cycle in cycles):
+            raise ValueError(f"a chain index lies outside 0..{self.chains - 1} "
+                             f"in degree {self.degree}")
+        coords = [_apply(self._v_inv_columns, cycle) for cycle in cycles]
         if any(i < self._rank for c in coords for i in c):
             raise ValueError("not a cycle")
-        coords = [_apply(u, c) for c in coords]
+        coords = [_apply(self._u_columns, c) for c in coords]
         orders = self.torsion + (0,) * len(self.free_positions)
         return tuple(tuple(c.get(i, 0) % t if t else c.get(i, 0) for c in coords)
                      for i, t in enumerate(orders))
 
     def generator_cycles(self) -> list[Row]:
         """Representative cycles as sparse chains, one per canonical
-        coordinate; computed on first use and shared."""
-        if self._generators is None:
-            # column pos of U^-1, kept transposed, in the kernel basis
-            self._generators = [_apply(self.kernel, self._rel_u_inv[pos])
-                                for pos in self.positions]
-        return self._generators
+        coordinate, shared by every call."""
+        return self._cycles
 
 
 def _apply(rows: list[Row], chain: Row) -> Row:
@@ -504,8 +497,7 @@ def induced_map_on_homology(f: SimplicialMap, source_pres: HomologyPresentation,
     fits = target_pres.degree == p <= f.source.d
     if fits:
         sources, targets = (X.nondegenerate_indices(p) for X in (f.source, f.target))
-        # V^-1 is square on the p-chains of the presentation's complex
-        fits = (len(source_pres._v_inv), len(target_pres._v_inv)) == (len(sources), len(targets))
+        fits = (source_pres.chains, target_pres.chains) == (len(sources), len(targets))
     if not fits:
         raise ValueError(f"presentations of degrees {p} and {target_pres.degree} "
                          f"do not fit the chains of f in degree {p}")

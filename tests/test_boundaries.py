@@ -1,5 +1,7 @@
 """No module of the package reads a private name of another one: each
-module's underscored names are its own to change.  The expected-homology
+module's underscored names are its own to change.  No function reads an
+underscored attribute of any object but its own `self` or `cls`, so a
+class's private state is its own to change too.  The expected-homology
 oracle reaches no name of the homology path it is compared against.
 Every module parses under the grammar of the oldest Python that
 pyproject.toml admits."""
@@ -64,6 +66,33 @@ def test_the_scan_sees_module_aliases_and_their_private_names():
                                     "ss": "simplicial"}
     assert foreign_private_reads(tree, "cli") == [
         "homology._add", "cb._check_budget", "presheaves._canonical_family"]
+
+
+def private_attribute_reads(tree: ast.Module) -> list[str]:
+    """`expr._name` inside a function, in source order, where expr is not
+    the bare name `self` or `cls`."""
+    reads = {}
+    for function in ast.walk(tree):
+        if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for node in ast.walk(function):
+                if isinstance(node, ast.Attribute) and private(node.attr) and not (
+                        isinstance(node.value, ast.Name) and node.value.id in ("self", "cls")):
+                    reads[node.lineno, node.col_offset] = ast.unparse(node)
+    return [reads[at] for at in sorted(reads)]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_function_reads_a_private_attribute_of_another_object(module):
+    assert private_attribute_reads(ast.parse((PACKAGE / f"{module}.py").read_text())) == []
+
+
+def test_the_attribute_scan_sees_other_objects_and_nested_functions():
+    tree = ast.parse("class A:\n    def f(self, other):\n"
+                     "        return self._x, other._x, self.y._z, self.__dict__\n"
+                     "    @classmethod\n    def g(cls):\n        return cls._y, A._y\n"
+                     "def h(a):\n    return (lambda b: b._w)(a), a.x\n"
+                     "top = A._x\n")
+    assert private_attribute_reads(tree) == ["other._x", "self.y._z", "A._y", "b._w"]
 
 
 # what computes the homology a report compares against `expected_em_homology`

@@ -559,6 +559,22 @@ class TestClassify:
         assert (proc.returncode, proc.stdout) == (4, "")
         assert proc.stderr == f"resource error: {message} exceeds budget 10000000\n"
 
+    def test_memory_exhaustion_exits_four_with_one_line(self, tmp_path):
+        # Z/2 at --dim 17 is inside the default budget, but its action
+        # tables do not fit a 160 MB address space
+        presheaf = build(tmp_path, "z2", levels=2)
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+        env.pop(cli.DEFAULT_BUDGET_ENV, None)
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (160 << 20, 160 << 20))
+
+        proc = subprocess.run([sys.executable, "-B", "-m", "gammaspaces.cli", "classify",
+                               "--input", str(presheaf), "--dim", "17"], capture_output=True,
+                              text=True, env=env, timeout=60, preexec_fn=cap_memory)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            4, "", "resource error: out of memory\n")
+
     @pytest.mark.parametrize("at", [[], ["--at", "0"]], ids=["at1", "at0"])
     def test_budget_bounds_identity_checks_on_one_element_levels(self, tmp_path, capsys, at):
         # 21 simplices and at most 210 label entries fit; the 5,949 identity

@@ -583,26 +583,24 @@ def contract_complexes():
 
 
 class TestPresentationContract:
-    def test_kernel_times_relations_is_the_next_boundary(self):
+    def test_generators_are_cycles_and_boundaries_have_zero_coordinates(self):
         for C in contract_complexes():
             for p in range(C.top):
                 pres = hm.HomologyPresentation(C, p)
-                boundary = C.boundary(p + 1)
-                # the kernel basis and the relations are sparse: kernel[k] is
-                # a chain, relations[k] the k-th coordinate of every column
-                relations = pres.relation_rows(C.boundaries[p + 1])
-                kernel = [[vec.get(r, 0) for vec in pres.kernel] for r in range(C.ranks[p])]
-                dense = [[row.get(j, 0) for j in range(C.ranks[p + 1])] for row in relations]
-                product = [[sum(k * r[j] for k, r in zip(row, dense))
-                            for j in range(C.ranks[p + 1])] for row in kernel]
-                assert product == boundary
-                assert dense == hm.solve_exact(kernel, boundary)
+                for z in pres.generator_cycles():
+                    assert all(sum(x * z.get(j, 0) for j, x in row.items()) == 0
+                               for row in C.boundaries[p])
+                # column j of d_(p+1), read off its rows
+                columns = [{r: row[j] for r, row in enumerate(C.boundaries[p + 1]) if j in row}
+                           for j in range(C.ranks[p + 1])]
+                assert pres.coordinates(columns) == \
+                    tuple((0,) * len(columns) for _ in pres.generator_cycles())
 
     def test_generators_have_unit_coordinates(self):
         for C in contract_complexes():
             for p in range(C.top):
                 pres = hm.HomologyPresentation(C, p)
-                n = len(pres.positions)
+                n = len(pres.torsion) + len(pres.free_positions)
                 assert pres.coordinates(pres.generator_cycles()) == \
                     tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -633,6 +631,15 @@ class TestPresentationContract:
                 for j in sorted(set().union(*C.boundaries[p])):
                     with pytest.raises(ValueError, match="not a cycle"):
                         pres.coordinates([{j: 1}])
+
+    @pytest.mark.parametrize("chain", [{-1: 1}, {5: 1}, {0: 1, 2: -1}])
+    def test_chain_indices_outside_the_degree_are_refused(self, chain):
+        # degree 1 of the nerve of Z/3 has the 2 chains 0 and 1
+        C = hm.normalized_chain_complex(nerve_of_monoid(cyclic(3), 3))
+        pres = hm.HomologyPresentation(C, 1)
+        assert pres.chains == 2
+        with pytest.raises(ValueError, match=r"^a chain index lies outside 0\.\.1 in degree 1$"):
+            pres.coordinates([{0: 1}, chain])
 
 
 class TestPresentationBudget:

@@ -9,7 +9,7 @@ emitter (``_dumps``) that formats each integer table in one step.  Text output
 is a human summary.
 
 Exit codes: 0 pass, 1 condition-check failure, 2 input error, 3 algebra
-or extraction error, 4 resource or truncation error.
+or extraction error, 4 resource or truncation error or exhausted memory.
 """
 
 from __future__ import annotations
